@@ -45,8 +45,10 @@ int main() {
     io::Table table({"shift", "verdict", "max KS", "KMM ESS", "B3 acc", "B4 acc",
                      "B5 acc", "B4 health"});
     io::Json sweep = io::Json::array();
+    io::Json gate = io::Json::array();
 
     for (const SweepPoint& point : points) {
+        const std::string gate_prefix = "sweep[" + std::to_string(sweep.size()) + "].";
         // Identical streams per point: only the applied drift changes.
         rng::Rng master(config.seed);
         rng::Rng fab_rng = master.split();
@@ -106,6 +108,10 @@ int main() {
         entry.set("kmm_fallback_applied", pipeline.kmm_fallback_applied());
         entry.set("kmm_effective_sample_size", pipeline.kmm_effective_sample_size());
         entry.set("health", health.to_json());
+        // The verdict must not worsen: healthy < warn < degraded < critical.
+        gate.push_back(obs::gate_record(gate_prefix + "verdict_rank",
+                                        static_cast<double>(health.verdict()),
+                                        obs::Better::kLower, 0.0, 0.0));
 
         io::Json boundaries = io::Json::object();
         std::vector<std::string> row{
@@ -122,6 +128,15 @@ int main() {
                 bj.set("fp_rate", m.false_positive_rate());
                 bj.set("fn_rate", m.false_negative_rate());
                 bj.set("accuracy", m.accuracy());
+                const std::string metric = gate_prefix + core::boundary_name(b);
+                gate.push_back(obs::gate_record(metric + ".accuracy", m.accuracy(),
+                                                obs::Better::kHigher, 0.0, 0.10));
+                gate.push_back(obs::gate_record(metric + ".fp_rate",
+                                                m.false_positive_rate(),
+                                                obs::Better::kLower, 0.0, 0.10));
+                gate.push_back(obs::gate_record(metric + ".fn_rate",
+                                                m.false_negative_rate(),
+                                                obs::Better::kLower, 0.0, 0.10));
                 row.push_back(io::fmt(m.accuracy(), 2));
             } else {
                 row.push_back("-");
@@ -143,7 +158,8 @@ int main() {
     payload.set("n_chips", config.n_chips);
     payload.set("monte_carlo_samples", config.pipeline.monte_carlo_samples);
     payload.set("sweep", std::move(sweep));
-    const std::string path = obs::write_bench_report("drift_sweep", std::move(payload));
+    const std::string path =
+        obs::write_bench_report("drift_sweep", std::move(payload), std::move(gate));
     std::printf("wrote %s\n", path.c_str());
     return 0;
 }

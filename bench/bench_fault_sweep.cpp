@@ -43,8 +43,10 @@ int main() {
     io::Table table({"dropout", "kept", "retries", "faults", "B3 FP", "B3 FN",
                      "B4 FP", "B4 FN", "B4 health", "B5 FP", "B5 FN"});
     io::Json sweep = io::Json::array();
+    io::Json gate = io::Json::array();
 
     for (const SweepPoint& point : points) {
+        const std::string gate_prefix = "sweep[" + std::to_string(sweep.size()) + "].";
         // Identical streams per point: the sweep perturbs the same lot and
         // the same pipeline randomness, only the fault model changes.
         rng::Rng master(config.seed);
@@ -115,6 +117,15 @@ int main() {
                 bj.set("fp_rate", m.false_positive_rate());
                 bj.set("fn_rate", m.false_negative_rate());
                 bj.set("accuracy", m.accuracy());
+                const std::string metric = gate_prefix + core::boundary_name(b);
+                gate.push_back(obs::gate_record(metric + ".accuracy", m.accuracy(),
+                                                obs::Better::kHigher, 0.0, 0.10));
+                gate.push_back(obs::gate_record(metric + ".fp_rate",
+                                                m.false_positive_rate(),
+                                                obs::Better::kLower, 0.0, 0.10));
+                gate.push_back(obs::gate_record(metric + ".fn_rate",
+                                                m.false_negative_rate(),
+                                                obs::Better::kLower, 0.0, 0.10));
                 row.push_back(io::fmt(m.false_positive_rate(), 2));
                 row.push_back(io::fmt(m.false_negative_rate(), 2));
             } else {
@@ -139,7 +150,8 @@ int main() {
     payload.set("n_chips", config.n_chips);
     payload.set("monte_carlo_samples", config.pipeline.monte_carlo_samples);
     payload.set("sweep", std::move(sweep));
-    const std::string path = obs::write_bench_report("fault_sweep", std::move(payload));
+    const std::string path =
+        obs::write_bench_report("fault_sweep", std::move(payload), std::move(gate));
     std::printf("wrote %s\n", path.c_str());
     return 0;
 }

@@ -12,12 +12,13 @@
 ///   - explain throughput: BoundaryScorer::explain per chip (the full
 ///     leave-one-channel-out attribution, much heavier than a verdict)
 ///
-/// Writes BENCH_journal.json; scripts/check.sh --bench-gate compares it
-/// against bench/baselines/BENCH_journal.json with a ratio floor.
+/// Writes BENCH_journal.json; scripts/check.sh --bench-gate compares its
+/// gate records against bench/baselines/BENCH_journal.json.
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 #include "io/table.hpp"
 #include "obs/journal.hpp"
@@ -156,8 +157,21 @@ int main() {
     payload.set("journal_chips_per_sec", journal_chips_per_sec);
     payload.set("journal_overhead_ratio", overhead_ratio);
     payload.set("explain_chips_per_sec", explain_chips_per_sec);
+    // Every rate gets the artifact-scoring ratio floor (>= 50% of the
+    // blessed value): throughput scales with the host. The journal/plain
+    // ratio is gated too, so the relative cost of journaling cannot quietly
+    // explode even on a faster host.
+    io::Json gate = io::Json::array();
+    for (const auto& [metric, value] :
+         {std::pair{"append_events_per_sec", append_events_per_sec},
+          std::pair{"plain_chips_per_sec", plain_chips_per_sec},
+          std::pair{"journal_chips_per_sec", journal_chips_per_sec},
+          std::pair{"explain_chips_per_sec", explain_chips_per_sec},
+          std::pair{"journal_overhead_ratio", overhead_ratio}}) {
+        gate.push_back(obs::gate_record(metric, value, obs::Better::kHigher, 0.5, 0.0));
+    }
     const std::string path =
-        obs::write_bench_report("journal", std::move(payload));
+        obs::write_bench_report("journal", std::move(payload), std::move(gate));
     std::printf("wrote %s\n", path.c_str());
     return 0;
 }

@@ -261,14 +261,22 @@ public:
                       iters > 0 ? run.real_accumulated_time * 1e9 / iters : 0.0);
             entry.set("cpu_ns_per_iter",
                       iters > 0 ? run.cpu_accumulated_time * 1e9 / iters : 0.0);
+            // Gated: lower is better; a regression needs BOTH > +20% and
+            // > +100 ns, so nanosecond-scale kernels don't flap.
+            gate_.push_back(htd::obs::gate_record(
+                run.benchmark_name() + ".real_ns_per_iter",
+                entry.at("real_ns_per_iter").number(), htd::obs::Better::kLower, 0.20,
+                100.0));
             results_.push_back(std::move(entry));
         }
     }
 
-    htd::io::Json take() && { return std::move(results_); }
+    htd::io::Json results() const { return results_; }
+    htd::io::Json gate() const { return gate_; }
 
 private:
     htd::io::Json results_ = htd::io::Json::array();
+    htd::io::Json gate_ = htd::io::Json::array();
 };
 
 // Deterministic per-point work profile: run each parameterized kernel once
@@ -327,7 +335,8 @@ int main(int argc, char** argv) {
     const htd::io::Json work = work_profile();
 
     htd::obs::RunReport report("bench_micro");
-    report.set("results", std::move(reporter).take());
+    report.set("results", reporter.results());
+    report.set("gate", reporter.gate());
     report.set("work_profile", work);
     report.capture_observability();
     const std::string path = "BENCH_micro.json";

@@ -83,6 +83,10 @@ int main() {
                 kBatchRows, artifact_bytes, load_ms, save_ms);
     io::Table table({"boundary", "health", "reps", "chips/sec"});
     io::Json boundaries = io::Json::array();
+    // Throughput scales with the host, hence a ratio floor (>= 50% of the
+    // blessed value) rather than an absolute band. A boundary scoreable in
+    // the blessed artifact that is missing here fails the gate.
+    io::Json gate = io::Json::array();
 
     constexpr double kMinSecondsPerBoundary = 0.2;
     for (const core::Boundary b : core::kAllBoundaries) {
@@ -110,6 +114,8 @@ int main() {
         const double chips_per_sec = static_cast<double>(scored) / elapsed_s;
         entry.set("reps", reps);
         entry.set("chips_per_sec", chips_per_sec);
+        gate.push_back(obs::gate_record(core::boundary_name(b) + ".chips_per_sec",
+                                        chips_per_sec, obs::Better::kHigher, 0.5, 0.0));
         table.add_row({core::boundary_name(b),
                        core::boundary_health_name(st.health),
                        std::to_string(reps), io::fmt(chips_per_sec, 0)});
@@ -125,7 +131,9 @@ int main() {
     payload.set("save_ms", save_ms);
     payload.set("load_ms", load_ms);
     payload.set("boundaries", std::move(boundaries));
-    const std::string path = obs::write_bench_report("score", std::move(payload));
+    gate.push_back(obs::gate_record("load_ms", load_ms, obs::Better::kLower, 1.0, 250.0));
+    const std::string path =
+        obs::write_bench_report("score", std::move(payload), std::move(gate));
     std::printf("wrote %s\n", path.c_str());
     return 0;
 }

@@ -27,40 +27,23 @@
 #                                  # benches plus a cold htd_lint pass and
 #                                  # diff the fresh BENCH_*.json against
 #                                  # bench/baselines/ via bench_compare
-#   scripts/check.sh --profile-smoke
-#                                  # profiler smoke: run the quickstart with
-#                                  # HTD_OBS_TRACE, validate the trace with
-#                                  # htd_profile, and check the five
-#                                  # pipeline stage spans and nonzero work
-#                                  # counters are present (byte-identity of
-#                                  # same-seed traces lives in the
-#                                  # --determinism gate)
-#   scripts/check.sh --artifact-smoke
-#                                  # calibrate/score smoke: htd_score
-#                                  # calibrate -> score against the saved
-#                                  # htd.boundary.v1 artifact, require
-#                                  # byte-identical B-score reports, then
-#                                  # corrupt the artifact with the fault
-#                                  # injector and require the typed
-#                                  # rejection (exit code 2)
-#   scripts/check.sh --journal-smoke
-#                                  # decision-forensics smoke: run the
-#                                  # calibrate -> score sequence with
-#                                  # --journal, validate the htd.events.v1
-#                                  # journal with htd_explain, and query one
-#                                  # chip's chip_scored trail (cross-run
-#                                  # byte-identity lives in --determinism)
 #   scripts/check.sh --determinism # determinism gate (DESIGN.md §16): every
 #                                  # same-seed byte-identity contract in one
-#                                  # prong. Runs the quickstart twice with a
-#                                  # JSON sink + normalized trace/run-report
-#                                  # observability and cmp's the run report,
-#                                  # trace and stdout; then runs the
-#                                  # htd_score calibrate -> score sequence
-#                                  # twice with --journal + normalized
-#                                  # events and cmp's the boundary artifact,
-#                                  # fingerprints CSV, both B-score reports
-#                                  # and the journal
+#                                  # prong, plus structural checks on the
+#                                  # same outputs. Runs the quickstart twice
+#                                  # under HTD_OBS_NORMALIZE=1 and cmp's the
+#                                  # run report, trace and stdout; validates
+#                                  # the trace with htd_profile (five stage
+#                                  # spans, nonzero work counters). Then runs
+#                                  # the htd_score calibrate -> score
+#                                  # sequence twice with --journal and cmp's
+#                                  # the boundary artifact, fingerprints CSV,
+#                                  # both B-score reports and the journal;
+#                                  # requires score to reproduce the
+#                                  # calibrate-time B-scores byte for byte,
+#                                  # the journal to validate with htd_explain,
+#                                  # and a truncated artifact to be rejected
+#                                  # with exit code 2
 #
 # All presets build with HTD_WARNINGS_AS_ERRORS=ON: a new warning anywhere
 # in src/, tools/, bench/ or tests/ fails the build rather than scrolling
@@ -94,122 +77,36 @@ run_bench_gate() {
     (cd "$out" && "$OLDPWD"/build-release/bench/bench_drift_sweep)
     (cd "$out" && "$OLDPWD"/build-release/bench/bench_score_throughput)
     (cd "$out" && "$OLDPWD"/build-release/bench/bench_journal)
-    # The lint artifact is htd_lint's own v2 JSON report; --no-cache and
+    # The lint artifact is htd_lint's own JSON report; --no-cache and
     # --jobs 1 so the gated pass wall times measure the analyzer, not the
     # cache state or the box's core count.
     ./build-release/tools/htd_lint/htd_lint --root . --json --no-cache --jobs 1 \
         > "$out/BENCH_lint.json"
-    # --strict-waivers: a waiver that stops matching anything must be
-    # deleted in the same change that fixed the regression it covered.
-    ./build-release/tools/bench_compare --candidate-dir "$out" --strict-waivers
-}
-
-run_artifact_smoke() {
-    echo "== check.sh: artifact smoke (htd_score calibrate/score/inject) =="
-    cmake --preset release
-    cmake --build --preset release -j "$(nproc)" --target htd_score
-    local out
-    out="$(mktemp -d)"
-    local score=./build-release/tools/htd_score/htd_score
-    # Calibrate once: persist the artifact plus the measured fingerprints
-    # and the in-process pipeline's B-scores as the reference report.
-    "$score" calibrate --artifact "$out/boundary.json" \
-        --fingerprints "$out/fingerprints.csv" --bscores "$out/ref.json" \
-        --chips 8 --mc 40 --synthetic 5000
-    # Score from the artifact alone: the report must be byte-identical to
-    # the calibrate-time one (the bitwise-parity contract, DESIGN.md §14).
-    # Exit 0 (all clean) and 1 (devices flagged by the verdict boundary)
-    # are both healthy outcomes at this tiny calibration budget; anything
-    # else is a real failure.
-    local score_rc=0
-    "$score" score --artifact "$out/boundary.json" \
-        --fingerprints "$out/fingerprints.csv" \
-        --bscores "$out/scored.json" || score_rc=$?
-    if [[ "$score_rc" != 0 && "$score_rc" != 1 ]]; then
-        echo "check.sh: artifact smoke: score exited $score_rc, want 0 or 1" >&2
-        return 1
-    fi
-    if ! cmp "$out/ref.json" "$out/scored.json"; then
-        echo "check.sh: artifact smoke: B-score reports differ" >&2
-        return 1
-    fi
-    # Corrupt the artifact (seeded truncation — a strict prefix, so the
-    # parse must fail) and require the typed rejection exit code.
-    "$score" inject --artifact "$out/boundary.json" --fault truncate --seed 7
-    local rc=0
-    "$score" score --artifact "$out/boundary.json" \
-        --fingerprints "$out/fingerprints.csv" \
-        --bscores "$out/rejected.json" || rc=$?
-    if [[ "$rc" != 2 ]]; then
-        echo "check.sh: artifact smoke: corrupt artifact exited $rc, want 2" >&2
-        return 1
-    fi
-    rm -rf "$out"
-    echo "== check.sh: artifact smoke OK =="
-}
-
-run_journal_smoke() {
-    echo "== check.sh: journal smoke (htd_score --journal + htd_explain) =="
-    cmake --preset release
-    cmake --build --preset release -j "$(nproc)" --target htd_score htd_explain
-    local out
-    out="$(mktemp -d)"
-    local score=./build-release/tools/htd_score/htd_score
-    local explain=./build-release/tools/htd_explain/htd_explain
-    # One calibrate -> score sequence with --journal; the cross-run
-    # byte-identity of normalized journals is the --determinism gate's job.
-    # Score may exit 1 (devices flagged) at this tiny calibration budget;
-    # that is a verdict, not an error.
-    "$score" calibrate \
-        --artifact "$out/boundary.json" \
-        --fingerprints "$out/fingerprints.csv" \
-        --bscores "$out/ref.json" \
-        --chips 8 --mc 40 --synthetic 5000 \
-        --journal "$out/journal.jsonl"
-    local rc=0
-    "$score" score \
-        --artifact "$out/boundary.json" \
-        --fingerprints "$out/fingerprints.csv" \
-        --bscores "$out/scored.json" \
-        --journal "$out/journal.jsonl" || rc=$?
-    if [[ "$rc" != 0 && "$rc" != 1 ]]; then
-        echo "check.sh: journal smoke: score exited $rc, want 0 or 1" >&2
-        return 1
-    fi
-    # Structural validation: every record parses, carries the schema tag,
-    # a registered kind and a strictly increasing sequence — across the
-    # calibrate and score appends to the same file.
-    "$explain" validate "$out/journal.jsonl"
-    # One chip's forensic trail must surface its chip_scored event.
-    if ! "$explain" query "$out/journal.jsonl" --chip 0 \
-            --kind chip_scored | grep -q chip_scored; then
-        echo "check.sh: journal smoke: no chip_scored event for chip 0" >&2
-        return 1
-    fi
-    rm -rf "$out"
-    echo "== check.sh: journal smoke OK =="
+    ./build-release/tools/bench_compare --candidate-dir "$out"
 }
 
 run_determinism() {
     echo "== check.sh: determinism gate (same-seed byte-identity) =="
     cmake --preset release
     cmake --build --preset release -j "$(nproc)" \
-        --target quickstart htd_score
+        --target quickstart htd_score htd_profile htd_explain
     local out
     out="$(mktemp -d)"
     local run f
+    # Everything below runs under HTD_OBS_NORMALIZE=1: normalized traces,
+    # run-report observability and journal timestamps.
+    export HTD_OBS_NORMALIZE=1
     # Prong 1: the quickstart, twice, with everything it can serialize made
-    # deterministic — JSON sink, normalized trace and (the same flag)
-    # normalized run-report observability. The whole run report, the trace
-    # and stdout must be byte-identical: any clock, iteration-order or RNG
-    # leak anywhere in the pipeline or the obs layer shows up as a cmp
-    # diff here. This is the gate DESIGN.md §16 pairs with htd_lint's
-    # determinism passes: the lint rules catch the patterns statically,
-    # this catches whatever slips through at runtime.
+    # deterministic — JSON sink plus normalized trace and run-report
+    # observability. The whole run report, the trace and stdout must be
+    # byte-identical: any clock, iteration-order or RNG leak anywhere in
+    # the pipeline or the obs layer shows up as a cmp diff here. This is
+    # the gate DESIGN.md §16 pairs with htd_lint's determinism passes: the
+    # lint rules catch the patterns statically, this catches whatever slips
+    # through at runtime.
     for run in a b; do
         mkdir "$out/$run"
         (cd "$out/$run" && HTD_OBS=json HTD_OBS_TRACE=trace.json \
-            HTD_OBS_TRACE_NORMALIZE=1 \
             "$OLDPWD"/build-release/examples/quickstart > stdout.txt)
     done
     for f in quickstart_run_report.json trace.json stdout.txt; do
@@ -218,22 +115,42 @@ run_determinism() {
             return 1
         fi
     done
+    # The trace must also validate (htd_profile --validate exits nonzero on
+    # a malformed one, which fails the assignment under set -e) and carry
+    # the five pipeline stage spans and nonzero work counters.
+    local check stage
+    check="$(./build-release/tools/htd_profile/htd_profile --validate \
+        "$out/a/trace.json" --json)"
+    for stage in pipeline.monte_carlo mars.bank_fit kmm.calibrate \
+                 kde.adaptive_sample_n svm.fit; do
+        if ! grep -qF "\"$stage\"" <<< "$check"; then
+            echo "check.sh: determinism: stage span '$stage' missing" >&2
+            return 1
+        fi
+    done
+    if ! grep -qE '"work\.[a-z0-9_]+\.[a-z0-9_]+": [1-9]' <<< "$check"; then
+        echo "check.sh: determinism: no nonzero work counters in trace" >&2
+        return 1
+    fi
     # Prong 2: two same-seed calibrate -> score sequences with --journal
     # and normalized events (ts_ns = seq). The boundary artifact, the
     # measured fingerprints, both B-score reports and the htd.events.v1
     # journal carry no wall-clock state, so all of them must match
     # byte-for-byte across runs (DESIGN.md §15 for the journal contract).
+    # Score may exit 1 (devices flagged) at this tiny calibration budget;
+    # that is a verdict, not an error.
     local score=./build-release/tools/htd_score/htd_score
+    local explain=./build-release/tools/htd_explain/htd_explain
     local rc
     for run in a b; do
-        HTD_OBS_JOURNAL_NORMALIZE=1 "$score" calibrate \
+        "$score" calibrate \
             --artifact "$out/boundary_$run.json" \
             --fingerprints "$out/fingerprints_$run.csv" \
             --bscores "$out/ref_$run.json" \
             --chips 8 --mc 40 --synthetic 5000 \
             --journal "$out/journal_$run.jsonl"
         rc=0
-        HTD_OBS_JOURNAL_NORMALIZE=1 "$score" score \
+        "$score" score \
             --artifact "$out/boundary_$run.json" \
             --fingerprints "$out/fingerprints_$run.csv" \
             --bscores "$out/scored_$run.json" \
@@ -250,41 +167,35 @@ run_determinism() {
             return 1
         fi
     done
-    rm -rf "$out"
-    echo "== check.sh: determinism gate OK =="
-}
-
-run_profile_smoke() {
-    echo "== check.sh: profile smoke (trace export + htd_profile) =="
-    cmake --preset release
-    cmake --build --preset release -j "$(nproc)" --target quickstart htd_profile
-    local out
-    out="$(mktemp -d)"
-    # One normalized run feeds the structural checks; cross-run trace
-    # byte-identity is the --determinism gate's job.
-    (cd "$out" && HTD_OBS=json HTD_OBS_TRACE=trace_a.json \
-        HTD_OBS_TRACE_NORMALIZE=1 "$OLDPWD"/build-release/examples/quickstart \
-        > /dev/null)
-    # --validate exits nonzero on a malformed trace, which fails the
-    # assignment under set -e; the JSON report then feeds the span/work
-    # presence checks.
-    local check
-    check="$(./build-release/tools/htd_profile/htd_profile --validate \
-        "$out/trace_a.json" --json)"
-    local stage
-    for stage in pipeline.monte_carlo mars.bank_fit kmm.calibrate \
-                 kde.adaptive_sample_n svm.fit; do
-        if ! grep -qF "\"$stage\"" <<< "$check"; then
-            echo "check.sh: profile smoke: stage span '$stage' missing" >&2
-            return 1
-        fi
-    done
-    if ! grep -qE '"work\.[a-z0-9_]+\.[a-z0-9_]+": [1-9]' <<< "$check"; then
-        echo "check.sh: profile smoke: no nonzero work counters in trace" >&2
+    # Scoring from the artifact alone reproduces the calibrate-time
+    # B-scores byte for byte (the bitwise-parity contract, DESIGN.md §14).
+    if ! cmp "$out/ref_a.json" "$out/scored_a.json"; then
+        echo "check.sh: determinism: score B-scores differ from calibrate's" >&2
+        return 1
+    fi
+    # The journal validates across the calibrate and score appends (schema,
+    # registered kinds, strictly increasing seq), and one chip's forensic
+    # trail surfaces its chip_scored event.
+    "$explain" validate "$out/journal_a.jsonl"
+    if ! "$explain" query "$out/journal_a.jsonl" --chip 0 \
+            --kind chip_scored | grep -q chip_scored; then
+        echo "check.sh: determinism: no chip_scored event for chip 0" >&2
+        return 1
+    fi
+    # A corrupted artifact (seeded truncation: a strict prefix, so the
+    # parse must fail) is rejected with the typed exit code 2.
+    cp "$out/boundary_a.json" "$out/truncated.json"
+    "$score" inject --artifact "$out/truncated.json" --fault truncate --seed 7
+    rc=0
+    "$score" score --artifact "$out/truncated.json" \
+        --fingerprints "$out/fingerprints_a.csv" \
+        --bscores "$out/rejected.json" || rc=$?
+    if [[ "$rc" != 2 ]]; then
+        echo "check.sh: determinism: corrupt artifact exited $rc, want 2" >&2
         return 1
     fi
     rm -rf "$out"
-    echo "== check.sh: profile smoke OK =="
+    echo "== check.sh: determinism gate OK =="
 }
 
 run_analyze() {
@@ -333,12 +244,6 @@ if [[ $# -ge 1 && "$1" == "--bench-gate" ]]; then
     run_bench_gate
 elif [[ $# -ge 1 && "$1" == "--analyze" ]]; then
     run_analyze
-elif [[ $# -ge 1 && "$1" == "--profile-smoke" ]]; then
-    run_profile_smoke
-elif [[ $# -ge 1 && "$1" == "--artifact-smoke" ]]; then
-    run_artifact_smoke
-elif [[ $# -ge 1 && "$1" == "--journal-smoke" ]]; then
-    run_journal_smoke
 elif [[ $# -ge 1 && "$1" == "--determinism" ]]; then
     run_determinism
 elif [[ $# -ge 1 ]]; then

@@ -11,24 +11,16 @@
 #   sanitize    the same suite under ASan+UBSan
 #   analyze     scripts/check.sh --analyze (htd_lint invariants + layering,
 #               format check, clang-tidy where installed)
-#   profile     scripts/check.sh --profile-smoke (quickstart under
-#               HTD_OBS_TRACE: htd_profile validation, the five pipeline
-#               stage spans, nonzero work counters)
-#   artifact    scripts/check.sh --artifact-smoke (htd_score calibrate ->
-#               score round trip with byte-identical B-score reports, then
-#               a fault-injected artifact must be rejected with exit 2)
-#   journal     scripts/check.sh --journal-smoke (calibrate -> score with
-#               --journal: htd_explain validation, one chip's chip_scored
-#               trail queryable)
 #   determinism scripts/check.sh --determinism (every same-seed
 #               byte-identity contract in one gate, DESIGN.md §16:
 #               quickstart run report + normalized trace + stdout, and the
 #               calibrate -> score artifact/fingerprints/B-score/journal
-#               set, each cmp'd across two runs)
+#               set, each cmp'd across two runs; plus trace validation,
+#               score-vs-calibrate B-score parity, journal validation and
+#               the typed rejection of a truncated artifact)
 #   bench-gate  scripts/check.sh --bench-gate (perf/quality regression
-#               diff against bench/baselines/ under --strict-waivers;
-#               skippable — latency baselines only gate on comparable,
-#               quiet hardware)
+#               diff against bench/baselines/; skippable — latency
+#               baselines only gate on comparable, quiet hardware)
 #
 # Every stage runs even when an earlier one fails, so one CI round reports
 # every broken gate instead of the first. Exit is nonzero when any stage
@@ -50,7 +42,7 @@ for arg in "$@"; do
             skip_bench=1
             ;;
         --help|-h)
-            sed -n '2,34p' "$0" | sed 's/^# \{0,1\}//'
+            sed -n '2,30p' "$0" | sed 's/^# \{0,1\}//'
             exit 0
             ;;
         *)
@@ -99,20 +91,13 @@ run_stage() {
 run_stage release scripts/check.sh release
 run_stage sanitize scripts/check.sh sanitize
 run_stage analyze scripts/check.sh --analyze
-run_stage profile scripts/check.sh --profile-smoke
-run_stage artifact scripts/check.sh --artifact-smoke
-run_stage journal scripts/check.sh --journal-smoke
 run_stage determinism scripts/check.sh --determinism
 if [[ "$skip_bench" == 0 ]]; then
     # The latency baselines only hold on a quiet machine, and this stage
     # starts seconds after the build+test stages saturated every core —
     # let the CPU (frequency/thermal state) and page cache settle first.
-    # HTD_CI_BENCH_SETTLE overrides the settle window (seconds, 0 = none).
-    settle="${HTD_CI_BENCH_SETTLE:-60}"
-    if [[ "$settle" -gt 0 ]]; then
-        echo "=== ci.sh: settling ${settle}s before 'bench-gate' ==="
-        sleep "$settle"
-    fi
+    echo "=== ci.sh: settling 60s before 'bench-gate' ==="
+    sleep 60
     run_stage bench-gate scripts/check.sh --bench-gate
 else
     echo "=== ci.sh: stage 'bench-gate' skipped (--skip-bench-gate) ==="

@@ -83,11 +83,11 @@ EventJournal::~EventJournal() = default;
 void EventJournal::apply_environment() {
     // getenv reads below: journal construction runs once, before any worker
     // threads exist, and nothing in this process calls setenv.
-    const char* normalize = std::getenv("HTD_OBS_JOURNAL_NORMALIZE");  // NOLINT(concurrency-mt-unsafe)
+    const char* normalize = std::getenv("HTD_OBS_NORMALIZE");  // NOLINT(concurrency-mt-unsafe)
     if (normalize != nullptr) {
         std::string error;
         set_normalized(
-            bool_env_value("HTD_OBS_JOURNAL_NORMALIZE", normalize, &error));
+            bool_env_value("HTD_OBS_NORMALIZE", normalize, &error));
         // Like the Registry, the global journal is constructed once per
         // process, so a typo warns exactly once.
         if (!error.empty()) std::fprintf(stderr, "%s\n", error.c_str());

@@ -29,10 +29,10 @@
 /// Re-opening an existing journal resumes after its last sequence number, so
 /// a journal appended to by several processes in turn stays monotone.
 ///
-/// Normalized mode (`set_normalized(true)` or HTD_OBS_JOURNAL_NORMALIZE=1)
-/// replaces wall-clock timestamps with the sequence number, making same-seed
-/// journals byte-identical — the analogue of HTD_OBS_TRACE_NORMALIZE for
-/// traces (DESIGN.md §13). HTD_OBS_JOURNAL=<file> enables the journal from
+/// Normalized mode (`set_normalized(true)` or HTD_OBS_NORMALIZE=1, the same
+/// switch that normalizes traces, DESIGN.md §13) replaces wall-clock
+/// timestamps with the sequence number, making same-seed journals
+/// byte-identical. HTD_OBS_JOURNAL=<file> enables the journal from
 /// the environment without touching caller code.
 
 #include <atomic>
@@ -101,7 +101,7 @@ struct Event {
 class EventJournal {
 public:
     /// Process-global journal. First use applies HTD_OBS_JOURNAL (opens the
-    /// named file) and HTD_OBS_JOURNAL_NORMALIZE (0/1).
+    /// named file) and HTD_OBS_NORMALIZE (0/1).
     [[nodiscard]] static EventJournal& global();
 
     EventJournal() = default;

@@ -93,10 +93,10 @@ void Registry::apply_environment() {
     // Boolean toggles share the HTD_OBS typo contract: an invalid value
     // warns once on stderr (registry construction runs once per process)
     // naming the valid values instead of silently acting as "on" or "off".
-    const char* normalize = std::getenv("HTD_OBS_TRACE_NORMALIZE");  // NOLINT(concurrency-mt-unsafe)
+    const char* normalize = std::getenv("HTD_OBS_NORMALIZE");  // NOLINT(concurrency-mt-unsafe)
     if (normalize != nullptr) {
         std::string error;
-        if (bool_env_value("HTD_OBS_TRACE_NORMALIZE", normalize, &error)) {
+        if (bool_env_value("HTD_OBS_NORMALIZE", normalize, &error)) {
             trace_normalize_.store(true, std::memory_order_relaxed);
         }
         if (!error.empty()) std::fprintf(stderr, "%s\n", error.c_str());

@@ -56,8 +56,7 @@ enum class SinkKind {
 /// Parse a boolean observability environment value ("1" = on, "0" or empty
 /// = off). Any other value is off, and `*error` is filled with a warning
 /// naming the valid values — the same loud-typo contract HTD_OBS gets from
-/// sink_kind_from_env. Used for HTD_OBS_TRACE_NORMALIZE, HTD_OBS_RESOURCES
-/// and HTD_OBS_JOURNAL_NORMALIZE.
+/// sink_kind_from_env. Used for HTD_OBS_NORMALIZE and HTD_OBS_RESOURCES.
 [[nodiscard]] bool bool_env_value(std::string_view variable,
                                   std::string_view value,
                                   std::string* error = nullptr);
@@ -151,7 +150,7 @@ public:
     [[nodiscard]] std::string trace_path() const HTD_EXCLUDES(mutex_);
     void set_trace_path(std::string path) HTD_EXCLUDES(mutex_);
 
-    /// True when HTD_OBS_TRACE_NORMALIZE requested deterministic
+    /// True when HTD_OBS_NORMALIZE requested deterministic
     /// (structure-derived) trace timestamps; see trace_export.hpp.
     [[nodiscard]] bool trace_normalize() const noexcept {
         return trace_normalize_.load(std::memory_order_relaxed);

@@ -29,10 +29,22 @@ void RunReport::write(const std::string& path, int indent) const {
     doc_.dump_to_file(path, indent);
 }
 
+io::Json gate_record(std::string metric, double value, Better better, double rel,
+                     double abs) {
+    io::Json record = io::Json::object();
+    record.set("metric", std::move(metric));
+    record.set("value", value);
+    record.set("better", better == Better::kLower ? "lower" : "higher");
+    record.set("rel", rel);
+    record.set("abs", abs);
+    return record;
+}
+
 std::string write_bench_report(const std::string& bench_name, io::Json payload,
-                               const Registry& registry) {
+                               io::Json gate, const Registry& registry) {
     RunReport report("bench_" + bench_name);
     report.set("results", std::move(payload));
+    report.set("gate", std::move(gate));
     report.capture_observability(registry);
     const std::string path = "BENCH_" + bench_name + ".json";
     report.write(path);

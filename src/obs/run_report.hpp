@@ -6,6 +6,13 @@
 /// can capture the global observability state (spans + metrics) as its
 /// "observability" section. Benches use `write_bench_report` to emit the
 /// `BENCH_<name>.json` artifacts tracked by the perf trajectory.
+///
+/// A gated artifact also carries a top-level "gate" array of
+/// `{metric, value, better, rel, abs}` records (`gate_record`). The
+/// regression gate (tools/bench_compare) matches them by metric against the
+/// blessed copy and fails one when the candidate moved in the bad direction
+/// by more than max(rel * |baseline|, abs). The producer owns both the
+/// metric names and the bands; the gate knows neither.
 
 #include <string>
 
@@ -37,10 +44,20 @@ private:
     io::Json doc_;
 };
 
+/// Direction of improvement of a gated metric.
+enum class Better { kLower, kHigher };
+
+/// One bench-gate record: `{metric, value, better: "lower"|"higher", rel,
+/// abs}`. `rel` is a fraction of the blessed value, `abs` an absolute band
+/// in the metric's unit; the larger of the two is the allowed worsening.
+[[nodiscard]] io::Json gate_record(std::string metric, double value, Better better,
+                                   double rel, double abs);
+
 /// Emit "BENCH_<bench_name>.json" in the working directory: `payload`
-/// under "results" plus the registry's observability snapshot. Returns the
-/// path written.
+/// under "results", `gate` (an array of gate_record()s) under "gate", plus
+/// the registry's observability snapshot. Returns the path written.
 [[nodiscard]] std::string write_bench_report(const std::string& bench_name, io::Json payload,
-                               const Registry& registry = Registry::global());
+                                             io::Json gate,
+                                             const Registry& registry = Registry::global());
 
 }  // namespace htd::obs

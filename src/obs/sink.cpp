@@ -39,7 +39,7 @@ std::string fmt_compact(double v) {
 }  // namespace
 
 io::Json spans_json(const Registry& registry) {
-    // Normalized mode (HTD_OBS_TRACE_NORMALIZE=1) replaces every
+    // Normalized mode (HTD_OBS_NORMALIZE=1) replaces every
     // clock-derived field with structural Euler-tour ticks, exactly like
     // the trace export: two same-seed runs then serialize byte-identical
     // spans, which is what lets scripts/check.sh --determinism cmp whole

@@ -14,7 +14,7 @@ namespace htd::obs {
 /// Flat array of the recorded spans in completion order. Each element
 /// carries id / parent / depth / name / start_wall_ns / wall_ns / cpu_ns
 /// and an "attrs" object. When the registry runs normalized
-/// (HTD_OBS_TRACE_NORMALIZE=1) the spans are ordered by id and the
+/// (HTD_OBS_NORMALIZE=1) the spans are ordered by id and the
 /// clock-derived fields switch to trace_export.hpp's structural Euler-tour
 /// ticks (start_wall_ns = enter tick, wall_ns = exit - enter, cpu_ns = 0,
 /// mem.* attrs dropped) — same key shape, byte-identical across same-seed

@@ -26,7 +26,7 @@
 ///  - raw (default): ts = span start relative to the earliest recorded
 ///    span, dur = measured wall time; args carry cpu_ns. What you want for
 ///    actual profiling.
-///  - normalized (HTD_OBS_TRACE_NORMALIZE=1): timestamps are derived from
+///  - normalized (HTD_OBS_NORMALIZE=1): timestamps are derived from
 ///    the span *structure* instead of the clock — a per-thread Euler-tour
 ///    tick counter assigns ts = enter tick and dur = exit - enter, and the
 ///    nondeterministic fields (cpu_ns, mem.* resource attrs) are dropped.

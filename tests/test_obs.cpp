@@ -269,22 +269,22 @@ TEST_F(ObsTest, SinkKindFromEnvNamesValidValuesOnMisconfiguration) {
 }
 
 TEST_F(ObsTest, BoolEnvValueNamesValidValuesOnMisconfiguration) {
-    // The boolean observability toggles (HTD_OBS_TRACE_NORMALIZE,
-    // HTD_OBS_RESOURCES, HTD_OBS_JOURNAL_NORMALIZE) get the same typo
-    // diagnostics a misspelled HTD_OBS gets.
+    // The boolean observability toggles (HTD_OBS_NORMALIZE,
+    // HTD_OBS_RESOURCES) get the same typo diagnostics a misspelled
+    // HTD_OBS gets.
     using htd::obs::bool_env_value;
     EXPECT_FALSE(bool_env_value("HTD_OBS_RESOURCES", ""));
     EXPECT_FALSE(bool_env_value("HTD_OBS_RESOURCES", "0"));
     EXPECT_TRUE(bool_env_value("HTD_OBS_RESOURCES", "1"));
 
     std::string error;
-    EXPECT_TRUE(bool_env_value("HTD_OBS_TRACE_NORMALIZE", "1", &error));
+    EXPECT_TRUE(bool_env_value("HTD_OBS_NORMALIZE", "1", &error));
     EXPECT_TRUE(error.empty());
 
     // A typo is treated as off, and the warning names the variable, the
     // bad value, and every valid spelling.
-    EXPECT_FALSE(bool_env_value("HTD_OBS_TRACE_NORMALIZE", "yes", &error));
-    EXPECT_NE(error.find("HTD_OBS_TRACE_NORMALIZE"), std::string::npos);
+    EXPECT_FALSE(bool_env_value("HTD_OBS_NORMALIZE", "yes", &error));
+    EXPECT_NE(error.find("HTD_OBS_NORMALIZE"), std::string::npos);
     EXPECT_NE(error.find("'yes'"), std::string::npos);
     EXPECT_NE(error.find("0, 1"), std::string::npos);
 }

@@ -24,7 +24,7 @@ TEST(ScoreCliHelp, DocumentsExitCodesAndForensicsFlags) {
     EXPECT_NE(help.find("--explain <out.json>"), std::string::npos);
     EXPECT_NE(help.find("htd.events.v1"), std::string::npos);
     EXPECT_NE(help.find("htd.explain.v1"), std::string::npos);
-    EXPECT_NE(help.find("HTD_OBS_JOURNAL_NORMALIZE"), std::string::npos);
+    EXPECT_NE(help.find("HTD_OBS_NORMALIZE"), std::string::npos);
 }
 
 TEST(ScoreCliRun, HelpExitsClean) {

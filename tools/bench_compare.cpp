@@ -1,91 +1,79 @@
 /// \file bench_compare.cpp
 /// Perf/quality regression gate over the BENCH_*.json artifacts.
 ///
-/// Compares freshly produced bench reports against the blessed baselines in
-/// bench/baselines/ with per-metric thresholds:
+/// Every gated artifact carries a top-level "gate" array of
+/// `{metric, value, better: "lower"|"higher", rel, abs}` records written by
+/// its producer (obs::gate_record). Each blessed record in
+/// <baseline-dir>/BENCH_<name>.json is matched by metric against
+/// <candidate-dir>/BENCH_<name>.json and judged by one rule, with the band
+/// taken from the blessed record:
 ///
-///   micro        real_ns_per_iter per benchmark — lower is better; a
-///                regression needs BOTH > +20% relative AND > +100 ns
-///                absolute, so nanosecond-scale benchmarks don't flap.
-///   roc          per-boundary AUC (higher, abs 0.02) and FN rate at zero
-///                FP (lower, abs 0.05), plus the detector_swap block.
-///   fault_sweep  per sweep point x boundary accuracy (lower by > 0.1
-///                fails) and fp/fn rates (higher by > 0.1 fails).
-///   drift_sweep  per sweep point: the health verdict must not worsen
-///                (healthy < warn < degraded < critical) and boundary
-///                accuracy follows the fault_sweep rule.
-///   lint         htd_lint pass wall times (scan / layering /
-///                result-discard / total) from the htd_lint.v2 JSON
-///                report — lower is better; a regression needs BOTH
-///                > +50% relative AND > +250 ms absolute, so analyzer
-///                slowdowns trip the gate without flapping on noise.
-///   score        artifact scoring throughput (bench_score_throughput):
-///                per-boundary chips/sec must stay >= 50% of the
-///                baseline, and the artifact load+validate time follows
-///                the lint-style lower-is-better rule. Machine-to-machine
-///                variance is real, hence the wide ratio floor.
+///   worse = candidate - baseline   (better = "lower")
+///         = baseline - candidate   (better = "higher")
+///   fail when worse > max(rel * |baseline|, abs)
+///
+/// A blessed metric missing from the candidate fails as well.
 ///
 /// Usage:
-///   bench_compare [--baseline-dir DIR] [--candidate-dir DIR]
-///                 [--json PATH] [--waivers FILE] [--strict-waivers]
-///                 [--bless] [name...]
+///   bench_compare [--baseline-dir DIR] [--candidate-dir DIR] [--bless]
+///                 [name...]
 ///
-/// Names default to "micro roc fault_sweep drift_sweep lint score". A name whose
-/// baseline file does not exist is reported as unblessed and skipped; a
+/// Names default to every BENCH_<name>.json in the baseline dir. A named
+/// artifact without a baseline file is reported as unblessed and skipped; a
 /// missing *candidate* file is a hard usage error. Exit codes: 0 = no
 /// regression, 1 = regression detected, 2 = usage / IO error.
 ///
-/// Known, accepted failures can be *waived* through a waiver file
-/// (htd.bench_waivers.v1; default <baseline-dir>/WAIVERS.json when
-/// present). Every entry names an artifact + metric and must carry a
-/// written rationale — entries without one are a usage error. A waived
-/// failing check is reported loudly (WAIVED line + JSON flag) but does not
-/// trip the gate; a waiver that matches nothing is reported as unused so
-/// stale entries get cleaned up instead of silently shadowing future
-/// regressions. Under --strict-waivers (the CI default) an unused waiver
-/// is itself a gate failure — stale entries must be deleted, not tolerated.
+/// Known, accepted failures are *waived* in <baseline-dir>/WAIVERS.json
+/// (htd.bench_waivers.v1). Every entry names an artifact + metric and must
+/// carry a written rationale — entries without one are a usage error. A
+/// waived failing check is reported loudly (WAIVED line) but does not trip
+/// the gate; a waiver that matches nothing is itself a gate failure, so
+/// stale entries get deleted instead of silently shadowing future
+/// regressions.
 ///
 /// On any gated regression the tool points at tools/htd_profile, which
 /// attributes the delta to pipeline stages / work counters.
 ///
 /// --bless copies the candidate artifacts over the baselines (exit 0).
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "io/json.hpp"
-#include "obs/health.hpp"
 
 namespace {
 
 namespace fs = std::filesystem;
 using htd::io::Json;
 
-struct Check {
+/// One `gate` record of a BENCH_*.json artifact.
+struct Record {
     std::string metric;
-    double baseline = 0.0;
-    double candidate = 0.0;
-    std::string rule;  ///< human-readable threshold description
-    bool ok = true;
-    bool waived = false;        ///< failing but covered by a waiver entry
-    std::string waive_reason{};  ///< the waiver's written rationale
+    double value = 0.0;
+    bool higher_is_better = false;
+    double rel = 0.0;
+    double abs = 0.0;
 };
 
-struct Comparison {
-    std::string name;    ///< "micro", "roc", ...
-    std::string status;  ///< "ok" / "waived" / "regression" / "unblessed"
-    std::vector<Check> checks;
+struct Check {
+    Record base;
+    std::optional<double> candidate{};  ///< empty when the candidate lacks the metric
+    bool ok = false;
+    std::string waive_reason{};  ///< nonempty when a waiver covers the failure
 };
 
 /// One htd.bench_waivers.v1 entry: a known failing metric that must not
 /// trip the gate, with the written rationale that justifies it.
 struct Waiver {
-    std::string artifact;  ///< "roc", "micro", ...
-    std::string metric;    ///< exact check metric, e.g. "B5.fn_rate_at_fp0"
+    std::string artifact;  ///< the <name> of BENCH_<name>.json
+    std::string metric;    ///< exact gate record metric
     std::string reason;
     bool used = false;
 };
@@ -100,15 +88,13 @@ std::vector<Waiver> load_waivers(const std::string& path) {
     }
     std::vector<Waiver> waivers;
     for (const Json& entry : doc.at("waivers").elements()) {
-        Waiver w;
         if (!entry.is_object() || !entry.contains("artifact") ||
             !entry.contains("metric") || !entry.contains("reason")) {
             throw std::runtime_error(
                 path + ": every waiver needs artifact, metric and reason");
         }
-        w.artifact = entry.at("artifact").str();
-        w.metric = entry.at("metric").str();
-        w.reason = entry.at("reason").str();
+        Waiver w{entry.at("artifact").str(), entry.at("metric").str(),
+                 entry.at("reason").str()};
         if (w.reason.empty()) {
             throw std::runtime_error(path + ": waiver for " + w.artifact + " " +
                                      w.metric + " has an empty reason");
@@ -118,274 +104,72 @@ std::vector<Waiver> load_waivers(const std::string& path) {
     return waivers;
 }
 
-/// Lower-is-better metric: fail when the candidate exceeds the baseline by
-/// more than `rel` relative AND `abs_floor` absolute.
-Check check_lower(std::string metric, double base, double cand, double rel,
-                  double abs_floor, const char* unit) {
-    Check c{std::move(metric), base, cand, {}, true};
+/// The artifact's gate records in file order; throws on a missing or
+/// malformed `gate` array.
+std::vector<Record> load_gate(const fs::path& path) {
+    const Json doc = Json::parse_file(path.string());
+    if (!doc.is_object() || !doc.contains("gate")) {
+        throw std::runtime_error(path.string() + ": no \"gate\" array");
+    }
+    std::vector<Record> records;
+    for (const Json& r : doc.at("gate").elements()) {
+        const std::string& better = r.at("better").str();
+        if (better != "lower" && better != "higher") {
+            throw std::runtime_error(path.string() + ": " + r.at("metric").str() +
+                                     ": better must be \"lower\" or \"higher\"");
+        }
+        records.push_back({r.at("metric").str(), r.at("value").number(),
+                           better == "higher", r.at("rel").number(),
+                           r.at("abs").number()});
+    }
+    return records;
+}
+
+/// The one rule: fail when the candidate moved in the bad direction by more
+/// than max(rel * |baseline|, abs). Compared as candidate against
+/// baseline +/- band rather than as a difference, so a value exactly at the
+/// band passes: 0.3 + 0.1 == 0.4 in binary floating point, but
+/// 0.4 - 0.3 > 0.1.
+bool within_band(const Record& base, double candidate) {
+    const double band = std::max(base.rel * std::fabs(base.value), base.abs);
+    return base.higher_is_better ? candidate >= base.value - band
+                                 : candidate <= base.value + band;
+}
+
+std::string rule_text(const Record& r) {
     char buf[96];
-    std::snprintf(buf, sizeof buf, "<= baseline +%g%% (+%g %s floor)", rel * 100.0,
-                  abs_floor, unit);
-    c.rule = buf;
-    c.ok = !(cand > base * (1.0 + rel) && cand - base > abs_floor);
-    return c;
+    std::snprintf(buf, sizeof buf, "%s baseline %s max(%g%%, %g)",
+                  r.higher_is_better ? ">=" : "<=", r.higher_is_better ? "-" : "+",
+                  r.rel * 100.0, r.abs);
+    return buf;
 }
 
-/// Higher-is-better throughput metric: fail when the candidate drops below
-/// `ratio` times the baseline. Ratio thresholds (not absolute bands) because
-/// throughput scales with the host machine.
-Check check_ratio_min(std::string metric, double base, double cand,
-                      double ratio) {
-    Check c{std::move(metric), base, cand, {}, true};
-    char buf[96];
-    std::snprintf(buf, sizeof buf, ">= %g%% of baseline", ratio * 100.0);
-    c.rule = buf;
-    c.ok = cand >= base * ratio;
-    return c;
+fs::path artifact_path(const std::string& dir, const std::string& name) {
+    return fs::path(dir) / ("BENCH_" + name + ".json");
 }
 
-/// Absolute-band metric: fail when the candidate moves past the baseline in
-/// the bad direction by more than `abs_tol`.
-Check check_abs(std::string metric, double base, double cand, double abs_tol,
-                bool higher_is_better) {
-    Check c{std::move(metric), base, cand, {}, true};
-    char buf[96];
-    std::snprintf(buf, sizeof buf, "%s baseline %s %g",
-                  higher_is_better ? ">=" : "<=", higher_is_better ? "-" : "+",
-                  abs_tol);
-    c.rule = buf;
-    c.ok = higher_is_better ? cand >= base - abs_tol : cand <= base + abs_tol;
-    return c;
-}
-
-void compare_micro(const Json& base, const Json& cand, Comparison& out) {
-    std::map<std::string, double> cand_ns;
-    for (const Json& r : cand.at("results").elements()) {
-        cand_ns[r.at("name").str()] = r.at("real_ns_per_iter").number();
-    }
-    for (const Json& r : base.at("results").elements()) {
-        const std::string& name = r.at("name").str();
-        const auto it = cand_ns.find(name);
-        if (it == cand_ns.end()) {
-            out.checks.push_back({name + ".real_ns_per_iter",
-                                  r.at("real_ns_per_iter").number(), 0.0,
-                                  "benchmark present in candidate", false});
-            continue;
-        }
-        out.checks.push_back(check_lower(name + ".real_ns_per_iter",
-                                         r.at("real_ns_per_iter").number(),
-                                         it->second, 0.20, 100.0, "ns"));
-    }
-}
-
-void compare_roc(const Json& base, const Json& cand, Comparison& out) {
-    std::map<std::string, const Json*> cand_rows;
-    for (const Json& r : cand.at("results").at("boundaries").elements()) {
-        cand_rows[r.at("boundary").str()] = &r;
-    }
-    for (const Json& r : base.at("results").at("boundaries").elements()) {
-        const std::string& b = r.at("boundary").str();
-        const auto it = cand_rows.find(b);
-        if (it == cand_rows.end()) {
-            out.checks.push_back(
-                {b + ".auc", r.at("auc").number(), 0.0, "boundary present", false});
-            continue;
-        }
-        out.checks.push_back(check_abs(b + ".auc", r.at("auc").number(),
-                                       it->second->at("auc").number(), 0.02, true));
-        out.checks.push_back(check_abs(
-            b + ".fn_rate_at_fp0", r.at("fn_rate_at_fp0").number(),
-            it->second->at("fn_rate_at_fp0").number(), 0.05, false));
-    }
-    if (base.at("results").contains("detector_swap") &&
-        cand.at("results").contains("detector_swap")) {
-        const Json& bs = base.at("results").at("detector_swap");
-        const Json& cs = cand.at("results").at("detector_swap");
-        out.checks.push_back(check_abs("detector_swap.accuracy",
-                                       bs.at("accuracy").number(),
-                                       cs.at("accuracy").number(), 0.05, true));
-        out.checks.push_back(check_abs("detector_swap.auc", bs.at("auc").number(),
-                                       cs.at("auc").number(), 0.02, true));
-    }
-}
-
-void compare_boundary_block(const std::string& prefix, const Json& base,
-                            const Json& cand, Comparison& out) {
-    for (const auto& [boundary, bb] : base.members()) {
-        if (!cand.contains(boundary)) {
-            out.checks.push_back({prefix + boundary + ".accuracy",
-                                  bb.at("accuracy").number(), 0.0,
-                                  "boundary present", false});
-            continue;
-        }
-        const Json& cb = cand.at(boundary);
-        out.checks.push_back(check_abs(prefix + boundary + ".accuracy",
-                                       bb.at("accuracy").number(),
-                                       cb.at("accuracy").number(), 0.10, true));
-        out.checks.push_back(check_abs(prefix + boundary + ".fp_rate",
-                                       bb.at("fp_rate").number(),
-                                       cb.at("fp_rate").number(), 0.10, false));
-        out.checks.push_back(check_abs(prefix + boundary + ".fn_rate",
-                                       bb.at("fn_rate").number(),
-                                       cb.at("fn_rate").number(), 0.10, false));
-    }
-}
-
-void compare_sweep(const Json& base, const Json& cand, bool with_verdict,
-                   Comparison& out) {
-    const auto& base_sweep = base.at("results").at("sweep").elements();
-    const auto& cand_sweep = cand.at("results").at("sweep").elements();
-    for (std::size_t i = 0; i < base_sweep.size(); ++i) {
-        const std::string prefix = "sweep[" + std::to_string(i) + "].";
-        if (i >= cand_sweep.size()) {
-            out.checks.push_back(
-                {prefix + "present", 1.0, 0.0, "sweep point present", false});
-            continue;
-        }
-        const Json& bp = base_sweep[i];
-        const Json& cp = cand_sweep[i];
-        if (with_verdict && bp.contains("verdict") && cp.contains("verdict")) {
-            const auto rank = [](const Json& p) {
-                return static_cast<double>(
-                    htd::obs::health_level_from_name(p.at("verdict").str()));
-            };
-            out.checks.push_back(check_abs(prefix + "verdict_rank", rank(bp),
-                                           rank(cp), 0.0, false));
-        }
-        if (bp.contains("boundaries") && cp.contains("boundaries")) {
-            compare_boundary_block(prefix, bp.at("boundaries"), cp.at("boundaries"),
-                                   out);
+/// Every <name> with a BENCH_<name>.json in `dir`, sorted.
+std::vector<std::string> blessed_names(const std::string& dir) {
+    std::vector<std::string> names;
+    std::error_code ec;
+    for (const fs::directory_entry& entry : fs::directory_iterator(dir, ec)) {
+        const std::string file = entry.path().filename().string();
+        if (entry.is_regular_file() && file.size() > 11 &&
+            file.rfind("BENCH_", 0) == 0 &&
+            file.compare(file.size() - 5, 5, ".json") == 0) {
+            names.push_back(file.substr(6, file.size() - 11));
         }
     }
-}
-
-/// htd_lint analyzer perf: the BENCH_lint.json artifact IS the
-/// `htd_lint --json` (htd_lint.v2) report; the gated metrics are the
-/// per-pass wall times. Thresholds are generous — the point is catching
-/// an accidentally quadratic pass, not millisecond noise.
-void compare_lint(const Json& base, const Json& cand, Comparison& out) {
-    std::map<std::string, double> cand_ms;
-    for (const Json& p : cand.at("passes").elements()) {
-        cand_ms[p.at("name").str()] = p.at("wall_ms").number();
-    }
-    for (const Json& p : base.at("passes").elements()) {
-        const std::string& name = p.at("name").str();
-        const auto it = cand_ms.find(name);
-        if (it == cand_ms.end()) {
-            out.checks.push_back({"passes." + name + ".wall_ms",
-                                  p.at("wall_ms").number(), 0.0,
-                                  "pass present in candidate", false});
-            continue;
-        }
-        out.checks.push_back(check_lower("passes." + name + ".wall_ms",
-                                         p.at("wall_ms").number(), it->second,
-                                         0.50, 250.0, "ms"));
-    }
-}
-
-/// bench_score_throughput: per-boundary artifact-scoring chips/sec plus the
-/// load+validate wall time. An unusable boundary serializes its throughput
-/// as null — only boundaries that score in BOTH reports are compared, but a
-/// boundary that was scoreable in the baseline and is not in the candidate
-/// is a hard failure (the artifact lost a model).
-void compare_score(const Json& base, const Json& cand, Comparison& out) {
-    std::map<std::string, double> cand_tp;
-    for (const Json& r : cand.at("results").at("boundaries").elements()) {
-        if (r.at("chips_per_sec").is_null()) continue;
-        cand_tp[r.at("boundary").str()] = r.at("chips_per_sec").number();
-    }
-    for (const Json& r : base.at("results").at("boundaries").elements()) {
-        if (r.at("chips_per_sec").is_null()) continue;
-        const std::string& b = r.at("boundary").str();
-        const auto it = cand_tp.find(b);
-        if (it == cand_tp.end()) {
-            out.checks.push_back({b + ".chips_per_sec",
-                                  r.at("chips_per_sec").number(), 0.0,
-                                  "boundary scoreable in candidate", false});
-            continue;
-        }
-        out.checks.push_back(check_ratio_min(b + ".chips_per_sec",
-                                             r.at("chips_per_sec").number(),
-                                             it->second, 0.50));
-    }
-    out.checks.push_back(check_lower(
-        "load_ms", base.at("results").at("load_ms").number(),
-        cand.at("results").at("load_ms").number(), 1.00, 250.0, "ms"));
-}
-
-/// bench_journal: decision-journal append throughput and the scoring
-/// throughput with the journal disabled/enabled, plus the full per-chip
-/// explain rate. All higher-is-better rates gated with the same ratio
-/// floor as artifact scoring — throughput scales with the host, so the
-/// gate is relative to the blessed baseline, not absolute.
-void compare_journal(const Json& base, const Json& cand, Comparison& out) {
-    for (const char* metric :
-         {"append_events_per_sec", "plain_chips_per_sec",
-          "journal_chips_per_sec", "explain_chips_per_sec"}) {
-        out.checks.push_back(
-            check_ratio_min(metric, base.at("results").at(metric).number(),
-                            cand.at("results").at(metric).number(), 0.50));
-    }
-    // The relative cost of journaling must not quietly explode even if the
-    // host got faster across the board.
-    out.checks.push_back(check_ratio_min(
-        "journal_overhead_ratio",
-        base.at("results").at("journal_overhead_ratio").number(),
-        cand.at("results").at("journal_overhead_ratio").number(), 0.50));
-}
-
-Json comparison_json(const std::vector<Comparison>& comparisons,
-                     const std::string& baseline_dir,
-                     const std::string& candidate_dir, int regressions,
-                     const std::vector<Waiver>& waivers) {
-    Json doc = Json::object();
-    doc.set("tool", "bench_compare");
-    doc.set("baseline_dir", baseline_dir);
-    doc.set("candidate_dir", candidate_dir);
-    doc.set("regressions", regressions);
-    Json list = Json::array();
-    for (const Comparison& cmp : comparisons) {
-        Json entry = Json::object();
-        entry.set("name", cmp.name);
-        entry.set("status", cmp.status);
-        Json checks = Json::array();
-        for (const Check& c : cmp.checks) {
-            Json check = Json::object();
-            check.set("metric", c.metric);
-            check.set("baseline", c.baseline);
-            check.set("candidate", c.candidate);
-            check.set("rule", c.rule);
-            check.set("ok", c.ok);
-            check.set("waived", c.waived);
-            if (c.waived) check.set("waive_reason", c.waive_reason);
-            checks.push_back(std::move(check));
-        }
-        entry.set("checks", std::move(checks));
-        list.push_back(std::move(entry));
-    }
-    doc.set("comparisons", std::move(list));
-    Json unused = Json::array();
-    for (const Waiver& w : waivers) {
-        if (w.used) continue;
-        Json entry = Json::object();
-        entry.set("artifact", w.artifact);
-        entry.set("metric", w.metric);
-        entry.set("reason", w.reason);
-        unused.push_back(std::move(entry));
-    }
-    doc.set("unused_waivers", std::move(unused));
-    return doc;
+    std::sort(names.begin(), names.end());
+    return names;
 }
 
 int usage(const char* argv0) {
     std::fprintf(stderr,
-                 "usage: %s [--baseline-dir DIR] [--candidate-dir DIR] "
-                 "[--json PATH] [--waivers FILE] [--strict-waivers] [--bless] "
+                 "usage: %s [--baseline-dir DIR] [--candidate-dir DIR] [--bless] "
                  "[name...]\n"
-                 "names default to: micro roc fault_sweep drift_sweep lint score "
-                 "journal\n"
-                 "waivers default to <baseline-dir>/WAIVERS.json when present;\n"
-                 "--strict-waivers makes an unused waiver a nonzero exit\n",
+                 "names default to every BENCH_<name>.json in the baseline dir;\n"
+                 "waivers come from <baseline-dir>/WAIVERS.json when present\n",
                  argv0);
     return 2;
 }
@@ -395,35 +179,14 @@ int usage(const char* argv0) {
 int main(int argc, char** argv) {
     std::string baseline_dir = "bench/baselines";
     std::string candidate_dir = ".";
-    std::string json_path;
-    std::string waivers_path;
-    bool strict_waivers = false;
     bool bless = false;
     std::vector<std::string> names;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        const auto next = [&]() -> const char* {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        if (arg == "--baseline-dir") {
-            const char* v = next();
-            if (v == nullptr) return usage(argv[0]);
-            baseline_dir = v;
-        } else if (arg == "--candidate-dir") {
-            const char* v = next();
-            if (v == nullptr) return usage(argv[0]);
-            candidate_dir = v;
-        } else if (arg == "--json") {
-            const char* v = next();
-            if (v == nullptr) return usage(argv[0]);
-            json_path = v;
-        } else if (arg == "--waivers") {
-            const char* v = next();
-            if (v == nullptr) return usage(argv[0]);
-            waivers_path = v;
-        } else if (arg == "--strict-waivers") {
-            strict_waivers = true;
+        if (arg == "--baseline-dir" || arg == "--candidate-dir") {
+            if (i + 1 >= argc) return usage(argv[0]);
+            (arg == "--baseline-dir" ? baseline_dir : candidate_dir) = argv[++i];
         } else if (arg == "--bless") {
             bless = true;
         } else if (arg == "--help" || arg == "-h") {
@@ -435,22 +198,19 @@ int main(int argc, char** argv) {
             names.push_back(arg);
         }
     }
-    if (names.empty()) {
-        names = {"micro", "roc",         "fault_sweep", "drift_sweep",
-                 "lint",  "score",       "journal"};
-    }
+    if (names.empty()) names = blessed_names(baseline_dir);
 
     if (bless) {
         std::error_code ec;
         fs::create_directories(baseline_dir, ec);
         for (const std::string& name : names) {
-            const fs::path src = fs::path(candidate_dir) / ("BENCH_" + name + ".json");
+            const fs::path src = artifact_path(candidate_dir, name);
             if (!fs::exists(src)) {
                 std::fprintf(stderr, "bench_compare: cannot bless %s: %s missing\n",
                              name.c_str(), src.string().c_str());
                 return 2;
             }
-            const fs::path dst = fs::path(baseline_dir) / ("BENCH_" + name + ".json");
+            const fs::path dst = artifact_path(baseline_dir, name);
             fs::copy_file(src, dst, fs::copy_options::overwrite_existing, ec);
             if (ec) {
                 std::fprintf(stderr, "bench_compare: bless %s failed: %s\n",
@@ -463,12 +223,9 @@ int main(int argc, char** argv) {
         return 0;
     }
 
-    if (waivers_path.empty()) {
-        const fs::path default_waivers = fs::path(baseline_dir) / "WAIVERS.json";
-        if (fs::exists(default_waivers)) waivers_path = default_waivers.string();
-    }
+    const std::string waivers_path = (fs::path(baseline_dir) / "WAIVERS.json").string();
     std::vector<Waiver> waivers;
-    if (!waivers_path.empty()) {
+    if (fs::exists(waivers_path)) {
         try {
             waivers = load_waivers(waivers_path);
         } catch (const std::exception& e) {
@@ -477,20 +234,13 @@ int main(int argc, char** argv) {
         }
     }
 
-    std::vector<Comparison> comparisons;
     int regressions = 0;
     for (const std::string& name : names) {
-        Comparison cmp;
-        cmp.name = name;
-        const fs::path base_path =
-            fs::path(baseline_dir) / ("BENCH_" + name + ".json");
-        const fs::path cand_path =
-            fs::path(candidate_dir) / ("BENCH_" + name + ".json");
+        const fs::path base_path = artifact_path(baseline_dir, name);
+        const fs::path cand_path = artifact_path(candidate_dir, name);
         if (!fs::exists(base_path)) {
-            cmp.status = "unblessed";
             std::printf("%-12s UNBLESSED (no %s; run with --bless to create)\n",
                         name.c_str(), base_path.string().c_str());
-            comparisons.push_back(std::move(cmp));
             continue;
         }
         if (!fs::exists(cand_path)) {
@@ -498,29 +248,16 @@ int main(int argc, char** argv) {
                          cand_path.string().c_str());
             return 2;
         }
-        Json base;
-        Json cand;
+        std::vector<Check> checks;
         try {
-            base = Json::parse_file(base_path.string());
-            cand = Json::parse_file(cand_path.string());
-            if (name == "micro") {
-                compare_micro(base, cand, cmp);
-            } else if (name == "roc") {
-                compare_roc(base, cand, cmp);
-            } else if (name == "fault_sweep") {
-                compare_sweep(base, cand, /*with_verdict=*/false, cmp);
-            } else if (name == "drift_sweep") {
-                compare_sweep(base, cand, /*with_verdict=*/true, cmp);
-            } else if (name == "lint") {
-                compare_lint(base, cand, cmp);
-            } else if (name == "score") {
-                compare_score(base, cand, cmp);
-            } else if (name == "journal") {
-                compare_journal(base, cand, cmp);
-            } else {
-                std::fprintf(stderr, "bench_compare: unknown artifact '%s'\n",
-                             name.c_str());
-                return 2;
+            std::map<std::string, double> cand;
+            for (const Record& r : load_gate(cand_path)) cand[r.metric] = r.value;
+            for (const Record& base : load_gate(base_path)) {
+                Check c{base};
+                const auto it = cand.find(base.metric);
+                if (it != cand.end()) c.candidate = it->second;
+                c.ok = c.candidate && within_band(base, *c.candidate);
+                checks.push_back(std::move(c));
             }
         } catch (const std::exception& e) {
             std::fprintf(stderr, "bench_compare: %s: %s\n", name.c_str(), e.what());
@@ -529,66 +266,48 @@ int main(int argc, char** argv) {
 
         int failed = 0;
         int waived = 0;
-        for (Check& c : cmp.checks) {
+        for (Check& c : checks) {
             if (c.ok) continue;
             for (Waiver& w : waivers) {
-                if (w.artifact == name && w.metric == c.metric) {
-                    c.waived = true;
+                if (w.artifact == name && w.metric == c.base.metric) {
                     c.waive_reason = w.reason;
                     w.used = true;
                     break;
                 }
             }
-            if (c.waived) {
-                ++waived;
-            } else {
+            if (c.waive_reason.empty()) {
                 ++failed;
+            } else {
+                ++waived;
             }
         }
-        cmp.status = failed != 0 ? "regression" : (waived != 0 ? "waived" : "ok");
         regressions += failed;
         std::printf("%-12s %s (%zu checks, %d failed, %d waived)\n", name.c_str(),
                     failed != 0 ? "REGRESSION" : (waived != 0 ? "OK*" : "OK"),
-                    cmp.checks.size(), failed, waived);
-        for (const Check& c : cmp.checks) {
+                    checks.size(), failed, waived);
+        for (const Check& c : checks) {
             if (c.ok) continue;
-            if (c.waived) {
-                std::printf("  WAIVED %-38s baseline %.6g candidate %.6g  rule: %s\n"
-                            "         reason: %s\n",
-                            c.metric.c_str(), c.baseline, c.candidate, c.rule.c_str(),
-                            c.waive_reason.c_str());
-            } else {
-                std::printf("  FAIL %-40s baseline %.6g candidate %.6g  rule: %s\n",
-                            c.metric.c_str(), c.baseline, c.candidate, c.rule.c_str());
-            }
+            char candidate[32] = "missing";
+            if (c.candidate) std::snprintf(candidate, sizeof candidate, "%.6g", *c.candidate);
+            const bool is_waived = !c.waive_reason.empty();
+            std::printf("  %-6s %-38s baseline %.6g candidate %s  rule: %s\n",
+                        is_waived ? "WAIVED" : "FAIL", c.base.metric.c_str(),
+                        c.base.value, candidate, rule_text(c.base).c_str());
+            if (is_waived) std::printf("         reason: %s\n", c.waive_reason.c_str());
         }
         if (failed != 0) {
             std::printf("  hint: attribute this with tools/htd_profile — e.g.\n"
                         "        htd_profile %s %s\n",
-                        (fs::path(baseline_dir) / ("BENCH_" + name + ".json"))
-                            .string()
-                            .c_str(),
-                        (fs::path(candidate_dir) / ("BENCH_" + name + ".json"))
-                            .string()
-                            .c_str());
+                        base_path.string().c_str(), cand_path.string().c_str());
         }
-        comparisons.push_back(std::move(cmp));
     }
 
-    int unused_waivers = 0;
     for (const Waiver& w : waivers) {
         if (w.used) continue;
-        ++unused_waivers;
+        ++regressions;
         std::printf("UNUSED WAIVER %s %s — nothing failing matches it; remove it "
-                    "from %s so it cannot shadow a future regression%s\n",
-                    w.artifact.c_str(), w.metric.c_str(), waivers_path.c_str(),
-                    strict_waivers ? " (gated by --strict-waivers)" : "");
-    }
-    if (strict_waivers) regressions += unused_waivers;
-
-    if (!json_path.empty()) {
-        comparison_json(comparisons, baseline_dir, candidate_dir, regressions, waivers)
-            .dump_to_file(json_path);
+                    "from %s so it cannot shadow a future regression\n",
+                    w.artifact.c_str(), w.metric.c_str(), waivers_path.c_str());
     }
     return regressions == 0 ? 0 : 1;
 }

@@ -28,7 +28,8 @@ namespace htd::explain_cli {
 inline constexpr int kExitOk = 0;
 inline constexpr int kExitError = 1;
 
-/// Outcome of `htd_explain validate` (and the scripts/ci.sh journal smoke).
+/// Outcome of `htd_explain validate` (also run by scripts/check.sh
+/// --determinism).
 struct JournalCheck {
     bool ok = false;
     std::vector<std::string> errors;        ///< empty iff ok, "line N: ..."

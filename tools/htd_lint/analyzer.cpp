@@ -22,6 +22,7 @@
 
 #include "internal.hpp"
 #include "lint.hpp"
+#include "obs/run_report.hpp"
 
 namespace htd::lint {
 
@@ -538,13 +539,20 @@ io::Json report_json(const Report& report) {
     doc.set("files_cached", report.files_cached);
     doc.set("suppressed", report.suppressed);
     io::Json passes = io::Json::array();
+    // Bench-gate records (obs/run_report.hpp): the pass wall times, lower is
+    // better, failing only past BOTH +50% and +250 ms — wide enough to catch
+    // an accidentally quadratic pass, not millisecond noise.
+    io::Json gate = io::Json::array();
     for (const PassTiming& p : report.passes) {
         io::Json rec = io::Json::object();
         rec.set("name", p.name);
         rec.set("wall_ms", p.wall_ms);
         passes.push_back(std::move(rec));
+        gate.push_back(obs::gate_record("passes." + p.name + ".wall_ms", p.wall_ms,
+                                        obs::Better::kLower, 0.50, 250.0));
     }
     doc.set("passes", std::move(passes));
+    doc.set("gate", std::move(gate));
     io::Json annotations = io::Json::array();
     for (const ReportAnnotation& a : report.annotations) {
         io::Json rec = io::Json::object();

@@ -291,6 +291,7 @@ struct Options {
 /// Machine-readable report (schema "htd_lint.v3"):
 /// {"schema", "findings": [{file,line,rule,message}], "files_checked",
 ///  "files_cached", "suppressed", "passes": [{name,wall_ms}],
+///  "gate": [{metric,value,better,rel,abs}] (obs::gate_record),
 ///  "annotations": [{file,line,symbol,justification}],
 ///  "allowlist": [{rule,path_suffix,justification,findings_suppressed}],
 ///  "unused_allowlist_entries": [{rule,path_suffix}]}.

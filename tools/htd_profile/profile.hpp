@@ -27,8 +27,8 @@
 
 namespace htd::profile {
 
-/// Trace validation outcome (the `htd_profile --validate` mode and the
-/// scripts/ci.sh profile smoke stage).
+/// Trace validation outcome (the `htd_profile --validate` mode, run by
+/// scripts/check.sh --determinism).
 struct TraceCheck {
     bool ok = false;
     std::vector<std::string> errors;       ///< empty iff ok

@@ -50,9 +50,8 @@ const char* const kHelpText =
     "  --journal <file>       append htd.events.v1 records (calibration,\n"
     "                         boundary_fallback, chip_scored, ...) to <file>\n"
     "                         as JSONL; reopening the same file resumes the\n"
-    "                         sequence. HTD_OBS_JOURNAL_NORMALIZE=1 makes\n"
+    "                         sequence. HTD_OBS_NORMALIZE=1 makes\n"
     "                         same-seed journals byte-identical for diffing.\n"
-    "  --journal-normalize    same as HTD_OBS_JOURNAL_NORMALIZE=1\n"
     "  --explain <out.json>   (score) write one htd.explain.v1 record per\n"
     "                         device: per-boundary decision + margin,\n"
     "                         leave-one-channel-out channel ranking, nearest\n"
@@ -116,7 +115,6 @@ struct Args {
     std::uint64_t seed = 0;
     bool seed_set = false;
     bool strict = false;
-    bool journal_normalize = false;
 };
 
 Args parse_args(int argc, const char* const* argv, int first) {
@@ -152,8 +150,6 @@ Args parse_args(int argc, const char* const* argv, int first) {
             args.seed_set = true;
         } else if (flag == "--strict") {
             args.strict = true;
-        } else if (flag == "--journal-normalize") {
-            args.journal_normalize = true;
         } else {
             throw std::invalid_argument("unknown flag " + flag);
         }
@@ -164,9 +160,6 @@ Args parse_args(int argc, const char* const* argv, int first) {
 /// Attach the decision-forensics journal before any pipeline work runs, so
 /// calibration/fallback/chip_scored events from this invocation land in it.
 void open_journal(const Args& args) {
-    if (args.journal_normalize) {
-        obs::EventJournal::global().set_normalized(true);
-    }
     if (!args.journal.empty()) {
         obs::EventJournal::global().open(args.journal);
     }

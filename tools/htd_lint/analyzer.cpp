@@ -1,122 +1,26 @@
 /// \file analyzer.cpp
-/// The htd_lint v4 analyzer core: walks the tree, runs the per-file front
-/// end (lint.cpp) on a thread pool with a content-hash result cache (keyed
-/// by file content *and* the rule configuration — layers, allowlist, rule
-/// set), then runs the global passes — include-graph layering,
-/// include-cycle detection, and result-discard resolution — over the
-/// per-file extractions. Diagnostic order is deterministic regardless of
-/// thread count or cache state: files are visited in sorted order and
-/// findings are sorted before reporting.
+/// The htd_lint analyzer core: walks the tree, runs the per-file front end
+/// (lint.cpp) on each file in sorted path order, then runs the global
+/// passes — include-graph layering, include-cycle detection, and
+/// result-discard resolution — over the per-file extractions. Findings
+/// are sorted before reporting, so diagnostic order is deterministic.
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 
 #include "internal.hpp"
 #include "lint.hpp"
-#include "obs/run_report.hpp"
 
 namespace htd::lint {
 
 namespace fs = std::filesystem;
 
 namespace {
-
-// --- cache ------------------------------------------------------------------
-
-/// Bump when FileAnalysis or any per-file pass changes behaviour: the key
-/// participates in the content hash, so stale cache entries simply miss.
-// v3: work-counter-name rule added to the per-file scan.
-// v4: artifact-schema-version rule added to the per-file scan.
-// v5: event-kind-name rule added to the per-file scan.
-// v6: determinism passes (global-mutable-state, unordered-iteration-escape,
-//     rng-discipline, float-reduction-order) + annotations added; the
-//     layering spec, allowlist and rule configuration are folded into the
-//     key so editing rule inputs invalidates cached per-file results.
-constexpr const char* kCacheVersion = "htd_lint.cache.v6";
-
-std::uint64_t fnv1a64(const std::string& data, std::uint64_t h) {
-    for (const char c : data) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
-
-/// Everything besides the file's own bytes that can change a cached
-/// FileAnalysis (or how the driver interprets it): the rule set, the
-/// layering spec, and the allowlist. Editing any of these must miss the
-/// cache — before v6 only the source content was hashed, so a warm cache
-/// could keep enforcing a stale layers.txt.
-std::uint64_t config_fingerprint(const Options& options) {
-    std::uint64_t h = 1469598103934665603ULL;
-    const std::string sep(1, '\0');
-    for (const std::string& rule : rule_ids()) {
-        h = fnv1a64(rule, h);
-        h = fnv1a64(sep, h);
-    }
-    for (const std::vector<std::string>& layer : options.layers.layers) {
-        for (const std::string& mod : layer) {
-            h = fnv1a64(mod, h);
-            h = fnv1a64(sep, h);
-        }
-        h = fnv1a64(sep, h);
-    }
-    for (const AllowEntry& e : options.allow) {
-        h = fnv1a64(e.rule, h);
-        h = fnv1a64(sep, h);
-        h = fnv1a64(e.path_suffix, h);
-        h = fnv1a64(sep, h);
-        h = fnv1a64(e.justification, h);
-        h = fnv1a64(sep, h);
-    }
-    return h;
-}
-
-std::string content_key(const std::string& path, const std::string& contents,
-                        std::uint64_t config_hash) {
-    std::uint64_t h = 1469598103934665603ULL;
-    h = fnv1a64(kCacheVersion, h);
-    h = fnv1a64(path, h);
-    h = fnv1a64(std::string(1, '\0'), h);
-    h = fnv1a64(contents, h);
-    h ^= config_hash;
-    h *= 1099511628211ULL;
-    std::ostringstream hex;
-    hex << std::hex << h;
-    return hex.str();
-}
-
-bool load_cached(const std::string& cache_dir, const std::string& key,
-                 FileAnalysis& fa) {
-    const fs::path entry = fs::path(cache_dir) / (key + ".json");
-    std::error_code ec;
-    if (!fs::exists(entry, ec) || ec) return false;
-    try {
-        fa = FileAnalysis::from_json(io::Json::parse_file(entry.string()));
-        return true;
-    } catch (const std::exception&) {
-        return false;  // corrupt entry: fall through to a fresh scan
-    }
-}
-
-void store_cached(const std::string& cache_dir, const std::string& key,
-                  const FileAnalysis& fa) {
-    try {
-        fa.to_json().dump_to_file(
-            (fs::path(cache_dir) / (key + ".json")).string(), 0);
-    } catch (const std::exception&) {
-        // Best effort: a read-only build tree must not fail the lint run.
-    }
-}
 
 // --- tree walk --------------------------------------------------------------
 
@@ -153,8 +57,6 @@ std::vector<fs::path> collect_files(const std::vector<std::string>& paths) {
 struct ScanSlot {
     std::string path;  ///< normalized forward-slash path
     FileAnalysis fa;
-    bool cached = false;
-    std::string error;  ///< nonempty when the scan failed (reported once)
 };
 
 // --- layering pass ----------------------------------------------------------
@@ -354,88 +256,29 @@ bool suffix_match(const std::string& path, const std::string& suffix) {
            path.compare(path.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
-double ms_since(std::chrono::steady_clock::time_point t0) {
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-}
-
 }  // namespace
 
 // --- driver -----------------------------------------------------------------
 
 Report lint_paths(const std::vector<std::string>& paths,
                   const Options& options) {
-    const auto t_total = std::chrono::steady_clock::now();
     const std::vector<fs::path> files = collect_files(paths);
-
-    bool cache_enabled = !options.cache_dir.empty();
-    if (cache_enabled) {
-        std::error_code ec;
-        fs::create_directories(options.cache_dir, ec);
-        if (ec) cache_enabled = false;  // unwritable cache: scan everything
-    }
-
-    const std::uint64_t config_hash = config_fingerprint(options);
     std::vector<ScanSlot> slots(files.size());
-    std::atomic<std::size_t> next{0};
-    const auto worker = [&] {
-        for (;;) {
-            const std::size_t i = next.fetch_add(1);
-            if (i >= slots.size()) return;
-            ScanSlot& slot = slots[i];
-            slot.path = detail::normalize(files[i].generic_string());
-            try {
-                std::ifstream in(files[i], std::ios::binary);
-                if (!in.is_open()) {
-                    throw std::runtime_error("htd_lint: cannot read " +
-                                             slot.path);
-                }
-                std::ostringstream buf;
-                buf << in.rdbuf();
-                const std::string contents = buf.str();
-                std::string key;
-                if (cache_enabled) {
-                    key = content_key(slot.path, contents, config_hash);
-                    if (load_cached(options.cache_dir, key, slot.fa)) {
-                        slot.cached = true;
-                        continue;
-                    }
-                }
-                slot.fa = analyze_file(slot.path, contents);
-                if (cache_enabled) store_cached(options.cache_dir, key, slot.fa);
-            } catch (const std::exception& e) {
-                slot.error = e.what();
-            }
+    for (std::size_t i = 0; i < files.size(); ++i) {
+        ScanSlot& slot = slots[i];
+        slot.path = detail::normalize(files[i].generic_string());
+        std::ifstream in(files[i], std::ios::binary);
+        if (!in.is_open()) {
+            throw std::runtime_error("htd_lint: cannot read " + slot.path);
         }
-    };
-
-    const auto t_scan = std::chrono::steady_clock::now();
-    std::size_t jobs = options.jobs != 0
-                           ? options.jobs
-                           : std::max(1u, std::thread::hardware_concurrency());
-    jobs = std::min(jobs, std::max<std::size_t>(slots.size(), 1));
-    if (jobs <= 1) {
-        worker();
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(jobs);
-        for (std::size_t t = 0; t < jobs; ++t) pool.emplace_back(worker);
-        for (std::thread& t : pool) t.join();
-    }
-    const double scan_ms = ms_since(t_scan);
-    for (const ScanSlot& slot : slots) {
-        if (!slot.error.empty()) throw std::runtime_error(slot.error);
+        std::ostringstream buf;
+        buf << in.rdbuf();
+        slot.fa = analyze_file(slot.path, buf.str());
     }
 
     Report report;
     report.files_checked = slots.size();
-    for (const ScanSlot& slot : slots) {
-        report.files_cached += slot.cached ? 1 : 0;
-    }
-
     std::vector<Finding> findings;
-    FileAnalysis::DeterminismMs det_ms;
     for (const ScanSlot& slot : slots) {
         findings.insert(findings.end(), slot.fa.findings.begin(),
                         slot.fa.findings.end());
@@ -443,24 +286,15 @@ Report lint_paths(const std::vector<std::string>& paths,
             report.annotations.push_back(
                 {slot.path, a.line, a.symbol, a.justification});
         }
-        det_ms.global_mutable_state += slot.fa.determinism_ms.global_mutable_state;
-        det_ms.unordered_iteration += slot.fa.determinism_ms.unordered_iteration;
-        det_ms.rng_discipline += slot.fa.determinism_ms.rng_discipline;
-        det_ms.float_reduction += slot.fa.determinism_ms.float_reduction;
     }
     // Slots are path-sorted, so annotations already sort by (file, line) —
     // the per-file scan ordered them by line.
 
-    const auto t_layer = std::chrono::steady_clock::now();
     if (!options.layers.empty()) {
         layering_pass(slots, options.layers, findings);
         cycle_pass(slots, findings);
     }
-    const double layer_ms = ms_since(t_layer);
-
-    const auto t_discard = std::chrono::steady_clock::now();
     discard_pass(slots, findings);
-    const double discard_ms = ms_since(t_discard);
 
     // Deterministic order: slots are sorted by path, but global passes
     // append out of file order.
@@ -495,36 +329,14 @@ Report lint_paths(const std::vector<std::string>& paths,
             report.allow_usage.push_back({options.allow[a], hits[a]});
         }
     }
-
-    // The four determinism passes run inside the scan workers; their wall
-    // times are summed across files (zero for cache hits) and reported as
-    // first-class passes so the v4 analysis cost stays attributable.
-    report.passes.push_back({"scan", scan_ms});
-    report.passes.push_back(
-        {"global-mutable-state", det_ms.global_mutable_state});
-    report.passes.push_back(
-        {"unordered-iteration-escape", det_ms.unordered_iteration});
-    report.passes.push_back({"rng-discipline", det_ms.rng_discipline});
-    report.passes.push_back({"float-reduction-order", det_ms.float_reduction});
-    report.passes.push_back({"layering", layer_ms});
-    report.passes.push_back({"result-discard", discard_ms});
-    report.passes.push_back({"total", ms_since(t_total)});
     return report;
-}
-
-Report lint_paths(const std::vector<std::string>& paths,
-                  const std::vector<AllowEntry>& allow) {
-    Options options;
-    options.allow = allow;
-    options.jobs = 1;
-    return lint_paths(paths, options);
 }
 
 // --- reports ----------------------------------------------------------------
 
 io::Json report_json(const Report& report) {
     io::Json doc = io::Json::object();
-    doc.set("schema", std::string("htd_lint.v3"));
+    doc.set("schema", std::string("htd_lint.v4"));
     io::Json arr = io::Json::array();
     for (const Finding& f : report.findings) {
         io::Json rec = io::Json::object();
@@ -536,23 +348,7 @@ io::Json report_json(const Report& report) {
     }
     doc.set("findings", std::move(arr));
     doc.set("files_checked", report.files_checked);
-    doc.set("files_cached", report.files_cached);
     doc.set("suppressed", report.suppressed);
-    io::Json passes = io::Json::array();
-    // Bench-gate records (obs/run_report.hpp): the pass wall times, lower is
-    // better, failing only past BOTH +50% and +250 ms — wide enough to catch
-    // an accidentally quadratic pass, not millisecond noise.
-    io::Json gate = io::Json::array();
-    for (const PassTiming& p : report.passes) {
-        io::Json rec = io::Json::object();
-        rec.set("name", p.name);
-        rec.set("wall_ms", p.wall_ms);
-        passes.push_back(std::move(rec));
-        gate.push_back(obs::gate_record("passes." + p.name + ".wall_ms", p.wall_ms,
-                                        obs::Better::kLower, 0.50, 250.0));
-    }
-    doc.set("passes", std::move(passes));
-    doc.set("gate", std::move(gate));
     io::Json annotations = io::Json::array();
     for (const ReportAnnotation& a : report.annotations) {
         io::Json rec = io::Json::object();
@@ -594,29 +390,14 @@ std::string report_text(const Report& report) {
         out << "htd_lint: stale allowlist entry (no findings matched): "
             << e.rule << " " << e.path_suffix << "\n";
     }
-    out << "htd_lint: " << report.files_checked << " files";
-    if (report.files_cached > 0) {
-        out << " (" << report.files_cached << " cached)";
-    }
-    out << ", " << report.findings.size() << " finding(s), "
-        << report.suppressed << " suppressed";
+    out << "htd_lint: " << report.files_checked << " files, "
+        << report.findings.size() << " finding(s), " << report.suppressed
+        << " suppressed";
     if (!report.annotations.empty()) {
         out << ", " << report.annotations.size()
             << " audited shared-state site(s)";
     }
     out << "\n";
-    if (!report.passes.empty()) {
-        out << "htd_lint: passes:";
-        for (const PassTiming& p : report.passes) {
-            std::ostringstream ms;
-            ms.setf(std::ios::fixed);
-            ms.precision(1);
-            ms << p.wall_ms;
-            out << " " << p.name << " " << ms.str() << " ms";
-            if (&p != &report.passes.back()) out << ",";
-        }
-        out << "\n";
-    }
     return out.str();
 }
 

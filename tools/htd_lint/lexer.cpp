@@ -68,12 +68,29 @@ std::vector<Token> lex(const std::string& src) {
         t.kind = kind;
         t.text = src.substr(begin, end - begin);
         t.line = tok_line;
-        t.offset = begin;
-        t.length = end - begin;
         t.at_line_start = line_start;
         t.in_directive = in_directive;
         tokens.push_back(std::move(t));
         line_start = false;
+    };
+
+    // Cooked string/char literal opening at src[quote_at] (an encoding
+    // prefix starts at `begin`). A backslash-newline continues it onto the
+    // next physical line, which the line count follows.
+    const auto cooked_literal = [&](std::size_t begin, std::size_t quote_at) {
+        const char quote = src[quote_at];
+        const std::size_t tok_line = line;
+        std::size_t k = quote_at + 1;
+        while (k < n && src[k] != quote && src[k] != '\n') {
+            if (src[k] == '\\' && k + 1 < n) {
+                if (src[k + 1] == '\n') ++line;
+                ++k;
+            }
+            ++k;
+        }
+        if (k < n && src[k] == quote) ++k;
+        push(quote == '"' ? TokKind::kString : TokKind::kChar, begin, k, tok_line);
+        i = k;
     };
 
     while (i < n) {
@@ -141,19 +158,7 @@ std::vector<Token> lex(const std::string& src) {
                     i = end;
                     continue;
                 }
-                // Cooked string/char with prefix: fall through to the
-                // quoted-literal scanner below, keeping the prefix.
-                const std::size_t begin = i;
-                const std::size_t tok_line = line;
-                std::size_t k = j + 1;
-                while (k < n && src[k] != quote && src[k] != '\n') {
-                    if (src[k] == '\\' && k + 1 < n) ++k;
-                    ++k;
-                }
-                if (k < n && src[k] == quote) ++k;
-                push(quote == '"' ? TokKind::kString : TokKind::kChar, begin, k,
-                     tok_line);
-                i = k;
+                cooked_literal(i, j);  // keeps the prefix in the token
                 continue;
             }
             push(TokKind::kIdent, i, j, line);
@@ -184,16 +189,7 @@ std::vector<Token> lex(const std::string& src) {
         }
 
         if (c == '"' || c == '\'') {
-            const std::size_t begin = i;
-            const std::size_t tok_line = line;
-            std::size_t k = i + 1;
-            while (k < n && src[k] != c && src[k] != '\n') {
-                if (src[k] == '\\' && k + 1 < n) ++k;
-                ++k;
-            }
-            if (k < n && src[k] == c) ++k;
-            push(c == '"' ? TokKind::kString : TokKind::kChar, begin, k, tok_line);
-            i = k;
+            cooked_literal(i, i);
             continue;
         }
 

@@ -1,11 +1,10 @@
 #pragma once
 /// \file lexer.hpp
-/// A small C++ lexer for htd_lint v2. It produces the token stream the
-/// structural passes (include-graph layering, result-discard,
-/// [[nodiscard]] enforcement) walk, and it is the single place that knows
-/// the C++ literal grammar — including encoding-prefixed raw strings
-/// (`u8R"(...)"`), which the v1 character-state scanner mis-lexed by
-/// falling back to the plain quote heuristic mid-delimiter.
+/// A small C++ lexer for htd_lint. It produces the token stream every
+/// pass walks, and it is the single place that knows the C++ literal
+/// grammar — including encoding-prefixed raw strings (`u8R"(...)"`),
+/// which the v1 character-state scanner mis-lexed by falling back to the
+/// plain quote heuristic mid-delimiter.
 ///
 /// The lexer is deliberately approximate where precision is not needed:
 /// keywords are ordinary identifier tokens, preprocessor directives lex as
@@ -32,8 +31,6 @@ struct Token {
     TokKind kind = TokKind::kPunct;
     std::string text;           ///< spelling; for literals the full source form
     std::size_t line = 0;       ///< 1-based line of the first character
-    std::size_t offset = 0;     ///< byte offset into the source
-    std::size_t length = 0;     ///< byte length in the source
     bool at_line_start = false; ///< first token on its line (comments ignored)
     /// True for tokens inside a preprocessor directive (from a
     /// line-leading `#` through the end of its logical line, including

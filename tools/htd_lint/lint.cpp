@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
-#include <chrono>
 #include <map>
 #include <optional>
-#include <regex>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -50,178 +48,6 @@ namespace {
 using detail::is_header;
 using detail::normalize;
 using detail::path_in;
-
-// --- line utilities ---------------------------------------------------------
-
-std::vector<std::string> split_lines(const std::string& text) {
-    std::vector<std::string> lines;
-    std::string current;
-    for (const char c : text) {
-        if (c == '\n') {
-            lines.push_back(std::move(current));
-            current.clear();
-        } else {
-            current.push_back(c);
-        }
-    }
-    if (!current.empty()) lines.push_back(std::move(current));
-    return lines;
-}
-
-bool blank_line(const std::string& line) {
-    return std::all_of(line.begin(), line.end(),
-                       [](unsigned char c) { return std::isspace(c) != 0; });
-}
-
-// --- line rules (v1) --------------------------------------------------------
-
-void check_rng_seed(const std::string& path, const std::vector<std::string>& code,
-                    std::vector<Finding>& out) {
-    static const std::regex random_device(R"(\bstd\s*::\s*random_device\b)");
-    // An engine identifier followed by `;` / `{}` / nothing before the end
-    // of the declarator is default-constructed (seeded from the fixed
-    // default_seed — worse, a reader cannot tell it was intentional).
-    static const std::regex default_engine(
-        R"(\bstd\s*::\s*(mt19937(_64)?|minstd_rand0?|default_random_engine|)"
-        R"(ranlux(24|48)(_base)?|knuth_b)\s*(\{\s*\}|\(\s*\))?\s+[A-Za-z_]\w*\s*(;|\{\s*\}|\(\s*\)))");
-    static const std::regex default_temporary(
-        R"(\bstd\s*::\s*(mt19937(_64)?|minstd_rand0?|default_random_engine|)"
-        R"(ranlux(24|48)(_base)?|knuth_b)\s*(\{\s*\}|\(\s*\)))");
-    for (std::size_t i = 0; i < code.size(); ++i) {
-        if (std::regex_search(code[i], random_device)) {
-            out.push_back({path, i + 1, "rng-seed",
-                           "std::random_device is a nondeterministic seed source; "
-                           "derive seeds from the experiment seed instead"});
-        }
-        if (std::regex_search(code[i], default_engine) ||
-            std::regex_search(code[i], default_temporary)) {
-            out.push_back({path, i + 1, "rng-seed",
-                           "default-constructed standard engine; construct with an "
-                           "explicit seed so runs are reproducible"});
-        }
-    }
-}
-
-void check_std_random_in_library(const std::string& path,
-                                 const std::vector<std::string>& code,
-                                 std::vector<Finding>& out) {
-    if (!path_in(path, "src/") || path_in(path, "src/rng/")) return;
-    static const std::regex std_random(
-        R"(\bstd\s*::\s*(mt19937(_64)?|minstd_rand0?|default_random_engine|)"
-        R"(ranlux(24|48)(_base)?|knuth_b|(normal|uniform_real|uniform_int|bernoulli|)"
-        R"(exponential|poisson|gamma|cauchy|lognormal)_distribution)\b)");
-    for (std::size_t i = 0; i < code.size(); ++i) {
-        std::smatch m;
-        if (std::regex_search(code[i], m, std_random)) {
-            out.push_back({path, i + 1, "std-random-in-library",
-                           "library code uses std::" + m.str(1) +
-                               "; draw through htd::rng::Rng so one seed "
-                               "reproduces the whole experiment"});
-        }
-    }
-}
-
-void check_raw_nan(const std::string& path, const std::vector<std::string>& code,
-                   std::vector<Finding>& out) {
-    if (!path_in(path, "src/") || path_in(path, "src/pipeline/ingest")) return;
-    static const std::regex raw_nan(R"(\bstd\s*::\s*(isnan|isinf|isfinite)\s*\()");
-    for (std::size_t i = 0; i < code.size(); ++i) {
-        // One finding per call, not per line: a screening helper often
-        // chains several checks and every one needs a justification.
-        for (auto it = std::sregex_iterator(code[i].begin(), code[i].end(), raw_nan);
-             it != std::sregex_iterator(); ++it) {
-            out.push_back({path, i + 1, "raw-nan-check",
-                           "std::" + it->str(1) +
-                               " outside core::MeasurementValidator; ingested "
-                               "measurement screening lives in pipeline/ingest — "
-                               "allowlist this site if the float is not a "
-                               "measurement field"});
-        }
-    }
-}
-
-void check_stdio_in_library(const std::string& path,
-                            const std::vector<std::string>& code,
-                            std::vector<Finding>& out) {
-    if (!path_in(path, "src/") || path_in(path, "src/obs/")) return;
-    // `[^\w.]` keeps member calls (logger.printf) out but lets both the
-    // qualified std::fprintf and the unqualified C spelling through.
-    static const std::regex stdio(
-        R"(\bstd\s*::\s*(cout|cerr|clog)\b|(^|[^\w.])(f?printf|puts|putchar)\s*\()");
-    for (std::size_t i = 0; i < code.size(); ++i) {
-        if (std::regex_search(code[i], stdio)) {
-            out.push_back({path, i + 1, "stdio-in-library",
-                           "library code writes to stdio; route output through "
-                           "the htd::obs sinks (src/obs/ is the only exempt "
-                           "layer)"});
-        }
-    }
-}
-
-void check_header_hygiene(const std::string& path,
-                          const std::vector<std::string>& code,
-                          std::vector<Finding>& out) {
-    if (!path_in(path, "src/") || !is_header(path)) return;
-    std::size_t first_code = 0;
-    while (first_code < code.size() && blank_line(code[first_code])) ++first_code;
-    static const std::regex pragma_once(R"(^\s*#\s*pragma\s+once\b)");
-    if (first_code >= code.size() ||
-        !std::regex_search(code[first_code], pragma_once)) {
-        out.push_back({path, first_code < code.size() ? first_code + 1 : 1,
-                       "header-hygiene",
-                       "first directive of a src/ header must be #pragma once"});
-    }
-    static const std::regex htd_ns(R"(\bnamespace\s+htd\b)");
-    const bool has_ns = std::any_of(code.begin(), code.end(), [](const std::string& l) {
-        return std::regex_search(l, htd_ns);
-    });
-    if (!has_ns) {
-        out.push_back({path, 1, "header-hygiene",
-                       "src/ header declares nothing in the htd:: namespace"});
-    }
-}
-
-void check_stream_unchecked(const std::string& path,
-                            const std::vector<std::string>& code,
-                            std::vector<Finding>& out) {
-    if (!path_in(path, "src/") && !path_in(path, "tools/")) return;
-    static const std::regex decl(
-        R"(\bstd\s*::\s*[io]fstream\s+([A-Za-z_]\w*)\s*[({])");
-    constexpr std::size_t kWindow = 12;
-    for (std::size_t i = 0; i < code.size(); ++i) {
-        std::smatch m;
-        if (!std::regex_search(code[i], m, decl)) continue;
-        const std::string name = m.str(1);
-        const std::regex checked(
-            R"((!\s*)" + name + R"(\b|\b)" + name +
-            R"(\s*\.\s*(is_open|fail|good|bad)\s*\())");
-        bool ok = false;
-        for (std::size_t j = i; j < std::min(code.size(), i + kWindow); ++j) {
-            // Skip the declaration itself on its own line (a `!name` there
-            // would be part of an initializer, not a check).
-            const std::string& hay = code[j];
-            if (j == i) {
-                const std::string after = hay.substr(
-                    static_cast<std::size_t>(m.position(0)) + m.length(0));
-                if (std::regex_search(after, checked)) ok = true;
-                continue;
-            }
-            if (std::regex_search(hay, checked)) {
-                ok = true;
-                break;
-            }
-        }
-        if (!ok) {
-            out.push_back({path, i + 1, "stream-unchecked",
-                           "std::fstream '" + name +
-                               "' is never checked (is_open/fail/operator!) "
-                               "within " +
-                               std::to_string(kWindow) +
-                               " lines of construction; unreadable files must "
-                               "fail loudly"});
-        }
-    }
-}
 
 // --- token helpers ----------------------------------------------------------
 
@@ -271,20 +97,237 @@ bool is_stmt_keyword(const std::string& s) {
            s == "co_await" || s == "co_yield";
 }
 
-std::string blank_noncode_tokens(const std::string& contents,
-                                 const std::vector<Token>& tokens) {
-    std::string out(contents.size(), ' ');
-    for (std::size_t i = 0; i < contents.size(); ++i) {
-        if (contents[i] == '\n') out[i] = '\n';
+bool is_std_engine(const std::string& s) {
+    return s == "mt19937" || s == "mt19937_64" || s == "minstd_rand" ||
+           s == "minstd_rand0" || s == "default_random_engine" ||
+           s == "ranlux24" || s == "ranlux48" || s == "ranlux24_base" ||
+           s == "ranlux48_base" || s == "knuth_b";
+}
+
+/// Standard engines plus the project's htd::rng::Rng.
+bool is_engine_type(const std::string& s) { return is_std_engine(s) || s == "Rng"; }
+
+bool is_std_distribution(const std::string& s) {
+    return s == "normal_distribution" || s == "uniform_real_distribution" ||
+           s == "uniform_int_distribution" || s == "bernoulli_distribution" ||
+           s == "exponential_distribution" || s == "poisson_distribution" ||
+           s == "gamma_distribution" || s == "cauchy_distribution" ||
+           s == "lognormal_distribution";
+}
+
+/// When toks[i] starts `std :: <name>` on one line, the index of <name>;
+/// otherwise 0.
+std::size_t std_name_at(const std::vector<Token>& toks, std::size_t i) {
+    if (i + 2 >= toks.size() || !is_ident(toks[i], "std") ||
+        !is_punct(toks[i + 1], "::") || toks[i + 2].kind != TokKind::kIdent ||
+        toks[i + 2].line != toks[i].line) {
+        return 0;
     }
-    for (const Token& t : tokens) {
-        if (t.kind == TokKind::kString || t.kind == TokKind::kChar) continue;
-        for (std::size_t k = 0; k < t.length; ++k) {
-            const char c = contents[t.offset + k];
-            if (c != '\n') out[t.offset + k] = c;
+    return i + 2;
+}
+
+/// toks[k], toks[k + 1] spell `{}` or `()` on `line`.
+bool empty_pair_at(const std::vector<Token>& toks, std::size_t k, std::size_t line) {
+    return k + 1 < toks.size() && toks[k + 1].line == line &&
+           ((is_punct(toks[k], "{") && is_punct(toks[k + 1], "}")) ||
+            (is_punct(toks[k], "(") && is_punct(toks[k + 1], ")")));
+}
+
+// --- line rules (v1) --------------------------------------------------------
+//
+// Each rule matches a short token pattern lying on one physical line;
+// comments and literals never match because they are not code tokens.
+// Directive lines are scanned like code. Rules that report once per line
+// remember the last line they flagged.
+
+void check_rng_seed(const std::string& path, const std::vector<Token>& toks,
+                    std::vector<Finding>& out) {
+    std::size_t device_line = 0;
+    std::size_t engine_line = 0;
+    for (std::size_t i = 0; i < toks.size(); ++i) {
+        const std::size_t n = std_name_at(toks, i);
+        if (n == 0) continue;
+        const std::size_t line = toks[i].line;
+        if (toks[n].text == "random_device") {
+            if (line == device_line) continue;
+            device_line = line;
+            out.push_back({path, line, "rng-seed",
+                           "std::random_device is a nondeterministic seed source; "
+                           "derive seeds from the experiment seed instead"});
+            continue;
+        }
+        if (!is_std_engine(toks[n].text) || line == engine_line) continue;
+        // `E{}` / `E()` temporaries and `E name;` / `E name{}` / `E name()`
+        // declarations are default-constructed (seeded from the fixed
+        // default_seed — worse, a reader cannot tell it was intentional).
+        const bool declared = n + 2 < toks.size() &&
+                              toks[n + 1].kind == TokKind::kIdent &&
+                              toks[n + 2].line == line &&
+                              (is_punct(toks[n + 2], ";") ||
+                               empty_pair_at(toks, n + 2, line));
+        if (declared || empty_pair_at(toks, n + 1, line)) {
+            engine_line = line;
+            out.push_back({path, line, "rng-seed",
+                           "default-constructed standard engine; construct with an "
+                           "explicit seed so runs are reproducible"});
         }
     }
-    return out;
+}
+
+void check_std_random_in_library(const std::string& path,
+                                 const std::vector<Token>& toks,
+                                 std::vector<Finding>& out) {
+    if (!path_in(path, "src/") || path_in(path, "src/rng/")) return;
+    std::size_t last_line = 0;
+    for (std::size_t i = 0; i < toks.size(); ++i) {
+        const std::size_t n = std_name_at(toks, i);
+        if (n == 0 || toks[i].line == last_line) continue;
+        const std::string& name = toks[n].text;
+        if (!is_std_engine(name) && !is_std_distribution(name)) continue;
+        last_line = toks[i].line;
+        out.push_back({path, last_line, "std-random-in-library",
+                       "library code uses std::" + name +
+                           "; draw through htd::rng::Rng so one seed "
+                           "reproduces the whole experiment"});
+    }
+}
+
+void check_raw_nan(const std::string& path, const std::vector<Token>& toks,
+                   std::vector<Finding>& out) {
+    if (!path_in(path, "src/") || path_in(path, "src/pipeline/ingest")) return;
+    // One finding per call, not per line: a screening helper often chains
+    // several checks and every one needs a justification.
+    for (std::size_t i = 0; i < toks.size(); ++i) {
+        const std::size_t n = std_name_at(toks, i);
+        if (n == 0 || n + 1 >= toks.size() || !is_punct(toks[n + 1], "(") ||
+            toks[n + 1].line != toks[i].line) {
+            continue;
+        }
+        const std::string& name = toks[n].text;
+        if (name != "isnan" && name != "isinf" && name != "isfinite") continue;
+        out.push_back({path, toks[i].line, "raw-nan-check",
+                       "std::" + name +
+                           " outside core::MeasurementValidator; ingested "
+                           "measurement screening lives in pipeline/ingest — "
+                           "allowlist this site if the float is not a "
+                           "measurement field"});
+    }
+}
+
+void check_stdio_in_library(const std::string& path,
+                            const std::vector<Token>& toks,
+                            std::vector<Finding>& out) {
+    if (!path_in(path, "src/") || path_in(path, "src/obs/")) return;
+    std::size_t last_line = 0;
+    for (std::size_t i = 0; i < toks.size(); ++i) {
+        const Token& t = toks[i];
+        if (t.kind != TokKind::kIdent || t.line == last_line) continue;
+        const std::size_t n = std_name_at(toks, i);
+        const bool stream = n != 0 && (toks[n].text == "cout" ||
+                                       toks[n].text == "cerr" ||
+                                       toks[n].text == "clog");
+        // Both the qualified std::fprintf and the unqualified C spelling
+        // trip; a member call (logger.printf) does not.
+        const bool c_call =
+            (t.text == "printf" || t.text == "fprintf" || t.text == "puts" ||
+             t.text == "putchar") &&
+            i + 1 < toks.size() && is_punct(toks[i + 1], "(") &&
+            toks[i + 1].line == t.line &&
+            !(i > 0 && is_punct(toks[i - 1], ".") && toks[i - 1].line == t.line);
+        if (!stream && !c_call) continue;
+        last_line = t.line;
+        out.push_back({path, t.line, "stdio-in-library",
+                       "library code writes to stdio; route output through "
+                       "the htd::obs sinks (src/obs/ is the only exempt "
+                       "layer)"});
+    }
+}
+
+void check_header_hygiene(const std::string& path, const std::vector<Token>& toks,
+                          std::vector<Finding>& out) {
+    if (!path_in(path, "src/") || !is_header(path)) return;
+    // The first code token (comments and literals are not code) must open
+    // `#pragma once` on its line.
+    std::size_t first = 0;
+    while (first < toks.size() && (toks[first].kind == TokKind::kString ||
+                                   toks[first].kind == TokKind::kChar)) {
+        ++first;
+    }
+    const bool pragma_once = first + 2 < toks.size() &&
+                             is_punct(toks[first], "#") &&
+                             is_ident(toks[first + 1], "pragma") &&
+                             is_ident(toks[first + 2], "once") &&
+                             toks[first + 2].line == toks[first].line;
+    if (!pragma_once) {
+        out.push_back({path, first < toks.size() ? toks[first].line : 1,
+                       "header-hygiene",
+                       "first directive of a src/ header must be #pragma once"});
+    }
+    bool has_ns = false;
+    for (std::size_t i = 0; i + 1 < toks.size() && !has_ns; ++i) {
+        has_ns = is_ident(toks[i], "namespace") && is_ident(toks[i + 1], "htd") &&
+                 toks[i + 1].line == toks[i].line;
+    }
+    if (!has_ns) {
+        out.push_back({path, 1, "header-hygiene",
+                       "src/ header declares nothing in the htd:: namespace"});
+    }
+}
+
+/// toks[k] starts a check of stream `name` on one line: `!name` or
+/// `name.is_open(` / `.fail(` / `.good(` / `.bad(`.
+bool stream_check_at(const std::vector<Token>& toks, std::size_t k,
+                     const std::string& name) {
+    const std::size_t line = toks[k].line;
+    if (is_punct(toks[k], "!")) {
+        return k + 1 < toks.size() && toks[k + 1].kind == TokKind::kIdent &&
+               toks[k + 1].text == name && toks[k + 1].line == line;
+    }
+    if (toks[k].kind != TokKind::kIdent || toks[k].text != name ||
+        k + 3 >= toks.size() || toks[k + 3].line != line) {
+        return false;
+    }
+    const std::string& member = toks[k + 2].text;
+    return is_punct(toks[k + 1], ".") && toks[k + 2].kind == TokKind::kIdent &&
+           (member == "is_open" || member == "fail" || member == "good" ||
+            member == "bad") &&
+           is_punct(toks[k + 3], "(");
+}
+
+void check_stream_unchecked(const std::string& path, const std::vector<Token>& toks,
+                            std::vector<Finding>& out) {
+    if (!path_in(path, "src/") && !path_in(path, "tools/")) return;
+    constexpr std::size_t kWindow = 12;
+    std::size_t decl_line = 0;
+    for (std::size_t i = 0; i < toks.size(); ++i) {
+        // `std::ifstream name(` / `std::ofstream name{`, the first per line.
+        const std::size_t n = std_name_at(toks, i);
+        if (n == 0 || toks[i].line == decl_line ||
+            (toks[n].text != "ifstream" && toks[n].text != "ofstream") ||
+            n + 2 >= toks.size() || toks[n + 1].kind != TokKind::kIdent ||
+            toks[n + 2].line != toks[i].line ||
+            (!is_punct(toks[n + 2], "(") && !is_punct(toks[n + 2], "{"))) {
+            continue;
+        }
+        decl_line = toks[i].line;
+        const std::string& name = toks[n + 1].text;
+        // The search starts past the declarator and covers the rest of the
+        // declaration line plus the next kWindow - 1 lines.
+        bool ok = false;
+        for (std::size_t k = n + 3;
+             !ok && k < toks.size() && toks[k].line < decl_line + kWindow; ++k) {
+            ok = stream_check_at(toks, k, name);
+        }
+        if (!ok) {
+            out.push_back({path, decl_line, "stream-unchecked",
+                           "std::fstream '" + name +
+                               "' is never checked (is_open/fail/operator!) "
+                               "within " +
+                               std::to_string(kWindow) +
+                               " lines of construction; unreadable files must "
+                               "fail loudly"});
+        }
+    }
 }
 
 // --- include extraction -----------------------------------------------------
@@ -678,12 +721,31 @@ void collect_discard_sites(const std::vector<Token>& toks, FileAnalysis& fa) {
 // at the recording site, and keep the `work.` namespace reserved for
 // Registry::work_add so the metric kind stays trustworthy.
 
+/// `work.<stage>.<quantity>`: each segment a lowercase letter followed by
+/// [a-z0-9_], exactly two dots.
+bool is_work_counter_name(const std::string& name) {
+    if (name.rfind("work.", 0) != 0) return false;
+    int segments = 1;
+    bool segment_start = true;
+    for (std::size_t i = 5; i < name.size(); ++i) {
+        const char c = name[i];
+        const bool lower = c >= 'a' && c <= 'z';
+        if (c == '.' && !segment_start) {
+            ++segments;
+            segment_start = true;
+        } else if (lower || (!segment_start && ((c >= '0' && c <= '9') || c == '_'))) {
+            segment_start = false;
+        } else {
+            return false;
+        }
+    }
+    return segments == 2 && !segment_start;
+}
+
 void check_work_counter_names(const std::string& path,
                               const std::vector<Token>& toks,
                               std::vector<Finding>& out) {
     if (!path_in(path, "src/")) return;
-    static const std::regex shape(
-        R"(work\.[a-z][a-z0-9_]*\.[a-z][a-z0-9_]*)");
     for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
         const Token& callee = toks[i];
         if (callee.kind != TokKind::kIdent || callee.in_directive) continue;
@@ -703,7 +765,7 @@ void check_work_counter_names(const std::string& path,
         }
         const std::string name = arg.text.substr(1, arg.text.size() - 2);
         if (is_work) {
-            if (!std::regex_match(name, shape)) {
+            if (!is_work_counter_name(name)) {
                 out.push_back(
                     {path, arg.line, "work-counter-name",
                      "work counter '" + name +
@@ -1136,13 +1198,6 @@ void check_unordered_iteration_escape(const std::string& path,
 
 // --- rng-discipline ---------------------------------------------------------
 
-bool is_engine_type(const std::string& s) {
-    return s == "mt19937" || s == "mt19937_64" || s == "minstd_rand" ||
-           s == "minstd_rand0" || s == "default_random_engine" ||
-           s == "ranlux24" || s == "ranlux48" || s == "ranlux24_base" ||
-           s == "ranlux48_base" || s == "knuth_b" || s == "Rng";
-}
-
 /// Identifier that reads a wall clock: `time(...)`, `...::now(...)`, or
 /// any `*clock` type's member chain.
 bool is_clock_ident(const std::string& s) {
@@ -1316,10 +1371,6 @@ void check_float_reduction_order(const std::string& path,
 
 // --- public API -------------------------------------------------------------
 
-std::string blank_noncode(const std::string& contents) {
-    return blank_noncode_tokens(contents, lex(contents));
-}
-
 const std::vector<std::string>& rule_ids() {
     static const std::vector<std::string> ids = {
         "rng-seed",         "std-random-in-library", "raw-nan-check",
@@ -1405,39 +1456,22 @@ FileAnalysis analyze_file(const std::string& path, const std::string& contents) 
     const std::string norm = detail::normalize(path);
     FileAnalysis fa;
     const std::vector<Token> toks = lex(contents);
-    const std::vector<std::string> code =
-        split_lines(blank_noncode_tokens(contents, toks));
 
-    check_rng_seed(norm, code, fa.findings);
-    check_std_random_in_library(norm, code, fa.findings);
-    check_raw_nan(norm, code, fa.findings);
-    check_stdio_in_library(norm, code, fa.findings);
-    check_header_hygiene(norm, code, fa.findings);
-    check_stream_unchecked(norm, code, fa.findings);
+    check_rng_seed(norm, toks, fa.findings);
+    check_std_random_in_library(norm, toks, fa.findings);
+    check_raw_nan(norm, toks, fa.findings);
+    check_stdio_in_library(norm, toks, fa.findings);
+    check_header_hygiene(norm, toks, fa.findings);
+    check_stream_unchecked(norm, toks, fa.findings);
 
     check_work_counter_names(norm, toks, fa.findings);
     check_artifact_schema_version(norm, toks, fa.findings);
     check_event_kind_names(norm, toks, fa.findings);
 
-    // Determinism passes, individually timed so the report can attribute
-    // the v4 analysis cost (the timings stay out of the cache: a hit
-    // genuinely does no work).
-    using clock = std::chrono::steady_clock;
-    const auto timed_ms = [](auto&& fn) {
-        const auto t0 = clock::now();
-        fn();
-        return std::chrono::duration<double, std::milli>(clock::now() - t0)
-            .count();
-    };
-    fa.determinism_ms.global_mutable_state = timed_ms([&] {
-        check_global_mutable_state(norm, toks, fa.findings, fa.annotations);
-    });
-    fa.determinism_ms.unordered_iteration = timed_ms(
-        [&] { check_unordered_iteration_escape(norm, toks, fa.findings); });
-    fa.determinism_ms.rng_discipline =
-        timed_ms([&] { check_rng_discipline(norm, toks, fa.findings); });
-    fa.determinism_ms.float_reduction =
-        timed_ms([&] { check_float_reduction_order(norm, toks, fa.findings); });
+    check_global_mutable_state(norm, toks, fa.findings, fa.annotations);
+    check_unordered_iteration_escape(norm, toks, fa.findings);
+    check_rng_discipline(norm, toks, fa.findings);
+    check_float_reduction_order(norm, toks, fa.findings);
 
     collect_includes(toks, fa);
     if (path_in(norm, "src/")) {
@@ -1469,76 +1503,6 @@ FileAnalysis analyze_file(const std::string& path, const std::string& contents) 
 std::vector<Finding> lint_source(const std::string& path,
                                  const std::string& contents) {
     return analyze_file(path, contents).findings;
-}
-
-io::Json FileAnalysis::to_json() const {
-    io::Json doc = io::Json::object();
-    io::Json fs = io::Json::array();
-    for (const Finding& f : findings) {
-        io::Json rec = io::Json::object();
-        rec.set("file", f.file);
-        rec.set("line", f.line);
-        rec.set("rule", f.rule);
-        rec.set("message", f.message);
-        fs.push_back(std::move(rec));
-    }
-    doc.set("findings", std::move(fs));
-    io::Json inc = io::Json::array();
-    for (const Include& e : includes) {
-        io::Json rec = io::Json::object();
-        rec.set("target", e.target);
-        rec.set("line", e.line);
-        inc.push_back(std::move(rec));
-    }
-    doc.set("includes", std::move(inc));
-    io::Json mu = io::Json::array();
-    for (const std::string& name : must_use) mu.push_back(name);
-    doc.set("must_use", std::move(mu));
-    io::Json ds = io::Json::array();
-    for (const CallSite& c : discards) {
-        io::Json rec = io::Json::object();
-        rec.set("name", c.name);
-        rec.set("line", c.line);
-        ds.push_back(std::move(rec));
-    }
-    doc.set("discards", std::move(ds));
-    io::Json ann = io::Json::array();
-    for (const Annotation& a : annotations) {
-        io::Json rec = io::Json::object();
-        rec.set("symbol", a.symbol);
-        rec.set("line", a.line);
-        rec.set("justification", a.justification);
-        ann.push_back(std::move(rec));
-    }
-    doc.set("annotations", std::move(ann));
-    return doc;
-}
-
-FileAnalysis FileAnalysis::from_json(const io::Json& doc) {
-    FileAnalysis fa;
-    for (const io::Json& rec : doc.at("findings").elements()) {
-        fa.findings.push_back({rec.at("file").str(),
-                               static_cast<std::size_t>(rec.at("line").number()),
-                               rec.at("rule").str(), rec.at("message").str()});
-    }
-    for (const io::Json& rec : doc.at("includes").elements()) {
-        fa.includes.push_back({rec.at("target").str(),
-                               static_cast<std::size_t>(rec.at("line").number())});
-    }
-    for (const io::Json& rec : doc.at("must_use").elements()) {
-        fa.must_use.push_back(rec.str());
-    }
-    for (const io::Json& rec : doc.at("discards").elements()) {
-        fa.discards.push_back({rec.at("name").str(),
-                               static_cast<std::size_t>(rec.at("line").number())});
-    }
-    for (const io::Json& rec : doc.at("annotations").elements()) {
-        fa.annotations.push_back(
-            {rec.at("symbol").str(),
-             static_cast<std::size_t>(rec.at("line").number()),
-             rec.at("justification").str()});
-    }
-    return fa;
 }
 
 }  // namespace htd::lint

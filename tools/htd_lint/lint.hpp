@@ -4,7 +4,8 @@
 /// --analyze`. clang-tidy proves general C++ hygiene; these passes encode
 /// *project* contracts that no generic checker can express.
 ///
-/// Line rules (v1, matched over comment/string-blanked text):
+/// Line rules (v1, token patterns within one physical line; comments and
+/// literals never match):
 ///
 ///   rng-seed            Deterministic reproducibility: no
 ///                       `std::random_device`, no default-constructed
@@ -111,15 +112,15 @@
 ///                       `core::StableAccumulator`
 ///                       (src/core/stable_sum.hpp), whose order is pinned.
 ///
-/// The analyzer core runs per-file scans on a thread pool, caches per-file
-/// results keyed by content hash — salted with the layering spec, the
-/// allowlist, and the rule configuration, so editing any rule input
-/// invalidates cached results — orders diagnostics deterministically, and
-/// reports wall time per pass into the `htd_lint.v3` JSON schema. Findings
-/// can be suppressed through an allowlist file (`<rule> <path-suffix>  #
-/// justification` per line); unused entries are reported so the allowlist
-/// cannot silently rot, and the surviving entries are emitted — with their
-/// justifications — in the JSON report for audits.
+/// Every rule walks the one token stream lex() produces per file. The
+/// analyzer scans files single-threaded in sorted path order (a cold scan
+/// of this tree takes about 0.1 s, so there is no cache and no thread
+/// pool), runs the global passes over the per-file extractions, orders
+/// diagnostics deterministically, and emits the `htd_lint.v4` JSON schema.
+/// Findings can be suppressed through an allowlist file (`<rule>
+/// <path-suffix>  # justification` per line); unused entries are reported
+/// so the allowlist cannot silently rot, and the surviving entries are
+/// emitted — with their justifications — in the JSON report for audits.
 
 #include <cstddef>
 #include <map>
@@ -172,9 +173,8 @@ struct LayerSpec {
 /// std::runtime_error on a duplicated module.
 [[nodiscard]] LayerSpec parse_layers(const std::string& text);
 
-/// Everything the per-file scan extracts from one translation unit. This
-/// is the unit of caching: the global passes (layering, result-discard)
-/// run over these, so a cache hit skips lexing and scanning entirely.
+/// Everything the per-file scan extracts from one translation unit; the
+/// global passes (layering, include-cycle, result-discard) run over these.
 struct FileAnalysis {
     struct Include {
         std::string target;  ///< quoted include text, e.g. "io/json.hpp"
@@ -191,26 +191,12 @@ struct FileAnalysis {
         std::size_t line = 0;
         std::string justification;
     };
-    /// Wall time the determinism passes spent on this file. Deliberately
-    /// not cached: a cache hit reports zero because the work was not
-    /// redone.
-    struct DeterminismMs {
-        double global_mutable_state = 0.0;
-        double unordered_iteration = 0.0;
-        double rng_discipline = 0.0;
-        double float_reduction = 0.0;
-    };
 
     std::vector<Finding> findings;       ///< per-file findings (line rules + nodiscard)
     std::vector<Include> includes;       ///< quoted includes, in order
     std::vector<std::string> must_use;   ///< functions declared here returning must-use types
     std::vector<CallSite> discards;      ///< statement-level calls whose value is dropped
     std::vector<Annotation> annotations; ///< audited shared-state sites
-    DeterminismMs determinism_ms;        ///< per-pass wall time (not cached)
-
-    /// Cache round-trip (schema private to the cache directory).
-    [[nodiscard]] io::Json to_json() const;
-    [[nodiscard]] static FileAnalysis from_json(const io::Json& doc);
 };
 
 /// Scan one in-memory file: line rules, include extraction, declaration
@@ -223,12 +209,6 @@ struct FileAnalysis {
 /// entry point, kept for fixtures. Cross-file passes need lint_paths.
 [[nodiscard]] std::vector<Finding> lint_source(const std::string& path,
                                                const std::string& contents);
-
-/// Wall time of one analyzer pass.
-struct PassTiming {
-    std::string name;
-    double wall_ms = 0.0;
-};
 
 /// One surviving allowlist entry and how many findings it suppressed.
 struct AllowUsage {
@@ -248,8 +228,7 @@ struct ReportAnnotation {
 struct Report {
     std::vector<Finding> findings;  ///< after allowlist filtering
     std::size_t files_checked = 0;
-    std::size_t files_cached = 0;  ///< scans served from the result cache
-    std::size_t suppressed = 0;    ///< findings removed by the allowlist
+    std::size_t suppressed = 0;  ///< findings removed by the allowlist
     /// Allowlist entries that suppressed nothing (stale — rot guard).
     std::vector<AllowEntry> unused_allow;
     /// Allowlist entries that did suppress findings, with hit counts.
@@ -257,9 +236,6 @@ struct Report {
     /// Surviving HTD_SHARED_STATE_OK sites with their justifications,
     /// sorted by (file, line) — the shared-state audit trail.
     std::vector<ReportAnnotation> annotations;
-    /// Wall time per pass ("scan", the four determinism passes,
-    /// "layering", "result-discard", "total").
-    std::vector<PassTiming> passes;
 
     [[nodiscard]] bool clean() const noexcept { return findings.empty(); }
 };
@@ -269,41 +245,24 @@ struct Options {
     std::vector<AllowEntry> allow;
     /// Module layering to enforce; empty disables the layering pass.
     LayerSpec layers;
-    /// Directory for per-file result caching keyed by content hash
-    /// (e.g. build/htd_lint.cache); empty disables the cache.
-    std::string cache_dir;
-    /// Worker threads for the per-file scan; 0 = hardware concurrency.
-    unsigned jobs = 0;
 };
 
 /// Lint every *.cpp / *.hpp under `paths` (files or directories, walked
-/// recursively in sorted order). Diagnostic order is deterministic
-/// regardless of thread count or cache state. Throws std::runtime_error
-/// for a path that does not exist or a file that cannot be read.
+/// recursively in sorted order). Diagnostic order is deterministic.
+/// Throws std::runtime_error for a path that does not exist or a file
+/// that cannot be read.
 [[nodiscard]] Report lint_paths(const std::vector<std::string>& paths,
                                 const Options& options);
 
-/// Back-compat convenience: line rules + structural per-file passes with
-/// no layering, cache or threading options.
-[[nodiscard]] Report lint_paths(const std::vector<std::string>& paths,
-                                const std::vector<AllowEntry>& allow);
-
-/// Machine-readable report (schema "htd_lint.v3"):
+/// Machine-readable report (schema "htd_lint.v4"):
 /// {"schema", "findings": [{file,line,rule,message}], "files_checked",
-///  "files_cached", "suppressed", "passes": [{name,wall_ms}],
-///  "gate": [{metric,value,better,rel,abs}] (obs::gate_record),
-///  "annotations": [{file,line,symbol,justification}],
+///  "suppressed", "annotations": [{file,line,symbol,justification}],
 ///  "allowlist": [{rule,path_suffix,justification,findings_suppressed}],
 ///  "unused_allowlist_entries": [{rule,path_suffix}]}.
 [[nodiscard]] io::Json report_json(const Report& report);
 
 /// Human-readable rendering: one `file:line: [rule] message` per finding
-/// plus pass timings and a summary line.
+/// plus a summary line.
 [[nodiscard]] std::string report_text(const Report& report);
-
-/// Strip comments and string/char literals (replaced by spaces) while
-/// preserving line structure. Lexer-backed since v2, so encoding-prefixed
-/// raw strings (`u8R"(...)"`) blank correctly. Exposed for tests.
-[[nodiscard]] std::string blank_noncode(const std::string& contents);
 
 }  // namespace htd::lint

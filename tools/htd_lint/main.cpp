@@ -3,7 +3,7 @@
 /// for why these invariants exist.
 ///
 ///   htd_lint [--json] [--allowlist FILE] [--layers FILE] [--root DIR]
-///            [--cache-dir DIR] [--no-cache] [--jobs N] [PATH...]
+///            [PATH...]
 ///
 /// PATHs default to `src tools bench tests examples` (relative to
 /// --root, default "."). Exit 0 when clean, 1 on findings or stale
@@ -23,8 +23,7 @@ namespace {
 
 constexpr const char* kUsage =
     "usage: htd_lint [--json] [--allowlist FILE] [--layers FILE]\n"
-    "                [--root DIR] [--cache-dir DIR] [--no-cache] [--jobs N]\n"
-    "                [PATH...]\n"
+    "                [--root DIR] [PATH...]\n"
     "\n"
     "Checks htd project invariants (seeded RNG, obs-only output, centralized\n"
     "NaN screening, header hygiene, checked stream opens, module layering,\n"
@@ -35,18 +34,14 @@ constexpr const char* kUsage =
     "regions) over *.cpp/*.hpp trees. Default PATHs: src tools bench tests\n"
     "examples.\n"
     "\n"
-    "  --json            machine-readable htd_lint.v3 report on stdout\n"
+    "  --json            machine-readable htd_lint.v4 report on stdout\n"
     "  --allowlist FILE  vetted exceptions, '<rule> <path-suffix>' per line\n"
     "                    (default: tools/htd_lint/allowlist.txt under --root\n"
     "                    when present)\n"
     "  --layers FILE     module layering spec (default:\n"
     "                    tools/htd_lint/layers.txt under --root when present;\n"
     "                    absent file disables the layering pass)\n"
-    "  --root DIR        directory PATHs are resolved against (default .)\n"
-    "  --cache-dir DIR   per-file result cache keyed by content hash\n"
-    "                    (default: build/htd_lint.cache under --root)\n"
-    "  --no-cache        disable the result cache for this run\n"
-    "  --jobs N          scan worker threads (default: hardware concurrency)\n";
+    "  --root DIR        directory PATHs are resolved against (default .)\n";
 
 std::string read_file(const std::string& path) {
     std::ifstream in(path);
@@ -60,12 +55,9 @@ std::string read_file(const std::string& path) {
 
 int main(int argc, char** argv) {
     bool json = false;
-    bool no_cache = false;
     std::string allowlist_path;
     std::string layers_path;
-    std::string cache_dir;
     std::string root = ".";
-    unsigned jobs = 0;
     std::vector<std::string> paths;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -79,8 +71,6 @@ int main(int argc, char** argv) {
         };
         if (arg == "--json") {
             json = true;
-        } else if (arg == "--no-cache") {
-            no_cache = true;
         } else if (arg == "--allowlist") {
             const char* v = need_value("a file argument");
             if (v == nullptr) return 2;
@@ -89,25 +79,10 @@ int main(int argc, char** argv) {
             const char* v = need_value("a file argument");
             if (v == nullptr) return 2;
             layers_path = v;
-        } else if (arg == "--cache-dir") {
-            const char* v = need_value("a directory argument");
-            if (v == nullptr) return 2;
-            cache_dir = v;
         } else if (arg == "--root") {
             const char* v = need_value("a directory argument");
             if (v == nullptr) return 2;
             root = v;
-        } else if (arg == "--jobs") {
-            const char* v = need_value("a thread count");
-            if (v == nullptr) return 2;
-            try {
-                jobs = static_cast<unsigned>(std::stoul(v));
-            } catch (const std::exception&) {
-                std::cerr << "htd_lint: --jobs needs a number, got '" << v
-                          << "'\n"
-                          << kUsage;
-                return 2;
-            }
         } else if (arg == "--help" || arg == "-h") {
             std::cout << kUsage;
             return 0;
@@ -144,13 +119,6 @@ int main(int argc, char** argv) {
         if (!layers_path.empty()) {
             options.layers = htd::lint::parse_layers(read_file(layers_path));
         }
-        if (!no_cache) {
-            options.cache_dir =
-                cache_dir.empty()
-                    ? (fs::path(root) / "build" / "htd_lint.cache").generic_string()
-                    : cache_dir;
-        }
-        options.jobs = jobs;
 
         const htd::lint::Report report = htd::lint::lint_paths(paths, options);
         if (json) {

@@ -24,9 +24,9 @@
 #                                  #      with a notice otherwise so the gate
 #                                  #      is deterministic on GCC-only boxes)
 #   scripts/check.sh --bench-gate  # perf-regression gate: rerun the release
-#                                  # benches plus a cold htd_lint pass and
-#                                  # diff the fresh BENCH_*.json against
-#                                  # bench/baselines/ via bench_compare
+#                                  # benches and diff the fresh BENCH_*.json
+#                                  # against bench/baselines/ via
+#                                  # bench_compare
 #   scripts/check.sh --determinism # determinism gate (DESIGN.md §16): every
 #                                  # same-seed byte-identity contract in one
 #                                  # prong, plus structural checks on the
@@ -65,7 +65,7 @@ run_bench_gate() {
     cmake --preset release
     cmake --build --preset release -j "$(nproc)" \
         --target bench_micro bench_roc bench_fault_sweep bench_drift_sweep \
-                 bench_score_throughput bench_journal bench_compare htd_lint
+                 bench_score_throughput bench_journal bench_compare
     local out
     out="$(mktemp -d)"
     # Each bench writes BENCH_<name>.json into the CWD. bench_micro runs
@@ -77,11 +77,6 @@ run_bench_gate() {
     (cd "$out" && "$OLDPWD"/build-release/bench/bench_drift_sweep)
     (cd "$out" && "$OLDPWD"/build-release/bench/bench_score_throughput)
     (cd "$out" && "$OLDPWD"/build-release/bench/bench_journal)
-    # The lint artifact is htd_lint's own JSON report; --no-cache and
-    # --jobs 1 so the gated pass wall times measure the analyzer, not the
-    # cache state or the box's core count.
-    ./build-release/tools/htd_lint/htd_lint --root . --json --no-cache --jobs 1 \
-        > "$out/BENCH_lint.json"
     ./build-release/tools/bench_compare --candidate-dir "$out"
 }
 
@@ -204,9 +199,9 @@ run_analyze() {
     # 1. htd_lint: project invariants clang-tidy cannot express (seeded
     #    RNGs, obs-only output, centralized NaN screening, header hygiene,
     #    checked stream opens, module layering + include cycles, must-use
-    #    result discards, [[nodiscard]] coverage). Built through the
-    #    release preset so the gate shares its cache; htd_lint's own
-    #    result cache lives in build/htd_lint.cache.
+    #    result discards, [[nodiscard]] coverage, determinism
+    #    contracts). Built through the release preset so the gate shares
+    #    its build tree; the scan itself is a fraction of a second.
     echo "-- htd_lint --"
     cmake --preset release > /dev/null
     cmake --build --preset release -j "$(nproc)" --target htd_lint

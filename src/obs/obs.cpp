@@ -102,15 +102,6 @@ void Registry::apply_environment() {
         if (!error.empty()) std::fprintf(stderr, "%s\n", error.c_str());
     }
 
-    const char* resources = std::getenv("HTD_OBS_RESOURCES");  // NOLINT(concurrency-mt-unsafe)
-    if (resources != nullptr) {
-        std::string error;
-        if (bool_env_value("HTD_OBS_RESOURCES", resources, &error)) {
-            resources_.store(true, std::memory_order_relaxed);
-        }
-        if (!error.empty()) std::fprintf(stderr, "%s\n", error.c_str());
-    }
-
     const char* mode = std::getenv("HTD_OBS");  // NOLINT(concurrency-mt-unsafe)
     if (mode == nullptr) {
         // A trace request implies recording even without an explicit sink.

@@ -56,7 +56,7 @@ enum class SinkKind {
 /// Parse a boolean observability environment value ("1" = on, "0" or empty
 /// = off). Any other value is off, and `*error` is filled with a warning
 /// naming the valid values — the same loud-typo contract HTD_OBS gets from
-/// sink_kind_from_env. Used for HTD_OBS_NORMALIZE and HTD_OBS_RESOURCES.
+/// sink_kind_from_env. Used for HTD_OBS_NORMALIZE.
 [[nodiscard]] bool bool_env_value(std::string_view variable,
                                   std::string_view value,
                                   std::string* error = nullptr);
@@ -159,17 +159,6 @@ public:
         trace_normalize_.store(normalize, std::memory_order_relaxed);
     }
 
-    /// True when spans should attach per-span resource attribution (peak
-    /// RSS delta, allocation-count delta). Off by default — the capture
-    /// costs two getrusage calls per span — and enabled through
-    /// HTD_OBS_RESOURCES=1 or set_resource_attribution().
-    [[nodiscard]] bool resource_attribution() const noexcept {
-        return resources_.load(std::memory_order_relaxed);
-    }
-    void set_resource_attribution(bool enabled) noexcept {
-        resources_.store(enabled, std::memory_order_relaxed);
-    }
-
     /// Small, stable, 1-based index of the calling thread, assigned in
     /// first-use order. SpanRecord::thread carries it so traces group
     /// spans per thread deterministically (no OS thread-id churn).
@@ -256,7 +245,6 @@ private:
     std::atomic<bool> enabled_{false};
     std::atomic<SinkKind> sink_{SinkKind::kOff};
     std::atomic<bool> trace_normalize_{false};
-    std::atomic<bool> resources_{false};
     std::atomic<std::uint64_t> next_id_{0};
 
     mutable core::Mutex mutex_;

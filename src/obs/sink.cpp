@@ -72,15 +72,11 @@ io::Json spans_json(const Registry& registry) {
             rec.set("wall_ns", static_cast<double>(s.wall_ns));
             rec.set("cpu_ns", static_cast<double>(s.cpu_ns));
         }
-        bool any_attr = false;
-        io::Json attrs = io::Json::object();
-        for (const auto& [key, value] : s.attrs) {
-            // mem.* resource samples are measurements, not structure.
-            if (normalize && key.rfind("mem.", 0) == 0) continue;
-            attrs.set(key, value);
-            any_attr = true;
+        if (!s.attrs.empty()) {
+            io::Json attrs = io::Json::object();
+            for (const auto& [key, value] : s.attrs) attrs.set(key, value);
+            rec.set("attrs", std::move(attrs));
         }
-        if (any_attr) rec.set("attrs", std::move(attrs));
         out.push_back(std::move(rec));
     }
     return out;

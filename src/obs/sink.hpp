@@ -16,8 +16,8 @@ namespace htd::obs {
 /// and an "attrs" object. When the registry runs normalized
 /// (HTD_OBS_NORMALIZE=1) the spans are ordered by id and the
 /// clock-derived fields switch to trace_export.hpp's structural Euler-tour
-/// ticks (start_wall_ns = enter tick, wall_ns = exit - enter, cpu_ns = 0,
-/// mem.* attrs dropped) — same key shape, byte-identical across same-seed
+/// ticks (start_wall_ns = enter tick, wall_ns = exit - enter, cpu_ns = 0)
+/// — same key shape, byte-identical across same-seed
 /// runs, which is what lets scripts/check.sh --determinism cmp whole run
 /// reports.
 [[nodiscard]] io::Json spans_json(const Registry& registry);

@@ -4,7 +4,6 @@
 #include <ctime>
 
 #include "core/annotations.hpp"
-#include "obs/resource.hpp"
 
 namespace htd::obs {
 
@@ -49,12 +48,6 @@ ScopedSpan::ScopedSpan(std::string_view name) {
     depth_ = static_cast<std::uint32_t>(open_spans.size());
     thread_ = Registry::current_thread_index();
     open_spans.push_back(id_);
-    resources_ = registry.resource_attribution();
-    if (resources_) {
-        const ResourceSample sample = sample_resources();
-        start_peak_rss_ = sample.peak_rss_bytes;
-        start_allocs_ = sample.alloc_count;
-    }
     // Clocks read last so setup cost is not attributed to the span.
     start_cpu_ns_ = thread_cpu_ns();
     start_wall_ns_ = wall_clock_ns();
@@ -72,14 +65,6 @@ ScopedSpan::~ScopedSpan() {
     record.name = std::move(name_);
     record.start_wall_ns = start_wall_ns_;
     record.attrs = std::move(attrs_);
-    if (resources_) {
-        const ResourceSample sample = sample_resources();
-        record.attrs.emplace_back(
-            "mem.peak_rss_delta_bytes",
-            static_cast<double>(sample.peak_rss_bytes - start_peak_rss_));
-        record.attrs.emplace_back(
-            "mem.allocs", static_cast<double>(sample.alloc_count - start_allocs_));
-    }
     if (!open_spans.empty() && open_spans.back() == id_) open_spans.pop_back();
     Registry::global().span_record(std::move(record));
 }

@@ -47,15 +47,12 @@ public:
 
 private:
     bool active_ = false;
-    bool resources_ = false;
     std::uint64_t id_ = 0;
     std::uint64_t parent_ = 0;
     std::uint32_t depth_ = 0;
     std::uint32_t thread_ = 0;
     std::int64_t start_wall_ns_ = 0;
     std::int64_t start_cpu_ns_ = 0;
-    std::int64_t start_peak_rss_ = 0;
-    std::int64_t start_allocs_ = 0;
     std::string name_;
     std::vector<std::pair<std::string, double>> attrs_;
 };

@@ -9,10 +9,6 @@ namespace htd::obs {
 
 namespace {
 
-bool is_resource_attr(const std::string& key) {
-    return key.rfind("mem.", 0) == 0;
-}
-
 io::Json metadata_event(const char* name, std::uint32_t tid, std::string value) {
     io::Json event = io::Json::object();
     event.set("ph", "M");
@@ -122,10 +118,7 @@ io::Json trace_events_json(const Registry& registry, bool normalize) {
         args.set("parent", static_cast<double>(s.parent));
         args.set("depth", static_cast<double>(s.depth));
         if (!normalize) args.set("cpu_ns", static_cast<double>(s.cpu_ns));
-        for (const auto& [key, value] : s.attrs) {
-            if (normalize && is_resource_attr(key)) continue;
-            args.set(key, value);
-        }
+        for (const auto& [key, value] : s.attrs) args.set(key, value);
         event.set("args", std::move(args));
         events.push_back(std::move(event));
     }

@@ -29,7 +29,7 @@
 ///  - normalized (HTD_OBS_NORMALIZE=1): timestamps are derived from
 ///    the span *structure* instead of the clock — a per-thread Euler-tour
 ///    tick counter assigns ts = enter tick and dur = exit - enter, and the
-///    nondeterministic fields (cpu_ns, mem.* resource attrs) are dropped.
+///    nondeterministic cpu_ns field is dropped.
 ///    Two same-seed runs then produce byte-identical traces, which is what
 ///    lets CI diff trace artifacts and tests assert on exact bytes.
 

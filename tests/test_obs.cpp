@@ -269,13 +269,11 @@ TEST_F(ObsTest, SinkKindFromEnvNamesValidValuesOnMisconfiguration) {
 }
 
 TEST_F(ObsTest, BoolEnvValueNamesValidValuesOnMisconfiguration) {
-    // The boolean observability toggles (HTD_OBS_NORMALIZE,
-    // HTD_OBS_RESOURCES) get the same typo diagnostics a misspelled
-    // HTD_OBS gets.
+    // The boolean observability toggle HTD_OBS_NORMALIZE gets the same
+    // typo diagnostics a misspelled HTD_OBS gets.
     using htd::obs::bool_env_value;
-    EXPECT_FALSE(bool_env_value("HTD_OBS_RESOURCES", ""));
-    EXPECT_FALSE(bool_env_value("HTD_OBS_RESOURCES", "0"));
-    EXPECT_TRUE(bool_env_value("HTD_OBS_RESOURCES", "1"));
+    EXPECT_FALSE(bool_env_value("HTD_OBS_NORMALIZE", ""));
+    EXPECT_FALSE(bool_env_value("HTD_OBS_NORMALIZE", "0"));
 
     std::string error;
     EXPECT_TRUE(bool_env_value("HTD_OBS_NORMALIZE", "1", &error));

@@ -1,7 +1,7 @@
 /// Tests for the Perfetto/chrome://tracing trace exporter
 /// (src/obs/trace_export.hpp): document shape, span-tree fidelity
 /// (ids/parents/threads), Euler-tour tick normalization and its
-/// byte-identity guarantee, resource-attr scrubbing, and the
+/// byte-identity guarantee, cpu_ns scrubbing, and the
 /// HTD_OBS_TRACE-configured write path. Every generated trace is also run
 /// through htd_profile's check_trace so the exporter and the validator
 /// cannot drift apart.
@@ -155,25 +155,22 @@ TEST_F(TraceExportTest, NormalizedExportIsByteIdentical) {
 TEST_F(TraceExportTest, NormalizeDropsWallClockAndResourceAttrs) {
     {
         ScopedSpan span("test.resourceful");
-        span.attr("mem.peak_rss_delta_bytes", 4096.0);
-        span.attr("mem.allocs", 12.0);
         span.attr("observations", 3.0);
     }
+    // cpu_ns, the span's CPU-time measurement, rides along raw...
     const Json raw = htd::obs::trace_events_json(Registry::global());
     const std::vector<Json> raw_events = span_events(raw);
     const Json& raw_args = event_named(raw_events, "test.resourceful").at("args");
-    EXPECT_TRUE(raw_args.contains("mem.peak_rss_delta_bytes"));
     EXPECT_TRUE(raw_args.contains("cpu_ns"));
 
+    // ...and is dropped when normalized.
     const Json norm = htd::obs::trace_events_json(Registry::global(),
                                                   /*normalize=*/true);
     const std::vector<Json> norm_events = span_events(norm);
     const Json& norm_args =
         event_named(norm_events, "test.resourceful").at("args");
-    EXPECT_FALSE(norm_args.contains("mem.peak_rss_delta_bytes"));
-    EXPECT_FALSE(norm_args.contains("mem.allocs"));
     EXPECT_FALSE(norm_args.contains("cpu_ns"));
-    // Non-resource attrs survive normalization — they are part of the
+    // Caller attrs survive normalization — they are part of the
     // deterministic span payload.
     EXPECT_EQ(norm_args.at("observations").number(), 3.0);
 }

@@ -72,7 +72,7 @@
 ///     static Registry instance HTD_SHARED_STATE_OK("process singleton");
 ///
 /// The macro expands to nothing — it exists for the analyzer, which
-/// surfaces every surviving justification in the htd_lint.v3 JSON report
+/// surfaces every surviving justification in the htd_lint.v4 JSON report
 /// so the audit trail cannot silently rot. See DESIGN.md §16.
 #define HTD_SHARED_STATE_OK(reason)
 

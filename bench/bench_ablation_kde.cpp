@@ -51,18 +51,6 @@ int main() {
                        io::fmt_ratio(r.table1[4].false_positives, 80),
                        io::fmt_ratio(r.table1[4].false_negatives, 40)});
     }
-    {
-        // EVT alternative: GPD peaks-over-threshold tail enhancement.
-        core::ExperimentConfig cfg;
-        cfg.pipeline.synthetic_samples = 20000;
-        cfg.pipeline.tail_model = core::TailModel::kEvtPot;
-        const core::ExperimentResult r = core::run_experiment(cfg);
-        table.add_row({"-", "-", "evt-pot",
-                       io::fmt_ratio(r.table1[1].false_positives, 80),
-                       io::fmt_ratio(r.table1[1].false_negatives, 40),
-                       io::fmt_ratio(r.table1[4].false_positives, 80),
-                       io::fmt_ratio(r.table1[4].false_negatives, 40)});
-    }
     std::printf("%s\n", table.str().c_str());
     std::printf(
         "Note: a too-wide bandwidth lets the synthetic tails reach the Trojan\n"

@@ -16,7 +16,6 @@
 #include "ml/gpr.hpp"
 #include "obs/run_report.hpp"
 #include "obs/span.hpp"
-#include "stats/evt.hpp"
 #include "ml/kmm.hpp"
 #include "ml/mars.hpp"
 #include "ml/one_class_svm.hpp"
@@ -159,16 +158,6 @@ void BM_SpicePcmTransient(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_SpicePcmTransient)->Unit(benchmark::kMillisecond);
-
-void BM_EvtEnhancerSample(benchmark::State& state) {
-    const Matrix data = gaussian_cloud(100, 6, 10);
-    const htd::stats::EvtTailEnhancer evt(data, 0.15);
-    htd::rng::Rng rng(11);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(evt.sample(rng));
-    }
-}
-BENCHMARK(BM_EvtEnhancerSample);
 
 // --- htd::obs overhead -------------------------------------------------------
 // The acceptance bar for leaving instrumentation in hot paths: a disabled

@@ -154,14 +154,6 @@ stats::KernelType kernel_from_name(const std::string& name) {
     throw std::invalid_argument("unknown kernel type '" + name + "'");
 }
 
-std::string tail_model_name(TailModel m) {
-    switch (m) {
-        case TailModel::kAdaptiveKde: return "adaptive_kde";
-        case TailModel::kEvtPot: return "evt_pot";
-    }
-    throw std::invalid_argument("tail_model_name: unknown tail model");
-}
-
 BoundaryHealth health_from_name(const std::string& name) {
     if (name == "untrained") return BoundaryHealth::kUntrained;
     if (name == "healthy") return BoundaryHealth::kHealthy;
@@ -554,8 +546,6 @@ io::Json canonical_config_json(const PipelineConfig& config) {
     j.set("kde_bandwidth", config.kde_bandwidth);
     j.set("kde_max_lambda", config.kde_max_lambda);
     j.set("kde_kernel", kernel_name(config.kde_kernel));
-    j.set("tail_model", tail_model_name(config.tail_model));
-    j.set("evt_tail_fraction", config.evt_tail_fraction);
     j.set("log_transform_pcm", config.log_transform_pcm);
     j.set("mars", std::move(mars));
     j.set("svm", std::move(svm));

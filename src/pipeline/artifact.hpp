@@ -217,8 +217,8 @@ public:
         return mars_;
     }
 
-    /// Tail-estimator states for S2/S5 (empty under the EVT tail model or
-    /// when the section was rejected).
+    /// Tail-estimator states for S2/S5 (empty when the boundary failed or
+    /// the section was rejected).
     [[nodiscard]] const std::optional<stats::AdaptiveKde::State>& kde_s2() const noexcept {
         return kde_s2_;
     }

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -12,16 +12,6 @@
 namespace htd::core {
 
 namespace {
-
-void require_finite(const linalg::Vector& x, const char* context) {
-    for (std::size_t c = 0; c < x.size(); ++c) {
-        if (!std::isfinite(x[c])) {
-            throw DataQualityError(std::string(context) +
-                                   ": non-finite value at channel " +
-                                   std::to_string(c));
-        }
-    }
-}
 
 /// Tail mass of `x` under a persisted adaptive estimator: the density at x
 /// and the fraction of calibration observations whose own density is at
@@ -124,7 +114,8 @@ std::optional<Boundary> BoundaryScorer::verdict_boundary() const noexcept {
 ExplainRecord BoundaryScorer::explain(const linalg::Vector& fingerprint,
                                       std::string chip,
                                       const ExplainOptions& opts) const {
-    require_finite(fingerprint, "explain: fingerprint");
+    const linalg::Matrix as_row =
+        linalg::Matrix::from_rows(std::span<const linalg::Vector>(&fingerprint, 1));
     ExplainRecord rec;
     rec.chip = std::move(chip);
 
@@ -138,13 +129,7 @@ ExplainRecord BoundaryScorer::explain(const linalg::Vector& fingerprint,
             rec.boundaries.push_back(std::move(be));
             continue;
         }
-        if (fingerprint.size() != artifact_.fingerprint_dim(b)) {
-            throw DimensionError(
-                "explain: fingerprint dimension mismatch (got " +
-                std::to_string(fingerprint.size()) + " channels, boundary " +
-                boundary_name(b) + " was calibrated on " +
-                std::to_string(artifact_.fingerprint_dim(b)) + ")");
-        }
+        screen_fingerprints("explain", b, artifact_.fingerprint_dim(b), as_row);
         const ml::OneClassSvm& svm = *artifact_.svm(b);
         be.usable = true;
         be.decision = svm.decision_value(fingerprint);

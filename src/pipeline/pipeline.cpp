@@ -14,7 +14,7 @@ namespace {
 std::size_t index_of(Boundary b) { return static_cast<std::size_t>(b); }
 
 /// Reject NaN / +/-Inf matrices before they poison a trained model.
-void require_finite(const linalg::Matrix& m, const char* context) {
+void require_finite(const linalg::Matrix& m, std::string_view context) {
     for (std::size_t r = 0; r < m.rows(); ++r) {
         for (std::size_t c = 0; c < m.cols(); ++c) {
             if (!std::isfinite(m(r, c))) {
@@ -44,6 +44,51 @@ std::string dataset_name(Boundary b) {
     std::string n = boundary_name(b);
     n[0] = 'S';
     return n;
+}
+
+void screen_fingerprints(std::string_view caller, Boundary b,
+                         std::size_t trained_dim,
+                         const linalg::Matrix& fingerprints) {
+    const std::string context(caller);
+    if (fingerprints.cols() != trained_dim) {
+        throw DimensionError(context + ": fingerprint dimension mismatch (got " +
+                             std::to_string(fingerprints.cols()) +
+                             " columns, boundary " + boundary_name(b) +
+                             " was calibrated on " + std::to_string(trained_dim) +
+                             ")");
+    }
+    require_finite(fingerprints, context + ": fingerprints");
+}
+
+std::vector<bool> score_fingerprints(Boundary b, const ml::OneClassSvm& svm,
+                                     std::size_t trained_dim,
+                                     const linalg::Matrix& fingerprints) {
+    screen_fingerprints("classify", b, trained_dim, fingerprints);
+    obs::ScopedSpan span("score.classify");
+    span.attr("boundary", static_cast<double>(index_of(b)) + 1.0);  // 1 = B1
+    span.attr("devices", static_cast<double>(fingerprints.rows()));
+    std::vector<bool> inside(fingerprints.rows());
+    std::size_t accepted = 0;
+    obs::EventJournal& journal = obs::EventJournal::global();
+    const bool forensics = journal.enabled();
+    for (std::size_t r = 0; r < fingerprints.rows(); ++r) {
+        // contains() is decision_value >= 0, so the verdict and the journaled
+        // decision come from the same single evaluation.
+        const double decision = svm.decision_value(fingerprints.row(r));
+        inside[r] = decision >= 0.0;
+        accepted += inside[r] ? 1 : 0;
+        if (forensics) {
+            obs::Event ev("chip_scored");
+            ev.chip = std::to_string(r);
+            ev.boundary = boundary_name(b);
+            ev.value("decision", decision).value("inside", inside[r] ? 1.0 : 0.0);
+            journal.append(std::move(ev));
+        }
+    }
+    span.attr("accepted", static_cast<double>(accepted));
+    obs::Registry::global().work_add("work.score.devices",
+                                     static_cast<double>(fingerprints.rows()));
+    return inside;
 }
 
 std::string boundary_health_name(BoundaryHealth health) {
@@ -102,28 +147,12 @@ linalg::Matrix GoldenFreePipeline::kde_enhance(Boundary b,
                                                const linalg::Matrix& source,
                                                rng::Rng& rng,
                                                std::string_view probe_name) {
-    switch (config_.tail_model) {
-        case TailModel::kAdaptiveKde: {
-            stats::AdaptiveKde kde(source, config_.kde_alpha,
-                                   config_.kde_bandwidth, config_.kde_kernel,
-                                   config_.kde_max_lambda);
-            linalg::Matrix synthetic = kde.sample_n(rng, config_.synthetic_samples);
-            health_.record(
-                health_.probe_kde(probe_name, source, synthetic, kde.bandwidth()));
-            kdes_[index_of(b)] = std::move(kde);
-            return synthetic;
-        }
-        case TailModel::kEvtPot: {
-            const stats::EvtTailEnhancer evt(source, config_.evt_tail_fraction);
-            linalg::Matrix synthetic = evt.sample_n(rng, config_.synthetic_samples);
-            // No bandwidth under the EVT tail model; the probe carries the
-            // tail fraction in its place (always positive, so no false WARN).
-            health_.record(health_.probe_kde(probe_name, source, synthetic,
-                                             config_.evt_tail_fraction));
-            return synthetic;
-        }
-    }
-    throw ConfigError("GoldenFreePipeline: unknown tail model");
+    stats::AdaptiveKde kde(source, config_.kde_alpha, config_.kde_bandwidth,
+                           config_.kde_kernel, config_.kde_max_lambda);
+    linalg::Matrix synthetic = kde.sample_n(rng, config_.synthetic_samples);
+    health_.record(health_.probe_kde(probe_name, source, synthetic, kde.bandwidth()));
+    kdes_[index_of(b)] = std::move(kde);
+    return synthetic;
 }
 
 void GoldenFreePipeline::record_svm_probe(Boundary b) const {
@@ -575,57 +604,15 @@ const ml::OneClassSvm& GoldenFreePipeline::svm_for(Boundary b) const {
 
 std::vector<bool> GoldenFreePipeline::classify(Boundary b,
                                                const linalg::Matrix& fingerprints) const {
-    const ml::OneClassSvm& svm = svm_for(b);
-    if (fingerprints.cols() != datasets_[index_of(b)].cols()) {
-        throw DimensionError("classify: fingerprint dimension mismatch (got " +
-                             std::to_string(fingerprints.cols()) +
-                             " columns, boundary " + boundary_name(b) +
-                             " was trained on " +
-                             std::to_string(datasets_[index_of(b)].cols()) + ")");
-    }
-    require_finite(fingerprints, "classify: fingerprints");
-    obs::ScopedSpan span("pipeline.stage3_classify");
-    span.attr("boundary", static_cast<double>(index_of(b)) + 1.0);  // 1 = B1
-    span.attr("devices", static_cast<double>(fingerprints.rows()));
-    std::vector<bool> inside(fingerprints.rows());
-    std::size_t accepted = 0;
-    obs::EventJournal& journal = obs::EventJournal::global();
-    const bool forensics = journal.enabled();
-    for (std::size_t r = 0; r < fingerprints.rows(); ++r) {
-        if (forensics) {
-            // contains() is decision_value >= 0, so journaling the decision
-            // costs one evaluation, not two, and verdicts stay bitwise
-            // identical to the silent path.
-            const double decision = svm.decision_value(fingerprints.row(r));
-            inside[r] = decision >= 0.0;
-            obs::Event ev("chip_scored");
-            ev.chip = std::to_string(r);
-            ev.boundary = boundary_name(b);
-            ev.value("decision", decision)
-                .value("inside", inside[r] ? 1.0 : 0.0);
-            journal.append(std::move(ev));
-        } else {
-            inside[r] = svm.contains(fingerprints.row(r));
-        }
-        accepted += inside[r] ? 1 : 0;
-    }
-    span.attr("accepted", static_cast<double>(accepted));
-    obs::Registry::global().counter_add("pipeline.devices_classified",
-                                        static_cast<double>(fingerprints.rows()));
-    return inside;
+    return score_fingerprints(b, svm_for(b), datasets_[index_of(b)].cols(),
+                              fingerprints);
 }
 
 linalg::Vector GoldenFreePipeline::decision_values(
     Boundary b, const linalg::Matrix& fingerprints) const {
     const ml::OneClassSvm& svm = svm_for(b);
-    if (fingerprints.cols() != datasets_[index_of(b)].cols()) {
-        throw DimensionError(
-            "decision_values: fingerprint dimension mismatch (got " +
-            std::to_string(fingerprints.cols()) + " columns, boundary " +
-            boundary_name(b) + " was trained on " +
-            std::to_string(datasets_[index_of(b)].cols()) + ")");
-    }
-    require_finite(fingerprints, "decision_values: fingerprints");
+    screen_fingerprints("decision_values", b, datasets_[index_of(b)].cols(),
+                        fingerprints);
     return svm.decision_values(fingerprints);
 }
 

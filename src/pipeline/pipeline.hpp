@@ -19,6 +19,8 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "core/errors.hpp"
 #include "io/json.hpp"
@@ -31,7 +33,6 @@
 #include "obs/obs.hpp"
 #include "rng/rng.hpp"
 #include "silicon/bench_measure.hpp"
-#include "stats/evt.hpp"
 #include "stats/kde.hpp"
 
 namespace htd::core {
@@ -80,12 +81,6 @@ struct BoundaryStatus {
     }
 };
 
-/// Which tail-modeling technique builds the synthetic populations S2/S5.
-enum class TailModel {
-    kAdaptiveKde,  ///< the paper's adaptive Epanechnikov KDE (Section 2.5)
-    kEvtPot,       ///< EVT alternative: per-axis GPD peaks-over-threshold
-};
-
 /// Tuning knobs of the detection pipeline.
 struct PipelineConfig {
     /// Monte Carlo golden devices n (the paper uses 100).
@@ -100,13 +95,6 @@ struct PipelineConfig {
     double kde_bandwidth = 0.5;
     double kde_max_lambda = 2.5;
     stats::KernelType kde_kernel = stats::KernelType::kEpanechnikov;
-
-    /// Tail-modeling technique for S2/S5 (KDE is the paper's choice; the
-    /// EVT alternative is compared in bench_ablation_kde).
-    TailModel tail_model = TailModel::kAdaptiveKde;
-
-    /// Tail fraction per side for the EVT enhancer.
-    double evt_tail_fraction = 0.15;
 
     /// Regress fingerprints against log(PCM) instead of raw PCM values.
     /// Transmit power in dB is log-linear in the drive parameters, and so is
@@ -150,6 +138,25 @@ struct PipelineConfig {
     /// SVM margins). Defaults keep the paper-default clean path all-healthy.
     obs::HealthThresholds health{};
 };
+
+/// Stage-3 input screen shared by every scoring path (the pipeline, the
+/// scorer and explain): throws DimensionError unless `fingerprints` has the
+/// `trained_dim` columns boundary `b` was calibrated on, and
+/// DataQualityError on any non-finite value. `caller` prefixes the messages.
+void screen_fingerprints(std::string_view caller, Boundary b,
+                         std::size_t trained_dim,
+                         const linalg::Matrix& fingerprints);
+
+/// Stage-3 verdicts shared by GoldenFreePipeline and BoundaryScorer:
+/// screens `fingerprints`, then tests every row against `svm` (true =
+/// inside the trusted region) in a `score.classify` span. Each row costs
+/// one decision evaluation, which is also journaled as a `chip_scored`
+/// event while the event journal is enabled. Adds the row count to the
+/// `work.score.devices` counter.
+[[nodiscard]] std::vector<bool> score_fingerprints(Boundary b,
+                                                   const ml::OneClassSvm& svm,
+                                                   std::size_t trained_dim,
+                                                   const linalg::Matrix& fingerprints);
 
 /// The golden chip-free detection pipeline.
 class GoldenFreePipeline {
@@ -256,8 +263,8 @@ public:
     }
 
     /// The adaptive-KDE estimator that generated a boundary's synthetic
-    /// population. Engaged only for B2/B5 under the kAdaptiveKde tail model;
-    /// empty otherwise (EVT tail model, stage not run, boundary failed).
+    /// population. Engaged only for B2/B5; empty otherwise (stage not run,
+    /// boundary failed).
     /// Persisted in the boundary artifact so a calibration can be audited
     /// and its synthetic populations regenerated without re-simulation.
     [[nodiscard]] const std::optional<stats::AdaptiveKde>& kde_estimator(
@@ -274,9 +281,8 @@ private:
     [[nodiscard]] linalg::Matrix transform_pcms(const linalg::Matrix& pcms) const;
     [[nodiscard]] ml::OneClassSvm train_boundary(const linalg::Matrix& dataset) const;
     /// Build the synthetic tail-enhanced population for boundary `b` from
-    /// `source`, record a `<probe_name>` health probe over it, and (under
-    /// the adaptive-KDE tail model) retain the fitted estimator in `kdes_`
-    /// for artifact export.
+    /// `source`, record a `<probe_name>` health probe over it, and retain
+    /// the fitted estimator in `kdes_` for artifact export.
     [[nodiscard]] linalg::Matrix kde_enhance(Boundary b,
                                              const linalg::Matrix& source,
                                              rng::Rng& rng,
@@ -301,7 +307,7 @@ private:
     linalg::Matrix mc_pcms_;
     std::array<linalg::Matrix, 5> datasets_;
     std::array<ml::OneClassSvm, 5> boundaries_;
-    /// Fitted tail estimators (B2/B5 only under kAdaptiveKde).
+    /// Fitted tail estimators (B2/B5 only).
     std::array<std::optional<stats::AdaptiveKde>, 5> kdes_;
     std::array<BoundaryStatus, 5> status_{};
     ml::MarsBank regressions_;

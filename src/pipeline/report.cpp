@@ -89,8 +89,6 @@ obs::RunReport pipeline_run_report(const GoldenFreePipeline& pipeline,
     cfg.set("kde_alpha", config.kde_alpha);
     cfg.set("kde_bandwidth", config.kde_bandwidth);
     cfg.set("kde_max_lambda", config.kde_max_lambda);
-    cfg.set("tail_model",
-            config.tail_model == TailModel::kAdaptiveKde ? "adaptive_kde" : "evt_pot");
     cfg.set("log_transform_pcm", config.log_transform_pcm);
     cfg.set("svm_nu", config.svm.nu);
     cfg.set("svm_gamma_scale", config.svm.gamma_scale);

@@ -1,33 +1,9 @@
 #include "pipeline/scorer.hpp"
 
-#include <cmath>
 #include <string>
 #include <utility>
 
-#include "obs/journal.hpp"
-#include "obs/obs.hpp"
-#include "obs/span.hpp"
-
 namespace htd::core {
-
-namespace {
-
-std::size_t index_of(Boundary b) { return static_cast<std::size_t>(b); }
-
-void require_finite(const linalg::Matrix& m, const char* context) {
-    for (std::size_t r = 0; r < m.rows(); ++r) {
-        for (std::size_t c = 0; c < m.cols(); ++c) {
-            if (!std::isfinite(m(r, c))) {
-                throw DataQualityError(std::string(context) +
-                                       ": non-finite value at row " +
-                                       std::to_string(r) + ", column " +
-                                       std::to_string(c));
-            }
-        }
-    }
-}
-
-}  // namespace
 
 BoundaryScorer::BoundaryScorer(BoundaryArtifact artifact)
     : artifact_(std::move(artifact)) {}
@@ -48,57 +24,15 @@ const ml::OneClassSvm& BoundaryScorer::svm_for(Boundary b) const {
 
 std::vector<bool> BoundaryScorer::classify(Boundary b,
                                            const linalg::Matrix& fingerprints) const {
-    const ml::OneClassSvm& svm = svm_for(b);
-    if (fingerprints.cols() != artifact_.fingerprint_dim(b)) {
-        throw DimensionError("classify: fingerprint dimension mismatch (got " +
-                             std::to_string(fingerprints.cols()) +
-                             " columns, boundary " + boundary_name(b) +
-                             " was calibrated on " +
-                             std::to_string(artifact_.fingerprint_dim(b)) + ")");
-    }
-    require_finite(fingerprints, "classify: fingerprints");
-    obs::ScopedSpan span("score.classify");
-    span.attr("boundary", static_cast<double>(index_of(b)) + 1.0);  // 1 = B1
-    span.attr("devices", static_cast<double>(fingerprints.rows()));
-    std::vector<bool> inside(fingerprints.rows());
-    std::size_t accepted = 0;
-    obs::EventJournal& journal = obs::EventJournal::global();
-    const bool forensics = journal.enabled();
-    for (std::size_t r = 0; r < fingerprints.rows(); ++r) {
-        if (forensics) {
-            // contains() is decision_value >= 0, so journaling the decision
-            // costs one evaluation, not two, and verdicts stay bitwise
-            // identical to the silent path.
-            const double decision = svm.decision_value(fingerprints.row(r));
-            inside[r] = decision >= 0.0;
-            obs::Event ev("chip_scored");
-            ev.chip = std::to_string(r);
-            ev.boundary = boundary_name(b);
-            ev.value("decision", decision)
-                .value("inside", inside[r] ? 1.0 : 0.0);
-            journal.append(std::move(ev));
-        } else {
-            inside[r] = svm.contains(fingerprints.row(r));
-        }
-        accepted += inside[r] ? 1 : 0;
-    }
-    span.attr("accepted", static_cast<double>(accepted));
-    obs::Registry::global().work_add("work.score.devices",
-                                     static_cast<double>(fingerprints.rows()));
-    return inside;
+    return score_fingerprints(b, svm_for(b), artifact_.fingerprint_dim(b),
+                              fingerprints);
 }
 
 linalg::Vector BoundaryScorer::decision_values(
     Boundary b, const linalg::Matrix& fingerprints) const {
     const ml::OneClassSvm& svm = svm_for(b);
-    if (fingerprints.cols() != artifact_.fingerprint_dim(b)) {
-        throw DimensionError(
-            "decision_values: fingerprint dimension mismatch (got " +
-            std::to_string(fingerprints.cols()) + " columns, boundary " +
-            boundary_name(b) + " was calibrated on " +
-            std::to_string(artifact_.fingerprint_dim(b)) + ")");
-    }
-    require_finite(fingerprints, "decision_values: fingerprints");
+    screen_fingerprints("decision_values", b, artifact_.fingerprint_dim(b),
+                        fingerprints);
     return svm.decision_values(fingerprints);
 }
 

@@ -5,6 +5,7 @@
 /// ArtifactError or survived with the damage recorded loudly (failed
 /// sections + degraded BoundaryStatus) while the surviving boundaries keep
 /// scoring; strict mode turns every recorded degradation into a rejection.
+/// Plus the stage-3 journal contract the pipeline and the scorer share.
 
 #include <gtest/gtest.h>
 
@@ -13,10 +14,13 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <unistd.h>
 #include <vector>
 
 #include "io/json.hpp"
+#include "obs/journal.hpp"
+#include "obs/obs.hpp"
 #include "pipeline/artifact.hpp"
 #include "pipeline/artifact_fault.hpp"
 #include "pipeline/experiment.hpp"
@@ -310,5 +314,93 @@ INSTANTIATE_TEST_SUITE_P(
         }
         return std::string("Unknown");
     });
+
+
+// --- stage-3 journal contract ----------------------------------------------------
+
+/// One journaled verdict: (chip, boundary, decision, inside).
+using ScoredEvent = std::tuple<std::string, std::string, double, double>;
+
+struct Stage3Run {
+    std::vector<bool> verdicts;
+    std::vector<ScoredEvent> events;  ///< chip_scored events, journal order
+    double devices = 0.0;             ///< work.score.devices added
+};
+
+/// classify() with the event journal (in-memory) and the obs registry on.
+template <typename Classify>
+Stage3Run journaled(Classify&& classify) {
+    obs::Registry& registry = obs::Registry::global();
+    obs::EventJournal& journal = obs::EventJournal::global();
+    registry.configure(obs::SinkKind::kJson);
+    registry.reset();
+    journal.enable_memory();
+    Stage3Run run;
+    run.verdicts = classify();
+    for (const obs::Event& ev : journal.recent()) {
+        EXPECT_EQ(ev.kind, "chip_scored");
+        EXPECT_EQ(ev.values.size(), 2u);
+        if (ev.values.size() != 2) continue;
+        EXPECT_EQ(ev.values[0].first, "decision");
+        EXPECT_EQ(ev.values[1].first, "inside");
+        run.events.emplace_back(ev.chip, ev.boundary, ev.values[0].second,
+                                ev.values[1].second);
+    }
+    run.devices = registry.work_value("work.score.devices");
+    journal.close();
+    registry.configure(obs::SinkKind::kOff);
+    registry.reset();
+    return run;
+}
+
+/// GoldenFreePipeline and a BoundaryScorer built from it share one stage-3
+/// body: on a quickstart-scale lot, journaling never changes a verdict,
+/// both write the same chip_scored sequence, and both count every device.
+TEST(Stage3Contract, PipelineAndScorerJournalAndCountAlike) {
+    core::ExperimentConfig config;
+    config.n_chips = 12;  // quickstart: 36 devices
+    config.pipeline.synthetic_samples = 20000;
+
+    rng::Rng rng(config.seed);
+    rng::Rng fab_rng = rng.split();
+    const silicon::DuttDataset devices = core::fabricate_and_measure(config, fab_rng);
+    const linalg::Matrix& fingerprints = devices.fingerprints;
+    const core::ProcessPair processes =
+        core::make_process_pair(config.process_shift_sigma);
+    core::GoldenFreePipeline pipeline(
+        config.pipeline, silicon::SpiceSimulator(config.platform, processes.spice));
+    rng::Rng sim_rng = rng.split();
+    rng::Rng pipe_rng = rng.split();
+    pipeline.run_premanufacturing(sim_rng);
+    pipeline.run_silicon_stage(devices.pcms, pipe_rng);
+    const core::BoundaryScorer scorer(
+        core::BoundaryArtifact::from_pipeline(pipeline, config.seed, "test_artifact"));
+    ASSERT_FALSE(obs::EventJournal::global().enabled());
+
+    for (const core::Boundary b : core::kAllBoundaries) {
+        SCOPED_TRACE(core::boundary_name(b));
+        ASSERT_TRUE(pipeline.boundary_ready(b));
+        const std::vector<bool> silent = pipeline.classify(b, fingerprints);
+        EXPECT_EQ(scorer.classify(b, fingerprints), silent);
+
+        const Stage3Run in_process =
+            journaled([&] { return pipeline.classify(b, fingerprints); });
+        const Stage3Run scored =
+            journaled([&] { return scorer.classify(b, fingerprints); });
+        EXPECT_EQ(in_process.verdicts, silent);
+        EXPECT_EQ(scored.verdicts, silent);
+        EXPECT_EQ(scored.events, in_process.events);
+        ASSERT_EQ(in_process.events.size(), fingerprints.rows());
+        for (std::size_t r = 0; r < fingerprints.rows(); ++r) {
+            const auto& [chip, boundary, decision, inside] = in_process.events[r];
+            EXPECT_EQ(chip, std::to_string(r));
+            EXPECT_EQ(boundary, core::boundary_name(b));
+            EXPECT_EQ(inside, silent[r] ? 1.0 : 0.0);
+            EXPECT_EQ(decision >= 0.0, silent[r]);
+        }
+        EXPECT_EQ(in_process.devices, static_cast<double>(fingerprints.rows()));
+        EXPECT_EQ(scored.devices, static_cast<double>(fingerprints.rows()));
+    }
+}
 
 }  // namespace

@@ -129,21 +129,9 @@ TEST(Integration, ShiftMagnitudeSweepKeepsSecurityProperty) {
 
 }  // namespace
 
-// --- tail-model and modality variants (appended) ----------------------------------
+// --- modality variants (appended) -------------------------------------------------
 
 namespace {
-
-TEST(Integration, EvtTailModelKeepsSecurityProperty) {
-    ExperimentConfig cfg = fast_config();
-    cfg.pipeline.tail_model = htd::core::TailModel::kEvtPot;
-    const ExperimentResult r = run_experiment(cfg);
-    for (const auto& m : r.table1) {
-        EXPECT_LE(m.false_positives, 6u);
-    }
-    // The EVT enhancer still improves on B4 or at least does not collapse.
-    EXPECT_LE(r.table1[4].false_negatives, 40u);
-    EXPECT_EQ(r.table1[0].false_negatives, 40u);
-}
 
 TEST(Integration, PathDelayModalityShape) {
     ExperimentConfig cfg = fast_config();

@@ -63,17 +63,20 @@ double median_heuristic_gamma(const linalg::Matrix& data, std::size_t max_pairs)
             for (std::size_t j = i + 1; j < n; ++j)
                 dists.push_back(std::sqrt(squared_dist(data.row_span(i), data.row_span(j))));
     } else {
-        // Deterministic stride subsample over the pair index space.
+        // Deterministic stride subsample over the pair index space: the
+        // pairs at flat upper-triangle indices 0, stride, 2*stride, ...
         dists.reserve(max_pairs);
         const std::size_t stride = std::max<std::size_t>(1, total_pairs / max_pairs);
-        std::size_t flat = 0;
-        for (std::size_t i = 0; i < n && dists.size() < max_pairs; ++i) {
-            for (std::size_t j = i + 1; j < n && dists.size() < max_pairs; ++j, ++flat) {
-                if (flat % stride == 0) {
-                    dists.push_back(
-                        std::sqrt(squared_dist(data.row_span(i), data.row_span(j))));
-                }
+        std::size_t i = 0;
+        std::size_t row_start = 0;  // flat index of pair (i, i + 1)
+        for (std::size_t k = 0; k < max_pairs; ++k) {
+            const std::size_t flat = k * stride;
+            while (flat >= row_start + (n - 1 - i)) {
+                row_start += n - 1 - i;
+                ++i;
             }
+            const std::size_t j = i + 1 + (flat - row_start);
+            dists.push_back(std::sqrt(squared_dist(data.row_span(i), data.row_span(j))));
         }
     }
     const double med = stats::median(dists);

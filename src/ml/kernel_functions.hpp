@@ -27,8 +27,9 @@ using KernelFn = std::function<double(std::span<const double>, std::span<const d
                                          double offset = 1.0);
 
 /// Median heuristic for the RBF width: gamma = 1 / (2 median^2) where the
-/// median is over pairwise Euclidean distances of the rows of `data` (a
-/// random subset of at most `max_pairs` pairs keeps it cheap). Returns a
+/// median is over pairwise Euclidean distances of the rows of `data` (when
+/// there are more than `max_pairs` pairs, every stride-th pair in row-major
+/// upper-triangle order, `max_pairs` of them, keeps it cheap). Returns a
 /// fallback of 1/dim when the median distance is zero. Throws on datasets
 /// with fewer than 2 rows.
 [[nodiscard]] double median_heuristic_gamma(const linalg::Matrix& data,

@@ -84,12 +84,30 @@ void OneClassSvm::fit(const linalg::Matrix& data) {
     }
     gamma_ = opts_.gamma > 0.0 ? opts_.gamma
                                : median_heuristic_gamma(x) * opts_.gamma_scale;
-    const KernelFn kernel = rbf_kernel(gamma_);
-
-    // 3. Dense Gram matrix (bounded by the subsample cap).
-    const linalg::Matrix q = gram_matrix(kernel, x);
-    obs::Registry::global().work_add("work.svm.gram_cells",
-                                     static_cast<double>(l) * static_cast<double>(l));
+    // 3. Kernel rows on demand: row t of Q is computed the first time it is
+    //    read and then kept (an empty row is "not computed yet"). Each cell
+    //    is bit-identical to rbf_kernel(gamma_) on the same pair, in either
+    //    order, so the rows equal the dense Gram matrix's.
+    std::vector<std::vector<double>> rows(l);
+    std::size_t rows_computed = 0;
+    const auto q_row = [&](std::size_t t) -> const std::vector<double>& {
+        std::vector<double>& row = rows[t];
+        if (row.empty()) {
+            row.resize(l);
+            const auto xt = x.row_span(t);
+            for (std::size_t s = 0; s < l; ++s) {
+                const auto xs = x.row_span(s);
+                double d2 = 0.0;
+                for (std::size_t k = 0; k < d; ++k) {
+                    const double diff = xt[k] - xs[k];
+                    d2 += diff * diff;
+                }
+                row[s] = std::exp(-gamma_ * d2);
+            }
+            ++rows_computed;
+        }
+        return row;
+    };
 
     // 4. Initialize alpha as in libsvm: the first floor(nu*l) points get the
     //    box maximum, the next point absorbs the remainder so sum == 1.
@@ -100,14 +118,13 @@ void OneClassSvm::fit(const linalg::Matrix& data) {
         alpha[n_full] = 1.0 - static_cast<double>(n_full) * c;
     }
 
-    // Gradient g_i = (Q alpha)_i.
+    // Gradient g_i = (Q alpha)_i, accumulated over the nonzero alphas in
+    // ascending j so each g_i sums in the same order as a dense mat-vec.
     std::vector<double> grad(l, 0.0);
-    for (std::size_t i = 0; i < l; ++i) {
-        double acc = 0.0;
-        for (std::size_t j = 0; j < l; ++j) {
-            if (alpha[j] != 0.0) acc += q(i, j) * alpha[j];
-        }
-        grad[i] = acc;
+    for (std::size_t j = 0; j < l; ++j) {
+        if (alpha[j] == 0.0) continue;
+        const std::vector<double>& qj = q_row(j);
+        for (std::size_t i = 0; i < l; ++i) grad[i] += qj[i] * alpha[j];
     }
 
     // 5. SMO with maximal-violating-pair selection.
@@ -131,7 +148,9 @@ void OneClassSvm::fit(const linalg::Matrix& data) {
         if (bi == l || bj == l || gj - gi < opts_.tolerance) break;
 
         // Analytic step along e_i - e_j, clipped to the box.
-        double eta = q(bi, bi) + q(bj, bj) - 2.0 * q(bi, bj);
+        const std::vector<double>& qi = q_row(bi);
+        const std::vector<double>& qj = q_row(bj);
+        double eta = qi[bi] + qj[bj] - 2.0 * qi[bj];
         if (eta <= 1e-15) eta = 1e-15;
         double step = (gj - gi) / eta;
         step = std::min(step, c - alpha[bi]);
@@ -141,9 +160,12 @@ void OneClassSvm::fit(const linalg::Matrix& data) {
         alpha[bi] += step;
         alpha[bj] -= step;
         for (std::size_t t = 0; t < l; ++t) {
-            grad[t] += step * (q(t, bi) - q(t, bj));
+            grad[t] += step * (qi[t] - qj[t]);
         }
     }
+    // Every early exit above happens below the cap; reaching it is the
+    // one unconverged outcome.
+    const bool converged = iterations_ < opts_.max_iterations;
 
     // 6. rho: average gradient over free support vectors, with a bound-based
     //    fallback when none are free.
@@ -182,10 +204,14 @@ void OneClassSvm::fit(const linalg::Matrix& data) {
     span.attr("trained_samples", static_cast<double>(l));
     span.attr("support_vectors", static_cast<double>(support_vectors_.rows()));
     span.attr("smo_iterations", static_cast<double>(iterations_));
+    span.attr("kernel_rows", static_cast<double>(rows_computed));
+    span.attr("converged", converged ? 1.0 : 0.0);
     obs::Registry& registry = obs::Registry::global();
     registry.counter_add("svm.fits");
     registry.counter_add("svm.smo_iterations", static_cast<double>(iterations_));
     registry.work_add("work.svm.smo_iterations", static_cast<double>(iterations_));
+    registry.work_add("work.svm.gram_cells", static_cast<double>(rows_computed) *
+                                                 static_cast<double>(l));
     registry.counter_add("svm.support_vectors",
                          static_cast<double>(support_vectors_.rows()));
     fitted_ = true;

@@ -31,13 +31,17 @@ double median(std::span<const double> xs) { return quantile(xs, 0.5); }
 double quantile(std::span<const double> xs, double q) {
     if (xs.empty()) throw std::invalid_argument("quantile: empty sample");
     if (q < 0.0 || q > 1.0) throw std::invalid_argument("quantile: q outside [0,1]");
-    std::vector<double> sorted(xs.begin(), xs.end());
-    std::sort(sorted.begin(), sorted.end());
-    const double pos = q * static_cast<double>(sorted.size() - 1);
+    // Only the order statistics at lo and lo + 1 are read: partition at lo,
+    // and the next one is the smallest element of the upper part.
+    std::vector<double> v(xs.begin(), xs.end());
+    const double pos = q * static_cast<double>(v.size() - 1);
     const std::size_t lo = static_cast<std::size_t>(pos);
-    const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+    const auto nth = v.begin() + static_cast<std::ptrdiff_t>(lo);
+    std::nth_element(v.begin(), nth, v.end());
+    const double at_lo = *nth;
+    const double at_hi = lo + 1 < v.size() ? *std::min_element(nth + 1, v.end()) : at_lo;
     const double frac = pos - static_cast<double>(lo);
-    return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+    return at_lo * (1.0 - frac) + at_hi * frac;
 }
 
 double pearson_correlation(std::span<const double> xs, std::span<const double> ys) {

@@ -70,6 +70,23 @@ TEST(Kernels, MedianHeuristicPositive) {
     EXPECT_LT(gamma, 0.5);
 }
 
+TEST(Kernels, MedianHeuristicReproducesPinnedBits) {
+    // gamma for standard-normal clouds in 6-D (the bench_micro generator),
+    // pinned bit-for-bit: both branches must keep the same pairs in the
+    // same order.
+    const auto cloud = [](std::size_t n) {
+        htd::rng::Rng rng(4);
+        Matrix data(n, 6);
+        for (std::size_t r = 0; r < n; ++r)
+            for (std::size_t c = 0; c < 6; ++c) data(r, c) = rng.normal();
+        return data;
+    };
+    // All 4950 pairs: an even count, so the median interpolates.
+    EXPECT_EQ(htd::ml::median_heuristic_gamma(cloud(100)), 0x1.742f4c993079dp-5);
+    // 1999000 pairs > 100000: every 19th flat pair index.
+    EXPECT_EQ(htd::ml::median_heuristic_gamma(cloud(2000)), 0x1.7e87a4bc607c8p-5);
+}
+
 TEST(Kernels, MedianHeuristicNeedsTwoRows) {
     EXPECT_THROW((void)htd::ml::median_heuristic_gamma(Matrix{{1.0}}),
                  std::invalid_argument);

@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "ml/one_class_svm.hpp"
+#include "obs/obs.hpp"
 #include "rng/rng.hpp"
 
 namespace {
@@ -19,6 +24,16 @@ Matrix blob(Rng& rng, std::size_t n, std::size_t d, double mean, double sd) {
     Matrix data(n, d);
     for (std::size_t r = 0; r < n; ++r)
         for (std::size_t c = 0; c < d; ++c) data(r, c) = rng.normal(mean, sd);
+    return data;
+}
+
+/// bench_micro's work-profile input generator (same Rng stream and fill
+/// order), so the pins below sit on the BM_OneClassSvmFit inputs.
+Matrix gaussian_cloud(std::size_t n, std::size_t d, std::uint64_t seed) {
+    Rng rng(seed);
+    Matrix data(n, d);
+    for (std::size_t r = 0; r < n; ++r)
+        for (std::size_t c = 0; c < d; ++c) data(r, c) = rng.normal();
     return data;
 }
 
@@ -229,6 +244,103 @@ TEST(OneClassSvm, InputDimensionMismatchThrows) {
     OneClassSvm svm;
     svm.fit(data);
     EXPECT_THROW((void)svm.decision_value(Vector{0.0, 0.0}), std::invalid_argument);
+}
+
+TEST(OneClassSvm, FitReproducesPinnedSolution) {
+    // Pinned bit-for-bit: every kernel row cell equals rbf_kernel on its
+    // pair, and each initial g_i sums over ascending j, so a change to the
+    // kernel arithmetic or the summation order moves these outputs.
+    // nu * n is an integer for the default nu at n = 100, 500 and 2000, so
+    // the remainder alpha is exactly zero there and its row is skipped;
+    // nu = 0.07 at n = 150 gives a nonzero remainder. n = 2500 exceeds the
+    // 2000-row cap and runs the subsample path.
+    const struct {
+        std::size_t n;
+        double nu;
+        double gamma;
+        bool whiten;
+        double rho;
+        std::size_t iterations;
+        std::size_t support_vectors;
+        double probe_value;
+    } kCases[] = {
+        {100, 0.05, 0.0, false, 0x1.7d06f631256bcp-2, 29, 11, 0x1.610c6b5cb9344p-3},
+        {500, 0.05, 0.0, false, 0x1.4b8d69c6a2b3fp-2, 39, 29, 0x1.50baf707f12fcp-3},
+        {2500, 0.05, 0.0, false, 0x1.40898eeecd26ap-2, 111, 104, 0x1.5d2b1118c1deap-3},
+        {500, 0.05, 0.0, true, 0x1.4a67b6e39b5fbp-2, 64, 32, 0x1.548cb443439b8p-3},
+        {500, 0.05, 0.3, false, 0x1.a6e1455e6104fp-6, 275, 128, 0x1.a880604bf9146p-7},
+        {150, 0.07, 0.0, false, 0x1.7d732185a4befp-2, 56, 18, 0x1.58275c9bfc4b2p-3},
+    };
+    const Vector probe{0.3, -0.2, 0.1, 0.5, -0.4, 0.0};
+    for (const auto& c : kCases) {
+        OneClassSvm::Options opts;
+        opts.nu = c.nu;
+        opts.gamma = c.gamma;
+        opts.whiten = c.whiten;
+        OneClassSvm svm(opts);
+        svm.fit(gaussian_cloud(c.n, 6, 4));
+        const std::string where = "n=" + std::to_string(c.n) +
+                                  " nu=" + std::to_string(c.nu) +
+                                  " gamma=" + std::to_string(c.gamma) +
+                                  " whiten=" + std::to_string(c.whiten);
+        EXPECT_EQ(svm.rho(), c.rho) << where;
+        EXPECT_EQ(svm.iterations_used(), c.iterations) << where;
+        EXPECT_EQ(svm.support_vector_count(), c.support_vectors) << where;
+        EXPECT_EQ(svm.decision_value(probe), c.probe_value) << where;
+    }
+}
+
+/// The numeric attributes of the last recorded span called `name`.
+std::vector<std::pair<std::string, double>> last_span_attrs(const std::string& name) {
+    const auto spans = htd::obs::Registry::global().spans();
+    for (auto it = spans.rbegin(); it != spans.rend(); ++it) {
+        if (it->name == name) return it->attrs;
+    }
+    ADD_FAILURE() << "no span " << name;
+    return {};
+}
+
+double attr(const std::vector<std::pair<std::string, double>>& attrs,
+            const std::string& key) {
+    for (const auto& [k, v] : attrs) {
+        if (k == key) return v;
+    }
+    ADD_FAILURE() << "no attribute " << key;
+    return -1.0;
+}
+
+class OneClassSvmSpanTest : public ::testing::Test {
+protected:
+    void SetUp() override {
+        htd::obs::Registry::global().configure(htd::obs::SinkKind::kJson);
+        htd::obs::Registry::global().reset();
+    }
+    void TearDown() override {
+        htd::obs::Registry::global().configure(htd::obs::SinkKind::kOff);
+        htd::obs::Registry::global().reset();
+    }
+};
+
+TEST_F(OneClassSvmSpanTest, FitReportsKernelRowsAndConvergence) {
+    const Matrix data = gaussian_cloud(100, 6, 4);
+
+    OneClassSvm svm;
+    svm.fit(data);
+    auto attrs = last_span_attrs("svm.fit");
+    EXPECT_EQ(attr(attrs, "converged"), 1.0);
+    // The 5 initial-gradient rows (the zero remainder alpha is skipped)
+    // plus the 10 rows the 29 SMO steps read first.
+    EXPECT_EQ(attr(attrs, "kernel_rows"), 15.0);
+
+    OneClassSvm::Options opts;
+    opts.max_iterations = 1;
+    OneClassSvm capped(opts);
+    capped.fit(data);
+    attrs = last_span_attrs("svm.fit");
+    EXPECT_EQ(capped.iterations_used(), 1u);
+    EXPECT_EQ(attr(attrs, "converged"), 0.0);
+    // One step reads rows i and j; j has a nonzero alpha, so only i is new.
+    EXPECT_EQ(attr(attrs, "kernel_rows"), 6.0);
 }
 
 /// Property sweep: for any reasonable nu the model keeps its own mean inside

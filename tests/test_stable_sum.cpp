@@ -194,16 +194,17 @@ TEST_F(WorkProfilePinTest, AdaptiveKdeBuildReproducesPinnedProfile) {
 
 TEST_F(WorkProfilePinTest, OneClassSvmFitReproducesPinnedProfile) {
     // work_profile's OneClassSvmFit points: gaussian_cloud(n, 6, 4). The
-    // Gram-cell count is structural; the SMO iteration count is the
-    // sensitive pin — it moves if the Gram values (now reduced through
-    // StableAccumulator) change at all.
+    // Gram-cell count is the kernel rows fit computes times n (the
+    // initial-gradient rows plus the rows SMO reads first); the SMO
+    // iteration count is the sensitive pin — it moves if the kernel values
+    // change at all.
     const struct {
         std::size_t n;
         double gram_cells;
         double smo_iterations;
     } kCases[] = {
-        {100, 10000.0, 29.0},
-        {500, 250000.0, 39.0},
+        {100, 1500.0, 29.0},
+        {500, 25500.0, 39.0},
     };
     for (const auto& c : kCases) {
         htd::obs::Registry::global().reset();

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <vector>
@@ -40,6 +41,26 @@ TEST(Descriptive, QuantileInterpolates) {
     EXPECT_DOUBLE_EQ(htd::stats::quantile(xs, 1.0), 10.0);
     EXPECT_DOUBLE_EQ(htd::stats::quantile(xs, 0.25), 2.5);
     EXPECT_THROW((void)htd::stats::quantile(xs, 1.5), std::invalid_argument);
+}
+
+TEST(Descriptive, QuantileMatchesSortedReference) {
+    // quantile reads two order statistics by selection; compare with
+    // linear interpolation on a fully sorted copy.
+    htd::rng::Rng rng(21);
+    for (const std::size_t n : {1001u, 1000u}) {
+        std::vector<double> xs(n);
+        for (double& x : xs) x = rng.normal();
+        std::vector<double> sorted = xs;
+        std::sort(sorted.begin(), sorted.end());
+        for (const double q : {0.5, 0.999}) {
+            const double pos = q * static_cast<double>(n - 1);
+            const auto lo = static_cast<std::size_t>(pos);
+            const std::size_t hi = std::min(lo + 1, n - 1);
+            const double frac = pos - static_cast<double>(lo);
+            const double expected = sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+            EXPECT_EQ(htd::stats::quantile(xs, q), expected) << "n=" << n << " q=" << q;
+        }
+    }
 }
 
 TEST(Descriptive, PearsonCorrelation) {

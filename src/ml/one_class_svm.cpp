@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -85,15 +86,22 @@ void OneClassSvm::fit(const linalg::Matrix& data) {
     gamma_ = opts_.gamma > 0.0 ? opts_.gamma
                                : median_heuristic_gamma(x) * opts_.gamma_scale;
     // 3. Kernel rows on demand: row t of Q is computed the first time it is
-    //    read and then kept (an empty row is "not computed yet"). Each cell
-    //    is bit-identical to rbf_kernel(gamma_) on the same pair, in either
-    //    order, so the rows equal the dense Gram matrix's.
-    std::vector<std::vector<double>> rows(l);
+    //    read, into the next free slot of one l x l block, and then kept.
+    //    Each cell is bit-identical to rbf_kernel(gamma_) on the same pair,
+    //    in either order, so the rows equal the dense Gram matrix's. The
+    //    block is left uninitialized, so only the slots in use become
+    //    resident. Being one allocation the size of the dense Gram, it also
+    //    keeps the heap's layout, and so the process's peak memory, the same
+    //    from run to run: one allocation per row would leave holes that
+    //    later multi-MB buffers fit into or not, by allocation history.
+    const auto slots = std::make_unique_for_overwrite<double[]>(l * l);
+    constexpr std::size_t kNoSlot = std::numeric_limits<std::size_t>::max();
+    std::vector<std::size_t> slot_of(l, kNoSlot);
     std::size_t rows_computed = 0;
-    const auto q_row = [&](std::size_t t) -> const std::vector<double>& {
-        std::vector<double>& row = rows[t];
-        if (row.empty()) {
-            row.resize(l);
+    const auto q_row = [&](std::size_t t) -> const double* {
+        if (slot_of[t] == kNoSlot) {
+            slot_of[t] = rows_computed++;
+            double* row = slots.get() + slot_of[t] * l;
             const auto xt = x.row_span(t);
             for (std::size_t s = 0; s < l; ++s) {
                 const auto xs = x.row_span(s);
@@ -104,9 +112,8 @@ void OneClassSvm::fit(const linalg::Matrix& data) {
                 }
                 row[s] = std::exp(-gamma_ * d2);
             }
-            ++rows_computed;
         }
-        return row;
+        return slots.get() + slot_of[t] * l;
     };
 
     // 4. Initialize alpha as in libsvm: the first floor(nu*l) points get the
@@ -123,7 +130,7 @@ void OneClassSvm::fit(const linalg::Matrix& data) {
     std::vector<double> grad(l, 0.0);
     for (std::size_t j = 0; j < l; ++j) {
         if (alpha[j] == 0.0) continue;
-        const std::vector<double>& qj = q_row(j);
+        const double* qj = q_row(j);
         for (std::size_t i = 0; i < l; ++i) grad[i] += qj[i] * alpha[j];
     }
 
@@ -148,8 +155,8 @@ void OneClassSvm::fit(const linalg::Matrix& data) {
         if (bi == l || bj == l || gj - gi < opts_.tolerance) break;
 
         // Analytic step along e_i - e_j, clipped to the box.
-        const std::vector<double>& qi = q_row(bi);
-        const std::vector<double>& qj = q_row(bj);
+        const double* qi = q_row(bi);
+        const double* qj = q_row(bj);
         double eta = qi[bi] + qj[bj] - 2.0 * qi[bj];
         if (eta <= 1e-15) eta = 1e-15;
         double step = (gj - gi) / eta;

@@ -1,32 +1,15 @@
 #pragma once
 /// \file stable_sum.hpp
-/// Order-stable floating-point reduction helpers.
+/// Order-pinned floating-point summation.
 ///
-/// Naive left-to-right `+=` reductions are the main obstacle to running
-/// the statistical hot loops (KMM Gram sums, KDE kernel evaluations, the
-/// Monte Carlo power accumulation) across threads: FP addition is not
-/// associative, so any change in accumulation order — a different thread
-/// count, a reordered chunk merge — shifts the last ulps and breaks the
-/// bitwise artifact/score parity the golden-free pipeline promises
-/// (DESIGN.md §16). These helpers pin the summation semantics instead:
-///
-///  - `StableAccumulator` — Neumaier-compensated (improved Kahan)
-///    running sum. Sequential like a naive `+=` but tracks the rounding
-///    error of every addition in a compensation term, so the result is
-///    accurate to ~1 ulp of the true sum even under catastrophic
-///    cancellation, and — crucially — is a *defined* function of the
-///    input sequence that a future parallel merge can reproduce by
-///    combining per-chunk (sum, compensation) pairs in fixed order.
-///  - `stable_sum(span)` — pairwise (cascade) summation over a
-///    materialized range. Error grows O(log n) instead of O(n), and the
-///    reduction tree depends only on `n`, never on thread schedule.
-///
-/// htd_lint's `float-reduction-order` pass rejects naive `+=` /
-/// `std::accumulate` FP reductions inside `HTD_PARALLEL_READY` regions;
-/// these helpers are the sanctioned replacement.
-
-#include <cstddef>
-#include <span>
+/// `StableAccumulator` is a Neumaier-compensated (improved Kahan) running
+/// sum. It adds terms left to right like a naive `+=`, but tracks the
+/// rounding error of every addition in a compensation term, so the result
+/// is accurate to ~1 ulp of the true sum even under catastrophic
+/// cancellation. The Monte Carlo power sum, the KDE kernel sums and the
+/// KMM kappa rows use it; the bits of every fingerprint, density and
+/// B-score depend on its exact operation order, which the hot-loop pins
+/// in tests/test_stable_sum.cpp hold fixed.
 
 namespace htd::core {
 
@@ -63,30 +46,5 @@ private:
     double sum_ = 0.0;
     double comp_ = 0.0;
 };
-
-namespace detail {
-
-/// Recursive pairwise reduction; the split point depends only on the
-/// length, so the tree shape (and therefore the rounding) is a pure
-/// function of `n`.
-[[nodiscard]] constexpr double pairwise_sum(std::span<const double> xs) noexcept {
-    constexpr std::size_t kLeaf = 8;  // naive below this; error still O(log n)
-    if (xs.size() <= kLeaf) {
-        double acc = 0.0;
-        for (const double x : xs) acc += x;
-        return acc;
-    }
-    const std::size_t half = xs.size() / 2;
-    return pairwise_sum(xs.first(half)) + pairwise_sum(xs.subspan(half));
-}
-
-}  // namespace detail
-
-/// Pairwise (cascade) sum of a materialized range. Deterministic for a
-/// given input sequence regardless of how callers are scheduled; error
-/// bound O(eps·log n) vs O(eps·n) for a naive loop.
-[[nodiscard]] constexpr double stable_sum(std::span<const double> xs) noexcept {
-    return detail::pairwise_sum(xs);
-}
 
 }  // namespace htd::core

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "core/annotations.hpp"
 #include "core/stable_sum.hpp"
 #include "obs/span.hpp"
 #include "stats/descriptive.hpp"
@@ -127,10 +126,8 @@ linalg::Vector KernelMeanMatching::solve(const linalg::Matrix& train,
         static_cast<double>(ntr) * static_cast<double>(ntr) +
             static_cast<double>(ntr) * static_cast<double>(nte));
     linalg::Vector kappa(ntr);
-    // Each kappa[i] is an independent nte-term kernel sum — the natural
-    // per-thread work unit once the pool lands; the compensated
-    // accumulator pins the reduction order per row.
-    HTD_PARALLEL_READY;
+    // Each kappa[i] is an independent nte-term kernel sum; the compensated
+    // accumulator keeps each row within ~1 ulp of its exact sum.
     for (std::size_t i = 0; i < ntr; ++i) {
         core::StableAccumulator acc;
         for (std::size_t j = 0; j < nte; ++j) {

@@ -220,7 +220,7 @@ ProbeResult HealthMonitor::record(ProbeResult probe) {
     ProbeResult stored;
     HealthLevel verdict_now = HealthLevel::kHealthy;
     {
-        const core::MutexLock lock(mutex_);
+        const std::lock_guard<std::mutex> lock(mutex_);
         auto it = std::find_if(
             probes_.begin(), probes_.end(),
             [&](const ProbeResult& p) { return p.name == probe.name; });
@@ -630,17 +630,17 @@ HealthLevel HealthMonitor::verdict_locked() const {
 }
 
 HealthLevel HealthMonitor::verdict() const {
-    const core::MutexLock lock(mutex_);
+    const std::lock_guard<std::mutex> lock(mutex_);
     return verdict_locked();
 }
 
 std::vector<ProbeResult> HealthMonitor::probes() const {
-    const core::MutexLock lock(mutex_);
+    const std::lock_guard<std::mutex> lock(mutex_);
     return probes_;
 }
 
 std::optional<ProbeResult> HealthMonitor::find(std::string_view name) const {
-    const core::MutexLock lock(mutex_);
+    const std::lock_guard<std::mutex> lock(mutex_);
     for (const ProbeResult& p : probes_) {
         if (p.name == name) return p;
     }
@@ -648,12 +648,12 @@ std::optional<ProbeResult> HealthMonitor::find(std::string_view name) const {
 }
 
 void HealthMonitor::clear() {
-    const core::MutexLock lock(mutex_);
+    const std::lock_guard<std::mutex> lock(mutex_);
     probes_.clear();
 }
 
 io::Json HealthMonitor::to_json() const {
-    const core::MutexLock lock(mutex_);
+    const std::lock_guard<std::mutex> lock(mutex_);
     io::Json out = io::Json::object();
     out.set("verdict", health_level_name(verdict_locked()));
     io::Json probes = io::Json::array();

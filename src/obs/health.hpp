@@ -23,6 +23,7 @@
 /// dependency footprint (io + linalg only) and the stats layer can keep
 /// depending on obs for spans.
 
+#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -30,7 +31,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/annotations.hpp"
 #include "io/json.hpp"
 #include "linalg/matrix.hpp"
 
@@ -174,11 +174,9 @@ struct ProbeResult {
 /// `health.*` gauges, and aggregates the run verdict (worst probe level).
 /// Probe builders are const and pure; only record() / clear() mutate state.
 ///
-/// Thread-safe: the recorded probe set is guarded by an annotated mutex
-/// (core/annotations.hpp), so pipeline stages may record probes
-/// concurrently — the requirement the sharded Monte Carlo / batched KMM
-/// work depends on. Accessors therefore return snapshots by value, never
-/// references into the guarded state.
+/// Thread-safe: the recorded probe set is guarded by a mutex, so callers
+/// may record probes from several threads. Accessors therefore return
+/// snapshots by value, never references into the guarded state.
 class HealthMonitor {
 public:
     explicit HealthMonitor(HealthThresholds thresholds = {});
@@ -191,7 +189,7 @@ public:
     /// earlier one — stages re-run). Publishes `health.<name>.<stat>` and
     /// `health.<name>.level` gauges plus the `health.verdict` gauge.
     /// Returns a copy of the stored probe.
-    ProbeResult record(ProbeResult probe) HTD_EXCLUDES(mutex_);
+    ProbeResult record(ProbeResult probe);
 
     /// KMM importance-weight diagnostics: Kish ESS (absolute and as a
     /// fraction of n), max-weight share, entropy ratio.
@@ -232,28 +230,27 @@ public:
         double nu, std::size_t support_vectors, std::size_t trained_samples) const;
 
     /// Worst level over the recorded probes (kHealthy when none).
-    [[nodiscard]] HealthLevel verdict() const HTD_EXCLUDES(mutex_);
+    [[nodiscard]] HealthLevel verdict() const;
 
     /// Snapshot of the recorded probes in first-recorded order.
-    [[nodiscard]] std::vector<ProbeResult> probes() const HTD_EXCLUDES(mutex_);
+    [[nodiscard]] std::vector<ProbeResult> probes() const;
 
     /// The probe with that name, or std::nullopt.
-    [[nodiscard]] std::optional<ProbeResult> find(std::string_view name) const
-        HTD_EXCLUDES(mutex_);
+    [[nodiscard]] std::optional<ProbeResult> find(std::string_view name) const;
 
     /// The run_report.v2 "health" section:
     /// {"verdict": ..., "probes": [...]}.
-    [[nodiscard]] io::Json to_json() const HTD_EXCLUDES(mutex_);
+    [[nodiscard]] io::Json to_json() const;
 
     /// Drop all recorded probes (thresholds are kept).
-    void clear() HTD_EXCLUDES(mutex_);
+    void clear();
 
 private:
-    [[nodiscard]] HealthLevel verdict_locked() const HTD_REQUIRES(mutex_);
+    [[nodiscard]] HealthLevel verdict_locked() const;
 
     HealthThresholds thresholds_{};
-    mutable core::Mutex mutex_;
-    std::vector<ProbeResult> probes_ HTD_GUARDED_BY(mutex_);
+    mutable std::mutex mutex_;  // guards every member below
+    std::vector<ProbeResult> probes_;
 };
 
 }  // namespace htd::obs

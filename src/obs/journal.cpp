@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <stdexcept>
 
+#include "core/annotations.hpp"
 #include "obs/span.hpp"
 
 namespace htd::obs {
@@ -107,7 +108,7 @@ void EventJournal::reset_locked() {
 }
 
 void EventJournal::open(const std::string& path) {
-    const core::MutexLock lock(mutex_);
+    const std::lock_guard<std::mutex> lock(mutex_);
     reset_locked();
     seq_ = last_sequence_in(path);
     out_.open(path, std::ios::binary | std::ios::app);
@@ -121,19 +122,19 @@ void EventJournal::open(const std::string& path) {
 }
 
 void EventJournal::enable_memory() {
-    const core::MutexLock lock(mutex_);
+    const std::lock_guard<std::mutex> lock(mutex_);
     reset_locked();
     enabled_.store(true, std::memory_order_relaxed);
 }
 
 void EventJournal::close() {
-    const core::MutexLock lock(mutex_);
+    const std::lock_guard<std::mutex> lock(mutex_);
     enabled_.store(false, std::memory_order_relaxed);
     reset_locked();
 }
 
 void EventJournal::set_rotate_bytes(std::uint64_t max_bytes) {
-    const core::MutexLock lock(mutex_);
+    const std::lock_guard<std::mutex> lock(mutex_);
     rotate_bytes_ = max_bytes;
 }
 
@@ -145,7 +146,7 @@ void EventJournal::append(Event event) {
             "' — register it in obs::event_kinds() (src/obs/journal.hpp)");
     }
     event.span = current_span_id();
-    const core::MutexLock lock(mutex_);
+    const std::lock_guard<std::mutex> lock(mutex_);
     if (!enabled()) return;  // closed between the fast check and the lock
     event.seq = ++seq_;
     event.ts_ns = normalized() ? static_cast<std::int64_t>(event.seq)
@@ -193,7 +194,7 @@ void EventJournal::append(Event event) {
 }
 
 std::vector<Event> EventJournal::recent() const {
-    const core::MutexLock lock(mutex_);
+    const std::lock_guard<std::mutex> lock(mutex_);
     std::vector<Event> out;
     out.reserve(ring_.size());
     for (std::size_t i = 0; i < ring_.size(); ++i) {
@@ -203,12 +204,12 @@ std::vector<Event> EventJournal::recent() const {
 }
 
 std::uint64_t EventJournal::sequence() const {
-    const core::MutexLock lock(mutex_);
+    const std::lock_guard<std::mutex> lock(mutex_);
     return seq_;
 }
 
 std::string EventJournal::path() const {
-    const core::MutexLock lock(mutex_);
+    const std::lock_guard<std::mutex> lock(mutex_);
     return path_;
 }
 

@@ -38,12 +38,12 @@
 #include <atomic>
 #include <cstdint>
 #include <fstream>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
-#include "core/annotations.hpp"
 #include "io/json.hpp"
 
 namespace htd::obs {
@@ -113,14 +113,14 @@ public:
     /// file is appended to, resuming after its last sequence number; a
     /// fresh file starts at seq 1. Also records events in the in-memory
     /// ring. Throws std::runtime_error when the file cannot be opened.
-    void open(const std::string& path) HTD_EXCLUDES(mutex_);
+    void open(const std::string& path);
 
     /// Enable the in-memory ring only (tests): events get sequenced and
     /// retained in `recent()` without touching the filesystem.
-    void enable_memory() HTD_EXCLUDES(mutex_);
+    void enable_memory();
 
     /// Flush, close, disable, and forget the in-memory ring + sequence.
-    void close() HTD_EXCLUDES(mutex_);
+    void close();
 
     /// True when append() records (file or memory mode).
     [[nodiscard]] bool enabled() const noexcept {
@@ -137,43 +137,43 @@ public:
 
     /// Rotate to `<path>.1` once the stream exceeds `max_bytes` (0 = never,
     /// the default). The record that crosses the budget opens the new file.
-    void set_rotate_bytes(std::uint64_t max_bytes) HTD_EXCLUDES(mutex_);
+    void set_rotate_bytes(std::uint64_t max_bytes);
 
     /// Sequence, stamp, serialize, write + flush. No-op when disabled.
     /// Throws std::invalid_argument on an unregistered kind and
     /// std::runtime_error when the stream write fails (a silent audit gap
     /// is worse than a loud crash).
-    void append(Event event) HTD_EXCLUDES(mutex_);
+    void append(Event event);
 
     /// Snapshot of the most recent events (bounded by kMaxRecentEvents).
-    [[nodiscard]] std::vector<Event> recent() const HTD_EXCLUDES(mutex_);
+    [[nodiscard]] std::vector<Event> recent() const;
 
     /// Last assigned sequence number (0 before the first append).
-    [[nodiscard]] std::uint64_t sequence() const HTD_EXCLUDES(mutex_);
+    [[nodiscard]] std::uint64_t sequence() const;
 
     /// Current journal path (empty in memory-only mode).
-    [[nodiscard]] std::string path() const HTD_EXCLUDES(mutex_);
+    [[nodiscard]] std::string path() const;
 
     /// In-memory ring capacity.
     static constexpr std::size_t kMaxRecentEvents = 1024;
 
 private:
     void apply_environment();
-    void reset_locked() HTD_REQUIRES(mutex_);
+    void reset_locked();
 
     std::atomic<bool> enabled_{false};
     std::atomic<bool> normalized_{false};
 
-    mutable core::Mutex mutex_;
-    std::uint64_t seq_ HTD_GUARDED_BY(mutex_) = 0;
-    std::uint64_t rotate_bytes_ HTD_GUARDED_BY(mutex_) = 0;
-    std::uint64_t bytes_written_ HTD_GUARDED_BY(mutex_) = 0;
-    std::string path_ HTD_GUARDED_BY(mutex_);
-    std::ofstream out_ HTD_GUARDED_BY(mutex_);
+    mutable std::mutex mutex_;  // guards every member below
+    std::uint64_t seq_ = 0;
+    std::uint64_t rotate_bytes_ = 0;
+    std::uint64_t bytes_written_ = 0;
+    std::string path_;
+    std::ofstream out_;
     // Bounded ring of recent events: ring_[head_] is the oldest slot once
     // the ring has wrapped.
-    std::vector<Event> ring_ HTD_GUARDED_BY(mutex_);
-    std::size_t ring_head_ HTD_GUARDED_BY(mutex_) = 0;
+    std::vector<Event> ring_;
+    std::size_t ring_head_ = 0;
 };
 
 }  // namespace htd::obs

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <stdexcept>
 
+#include "core/annotations.hpp"
 #include "obs/run_report.hpp"
 #include "obs/sink.hpp"
 
@@ -122,7 +123,7 @@ void Registry::apply_environment() {
 void Registry::configure(SinkKind sink, std::string json_path) {
     if (sink == SinkKind::kInherit && json_path.empty()) return;
     {
-        const core::MutexLock lock(mutex_);
+        const std::lock_guard<std::mutex> lock(mutex_);
         if (!json_path.empty()) json_path_ = std::move(json_path);
     }
     if (sink == SinkKind::kInherit) return;
@@ -131,17 +132,17 @@ void Registry::configure(SinkKind sink, std::string json_path) {
 }
 
 std::string Registry::json_path() const {
-    const core::MutexLock lock(mutex_);
+    const std::lock_guard<std::mutex> lock(mutex_);
     return json_path_;
 }
 
 std::string Registry::trace_path() const {
-    const core::MutexLock lock(mutex_);
+    const std::lock_guard<std::mutex> lock(mutex_);
     return trace_path_;
 }
 
 void Registry::set_trace_path(std::string path) {
-    const core::MutexLock lock(mutex_);
+    const std::lock_guard<std::mutex> lock(mutex_);
     trace_path_ = std::move(path);
 }
 
@@ -165,13 +166,13 @@ void Registry::counter_add_locked(std::string_view name, double delta) {
 
 void Registry::counter_add(std::string_view name, double delta) {
     if (!enabled()) return;
-    const core::MutexLock lock(mutex_);
+    const std::lock_guard<std::mutex> lock(mutex_);
     counter_add_locked(name, delta);
 }
 
 void Registry::work_add(std::string_view name, double delta) {
     if (!enabled()) return;
-    const core::MutexLock lock(mutex_);
+    const std::lock_guard<std::mutex> lock(mutex_);
     auto it = works_.find(name);
     if (it == works_.end()) {
         works_.emplace(std::string(name), delta);
@@ -182,7 +183,7 @@ void Registry::work_add(std::string_view name, double delta) {
 
 void Registry::gauge_set(std::string_view name, double value) {
     if (!enabled()) return;
-    const core::MutexLock lock(mutex_);
+    const std::lock_guard<std::mutex> lock(mutex_);
     auto it = gauges_.find(name);
     if (it == gauges_.end()) {
         gauges_.emplace(std::string(name), value);
@@ -210,7 +211,7 @@ void Registry::histogram_record_locked(std::string_view name, double value_us) {
 
 void Registry::histogram_record(std::string_view name, double value_us) {
     if (!enabled()) return;
-    const core::MutexLock lock(mutex_);
+    const std::lock_guard<std::mutex> lock(mutex_);
     histogram_record_locked(name, value_us);
 }
 
@@ -220,7 +221,7 @@ void Registry::span_record(SpanRecord record) {
         const std::string line = span_text_line(record);
         std::fprintf(stderr, "%s\n", line.c_str());
     }
-    const core::MutexLock lock(mutex_);
+    const std::lock_guard<std::mutex> lock(mutex_);
     // Every span also feeds a latency histogram, so repeated spans keep an
     // aggregate view even once the stored-span cap is hit.
     histogram_record_locked("span." + record.name,
@@ -233,44 +234,44 @@ void Registry::span_record(SpanRecord record) {
 }
 
 std::vector<SpanRecord> Registry::spans() const {
-    const core::MutexLock lock(mutex_);
+    const std::lock_guard<std::mutex> lock(mutex_);
     return spans_;
 }
 
 std::map<std::string, double> Registry::counters() const {
-    const core::MutexLock lock(mutex_);
+    const std::lock_guard<std::mutex> lock(mutex_);
     return {counters_.begin(), counters_.end()};
 }
 
 std::map<std::string, double> Registry::works() const {
-    const core::MutexLock lock(mutex_);
+    const std::lock_guard<std::mutex> lock(mutex_);
     return {works_.begin(), works_.end()};
 }
 
 std::map<std::string, double> Registry::gauges() const {
-    const core::MutexLock lock(mutex_);
+    const std::lock_guard<std::mutex> lock(mutex_);
     return {gauges_.begin(), gauges_.end()};
 }
 
 std::map<std::string, HistogramSnapshot> Registry::histograms() const {
-    const core::MutexLock lock(mutex_);
+    const std::lock_guard<std::mutex> lock(mutex_);
     return {histograms_.begin(), histograms_.end()};
 }
 
 double Registry::counter_value(std::string_view name) const {
-    const core::MutexLock lock(mutex_);
+    const std::lock_guard<std::mutex> lock(mutex_);
     const auto it = counters_.find(name);
     return it == counters_.end() ? 0.0 : it->second;
 }
 
 double Registry::work_value(std::string_view name) const {
-    const core::MutexLock lock(mutex_);
+    const std::lock_guard<std::mutex> lock(mutex_);
     const auto it = works_.find(name);
     return it == works_.end() ? 0.0 : it->second;
 }
 
 std::size_t Registry::span_count() const {
-    const core::MutexLock lock(mutex_);
+    const std::lock_guard<std::mutex> lock(mutex_);
     return spans_.size();
 }
 
@@ -288,7 +289,7 @@ void Registry::write_default_report() const {
 }
 
 void Registry::reset() {
-    const core::MutexLock lock(mutex_);
+    const std::lock_guard<std::mutex> lock(mutex_);
     spans_.clear();
     counters_.clear();
     works_.clear();

@@ -18,20 +18,18 @@
 ///                    the default report path of write_default_report())
 ///
 /// All registry operations are thread-safe: the hot-path enabled check is
-/// lock-free and the record/aggregate paths take one short mutex section.
-/// The lock discipline is annotated for Clang's `-Wthread-safety` analysis
-/// (core/annotations.hpp): every field behind `mutex_` is `HTD_GUARDED_BY`
-/// it, so an unlocked access is a compile error on Clang and the `tsan`
-/// preset (scripts/check.sh tsan) verifies the same discipline dynamically.
+/// lock-free and the record/aggregate paths take one short `std::mutex`
+/// section. The pipeline itself is single-threaded; the lock covers
+/// callers that record from their own threads. The `tsan` preset
+/// (scripts/check.sh tsan) is the check of that discipline.
 
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
-
-#include "core/annotations.hpp"
 
 namespace htd::obs {
 
@@ -127,7 +125,7 @@ public:
 
     /// Swap the sink; `SinkKind::kInherit` is a no-op. Not reset()-ing:
     /// already-recorded data survives a sink change.
-    void configure(SinkKind sink, std::string json_path = {}) HTD_EXCLUDES(mutex_);
+    void configure(SinkKind sink, std::string json_path = {});
     void configure(const Config& config) {
         configure(config.sink, config.json_path);
         if (!config.trace_path.empty()) set_trace_path(config.trace_path);
@@ -143,12 +141,12 @@ public:
     }
 
     /// Default path for write_default_report().
-    [[nodiscard]] std::string json_path() const HTD_EXCLUDES(mutex_);
+    [[nodiscard]] std::string json_path() const;
 
     /// Trace-event JSON destination (empty = no trace requested). First
     /// access applies the HTD_OBS_TRACE environment variable.
-    [[nodiscard]] std::string trace_path() const HTD_EXCLUDES(mutex_);
-    void set_trace_path(std::string path) HTD_EXCLUDES(mutex_);
+    [[nodiscard]] std::string trace_path() const;
+    void set_trace_path(std::string path);
 
     /// True when HTD_OBS_NORMALIZE requested deterministic
     /// (structure-derived) trace timestamps; see trace_export.hpp.
@@ -167,7 +165,7 @@ public:
     // --- metrics -----------------------------------------------------------
 
     /// Add `delta` to a monotonic counter (created on first use).
-    void counter_add(std::string_view name, double delta = 1.0) HTD_EXCLUDES(mutex_);
+    void counter_add(std::string_view name, double delta = 1.0);
 
     /// Add `delta` to a work counter. Work counters are a first-class
     /// metric kind counting *algorithmic* work (kernel evaluations, Gram
@@ -175,13 +173,13 @@ public:
     /// distinguish "ran faster" from "did less work". Names follow the
     /// `work.<stage>.<quantity>` convention (enforced by the htd_lint
     /// `work-counter-name` rule in src/).
-    void work_add(std::string_view name, double delta) HTD_EXCLUDES(mutex_);
+    void work_add(std::string_view name, double delta);
 
     /// Set a last-value-wins gauge.
-    void gauge_set(std::string_view name, double value) HTD_EXCLUDES(mutex_);
+    void gauge_set(std::string_view name, double value);
 
     /// Record one latency observation (µs) into a fixed-bucket histogram.
-    void histogram_record(std::string_view name, double value_us) HTD_EXCLUDES(mutex_);
+    void histogram_record(std::string_view name, double value_us);
 
     // --- spans (used by ScopedSpan; see span.hpp) --------------------------
 
@@ -189,7 +187,7 @@ public:
     /// "span.<name>" latency histogram. Spans beyond `kMaxStoredSpans` are
     /// counted in the `obs.spans_dropped` counter instead of stored,
     /// bounding memory under hot loops (the histogram keeps aggregating).
-    void span_record(SpanRecord record) HTD_EXCLUDES(mutex_);
+    void span_record(SpanRecord record);
 
     /// Unique span id (1-based). Cheap; called even before timing starts.
     [[nodiscard]] std::uint64_t next_span_id() noexcept {
@@ -198,21 +196,20 @@ public:
 
     // --- snapshots ---------------------------------------------------------
 
-    [[nodiscard]] std::vector<SpanRecord> spans() const HTD_EXCLUDES(mutex_);
-    [[nodiscard]] std::map<std::string, double> counters() const HTD_EXCLUDES(mutex_);
-    [[nodiscard]] std::map<std::string, double> works() const HTD_EXCLUDES(mutex_);
-    [[nodiscard]] std::map<std::string, double> gauges() const HTD_EXCLUDES(mutex_);
-    [[nodiscard]] std::map<std::string, HistogramSnapshot> histograms() const
-        HTD_EXCLUDES(mutex_);
+    [[nodiscard]] std::vector<SpanRecord> spans() const;
+    [[nodiscard]] std::map<std::string, double> counters() const;
+    [[nodiscard]] std::map<std::string, double> works() const;
+    [[nodiscard]] std::map<std::string, double> gauges() const;
+    [[nodiscard]] std::map<std::string, HistogramSnapshot> histograms() const;
 
     /// Current value of one counter (0 when absent).
-    [[nodiscard]] double counter_value(std::string_view name) const HTD_EXCLUDES(mutex_);
+    [[nodiscard]] double counter_value(std::string_view name) const;
 
     /// Current value of one work counter (0 when absent).
-    [[nodiscard]] double work_value(std::string_view name) const HTD_EXCLUDES(mutex_);
+    [[nodiscard]] double work_value(std::string_view name) const;
 
     /// Number of spans currently stored.
-    [[nodiscard]] std::size_t span_count() const HTD_EXCLUDES(mutex_);
+    [[nodiscard]] std::size_t span_count() const;
 
     /// Spans rejected by the kMaxStoredSpans cap so far (the
     /// `obs.spans_dropped` counter; 0 when nothing was dropped).
@@ -229,7 +226,7 @@ public:
     void write_default_report() const;
 
     /// Drop all recorded spans and metrics (sink selection is kept).
-    void reset() HTD_EXCLUDES(mutex_);
+    void reset();
 
     /// Stored-span cap (per process, not per run).
     static constexpr std::size_t kMaxStoredSpans = 65536;
@@ -238,24 +235,22 @@ private:
     Registry();
 
     void apply_environment();
-    void histogram_record_locked(std::string_view name, double value_us)
-        HTD_REQUIRES(mutex_);
-    void counter_add_locked(std::string_view name, double delta) HTD_REQUIRES(mutex_);
+    void histogram_record_locked(std::string_view name, double value_us);
+    void counter_add_locked(std::string_view name, double delta);
 
     std::atomic<bool> enabled_{false};
     std::atomic<SinkKind> sink_{SinkKind::kOff};
     std::atomic<bool> trace_normalize_{false};
     std::atomic<std::uint64_t> next_id_{0};
 
-    mutable core::Mutex mutex_;
-    std::string json_path_ HTD_GUARDED_BY(mutex_);
-    std::string trace_path_ HTD_GUARDED_BY(mutex_);
-    std::vector<SpanRecord> spans_ HTD_GUARDED_BY(mutex_);
-    std::map<std::string, double, std::less<>> counters_ HTD_GUARDED_BY(mutex_);
-    std::map<std::string, double, std::less<>> works_ HTD_GUARDED_BY(mutex_);
-    std::map<std::string, double, std::less<>> gauges_ HTD_GUARDED_BY(mutex_);
-    std::map<std::string, HistogramSnapshot, std::less<>> histograms_
-        HTD_GUARDED_BY(mutex_);
+    mutable std::mutex mutex_;  // guards every member below
+    std::string json_path_;
+    std::string trace_path_;
+    std::vector<SpanRecord> spans_;
+    std::map<std::string, double, std::less<>> counters_;
+    std::map<std::string, double, std::less<>> works_;
+    std::map<std::string, double, std::less<>> gauges_;
+    std::map<std::string, HistogramSnapshot, std::less<>> histograms_;
 };
 
 }  // namespace htd::obs

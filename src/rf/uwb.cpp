@@ -3,7 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "core/annotations.hpp"
 #include "core/stable_sum.hpp"
 
 namespace htd::rf {
@@ -112,10 +111,9 @@ double PowerMeter::average_power_mw(
     constexpr double kLoadOhm = 50.0;
     constexpr double kSqrtPi = 1.7724538509055160273;
     // This is the Monte Carlo hot loop (one call per simulated block); the
-    // compensated accumulator pins the summation order so a future
-    // per-thread split reproduces today's fingerprints bit-for-bit.
+    // compensated accumulator keeps the sum within ~1 ulp of exact, and the
+    // fingerprints' bits depend on its order.
     core::StableAccumulator total_mw;
-    HTD_PARALLEL_READY;
     for (const trojan::PulseObservation& obs : block) {
         if (!obs.transmitted) continue;
         const double a = obs.amplitude_v;

@@ -6,7 +6,6 @@
 #include <string>
 #include <utility>
 
-#include "core/annotations.hpp"
 #include "core/stable_sum.hpp"
 #include "obs/span.hpp"
 #include "stats/descriptive.hpp"
@@ -132,7 +131,6 @@ double Kde::standardized_density(std::span<const double> z) const {
     const double inv_h = 1.0 / h_;
     std::vector<double> t(d);
     core::StableAccumulator acc;
-    HTD_PARALLEL_READY;
     for (std::size_t i = 0; i < m; ++i) {
         const auto row = std_data_.row_span(i);
         for (std::size_t c = 0; c < d; ++c) t[c] = (z[c] - row[c]) * inv_h;
@@ -199,7 +197,6 @@ AdaptiveKde::AdaptiveKde(const linalg::Matrix& data, double alpha, double bandwi
     // a constant and cancels inside lambda_i).
     std::vector<double> pilot_density(m);
     core::StableAccumulator log_sum;
-    HTD_PARALLEL_READY;
     for (std::size_t i = 0; i < m; ++i) {
         const auto row = pilot_.std_data_.row_span(i);
         std::vector<double> z(row.begin(), row.end());
@@ -275,7 +272,6 @@ double AdaptiveKde::density(const linalg::Vector& x) const {
     const double h = pilot_.bandwidth();
     std::vector<double> t(d);
     core::StableAccumulator acc;
-    HTD_PARALLEL_READY;
     for (std::size_t i = 0; i < m; ++i) {
         const auto row = pilot_.std_data_.row_span(i);
         const double hi = h * lambda_[i];

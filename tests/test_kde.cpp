@@ -291,6 +291,59 @@ TEST(AdaptiveKdeTest, SampleDimensionsMatch) {
     EXPECT_EQ(s.cols(), 6u);
 }
 
+// --- bit pins for the density paths ------------------------------------------------
+
+/// Probes of a fixed seeded 6-D fit whose kernel support has radius `radius`
+/// around observation 0 (in the standardized space): the observation itself
+/// (inside), one radius from it along the first axis (on the Epanechnikov
+/// support edge, t = 1 up to rounding), and a point far outside every
+/// kernel's support.
+std::vector<Vector> support_probes(const Matrix& data, const Vector& mean,
+                                   const Vector& scale, double radius) {
+    Vector inside(data.cols());
+    Vector edge(data.cols());
+    Vector outside(data.cols());
+    for (std::size_t c = 0; c < data.cols(); ++c) {
+        inside[c] = data(0, c);
+        const double z = (data(0, c) - mean[c]) / scale[c] + (c == 0 ? radius : 0.0);
+        edge[c] = z * scale[c] + mean[c];
+        outside[c] = mean[c] + 50.0 * scale[c];
+    }
+    return {inside, edge, outside};
+}
+
+TEST(KdeDensityPin, FixedKdeDensityBits) {
+    // Pins Kde::density (the standardized-density kernel sum divided by the
+    // Jacobian) bit for bit, so a rewrite of the evaluation loop must keep
+    // every bit of the result.
+    Rng rng(41);
+    const Matrix data = gaussian_cloud(rng, 100, 6, 0.0, 1.0);
+    const Kde kde(data);
+    const Kde::State state = kde.export_state();
+    const std::vector<Vector> probes =
+        support_probes(data, state.col_mean, state.col_scale, state.h);
+    const double kPinned[] = {0x1.d7e5c0741804dp-11, 0x1.035e1400b1cd9p-13, 0.0};
+    for (std::size_t p = 0; p < probes.size(); ++p) {
+        EXPECT_EQ(kde.density(probes[p]), kPinned[p]) << "probe " << p;
+    }
+}
+
+TEST(KdeDensityPin, AdaptiveKdeDensityBits) {
+    // The same pin for AdaptiveKde::density; the support radius of
+    // observation 0 is h * lambda_0.
+    Rng rng(41);
+    const Matrix data = gaussian_cloud(rng, 100, 6, 0.0, 1.0);
+    const AdaptiveKde kde(data, 0.5);
+    const AdaptiveKde::State state = kde.export_state();
+    const std::vector<Vector> probes =
+        support_probes(data, state.pilot.col_mean, state.pilot.col_scale,
+                       state.pilot.h * state.lambda[0]);
+    const double kPinned[] = {0x1.39385b8ca66bap-9, 0x1.46d9507657911p-12, 0.0};
+    for (std::size_t p = 0; p < probes.size(); ++p) {
+        EXPECT_EQ(kde.density(probes[p]), kPinned[p]) << "probe " << p;
+    }
+}
+
 /// Property sweep over alpha: population spread grows monotonically-ish with
 /// alpha (larger alpha -> wider nonzero-density region, as the paper notes).
 class AdaptiveAlpha : public ::testing::TestWithParam<double> {};

@@ -1,10 +1,9 @@
 /// Tests for tools/htd_lint: each rule trips on a seeded fixture, the
 /// lexer-backed scanner ignores rule patterns inside comments / string
 /// literals (including encoding-prefixed raw strings — the v1
-/// regression), the four v4 determinism passes (global-mutable-state,
-/// unordered-iteration-escape, rng-discipline, float-reduction-order)
-/// fire on seeded positives and stay quiet on annotated/fixed negatives,
-/// the include-graph layering pass rejects back-edges, cycles and
+/// regression), the three v4 determinism passes (global-mutable-state,
+/// unordered-iteration-escape, rng-discipline) fire on seeded positives
+/// and stay quiet on annotated/fixed negatives, the include-graph layering pass rejects back-edges, cycles and
 /// unmapped modules with exact diagnostics, the result-discard and
 /// missing-nodiscard passes enforce the must-use contract, the allowlist
 /// suppresses and reports stale entries with justifications, the --json
@@ -686,102 +685,6 @@ TEST(LintDeterminism, RngDisciplineFlagsWallClockSeeds) {
         "    (void)gen;\n"
         "}\n";
     EXPECT_TRUE(htd::lint::lint_source("tools/htd_score/x.cpp", good).empty());
-}
-
-TEST(LintDeterminism, RngDisciplineFlagsSharedEngineInParallelRegion) {
-    const std::string shared =
-        "void f(htd::rng::Rng& rng, double* out, int n) {\n"
-        "    HTD_PARALLEL_READY;\n"
-        "    for (int i = 0; i < n; ++i) {\n"
-        "        out[i] = draw(rng) + jitter(rng);\n"
-        "    }\n"
-        "}\n";
-    const std::vector<Finding> findings =
-        htd::lint::lint_source("src/stats/x.cpp", shared);
-    ASSERT_EQ(findings.size(), 1u);
-    EXPECT_EQ(findings[0].rule, "rng-discipline");
-    EXPECT_EQ(findings[0].line, 2u);  // anchored at the marker
-    EXPECT_NE(findings[0].message.find("'rng'"), std::string::npos);
-    EXPECT_NE(findings[0].message.find("2 call sites"), std::string::npos);
-    EXPECT_NE(findings[0].message.find("Rng::split"), std::string::npos);
-
-    // One substream per iteration is the prescribed fix.
-    const std::string split =
-        "void f(htd::rng::Rng& rng, double* out, int n) {\n"
-        "    HTD_PARALLEL_READY;\n"
-        "    for (int i = 0; i < n; ++i) {\n"
-        "        htd::rng::Rng local = rng.split();\n"
-        "        out[i] = draw(local);\n"
-        "    }\n"
-        "}\n";
-    EXPECT_TRUE(htd::lint::lint_source("src/stats/x.cpp", split).empty());
-
-    // The same reuse outside any HTD_PARALLEL_READY region is sequential
-    // code and none of this rule's business.
-    const std::string unmarked =
-        "void f(htd::rng::Rng& rng, double* out, int n) {\n"
-        "    for (int i = 0; i < n; ++i) {\n"
-        "        out[i] = draw(rng) + jitter(rng);\n"
-        "    }\n"
-        "}\n";
-    EXPECT_TRUE(htd::lint::lint_source("src/stats/x.cpp", unmarked).empty());
-}
-
-TEST(LintDeterminism, FloatReductionOrderFlagsNaiveAccumulation) {
-    const std::string naive =
-        "double f(const double* xs, int n) {\n"
-        "    double total = 0.0;\n"
-        "    HTD_PARALLEL_READY;\n"
-        "    for (int i = 0; i < n; ++i) {\n"
-        "        total += xs[i];\n"
-        "    }\n"
-        "    return total;\n"
-        "}\n";
-    const std::vector<Finding> findings =
-        htd::lint::lint_source("src/stats/x.cpp", naive);
-    ASSERT_EQ(findings.size(), 1u);
-    EXPECT_EQ(findings[0].rule, "float-reduction-order");
-    EXPECT_EQ(findings[0].line, 5u);
-    EXPECT_NE(findings[0].message.find("'total += ...'"), std::string::npos);
-    EXPECT_NE(findings[0].message.find("stable_sum"), std::string::npos);
-
-    // std::accumulate / std::reduce in a marked region carry the same
-    // order dependence.
-    const std::string accumulate =
-        "#include <numeric>\n"
-        "#include <vector>\n"
-        "double g(const std::vector<double>& xs) {\n"
-        "    HTD_PARALLEL_READY;\n"
-        "    while (pending()) {\n"
-        "        sink(std::accumulate(xs.begin(), xs.end(), 0.0));\n"
-        "    }\n"
-        "    return 0.0;\n"
-        "}\n";
-    EXPECT_TRUE(has_rule(htd::lint::lint_source("src/stats/x.cpp", accumulate),
-                         "float-reduction-order"));
-
-    // The compensated accumulator is the prescribed migration target.
-    const std::string migrated =
-        "#include \"core/stable_sum.hpp\"\n"
-        "double h(const double* xs, int n) {\n"
-        "    htd::core::StableAccumulator acc;\n"
-        "    HTD_PARALLEL_READY;\n"
-        "    for (int i = 0; i < n; ++i) {\n"
-        "        acc.add(xs[i]);\n"
-        "    }\n"
-        "    return acc.value();\n"
-        "}\n";
-    EXPECT_TRUE(htd::lint::lint_source("src/stats/x.cpp", migrated).empty());
-
-    // Unmarked sequential reductions are out of scope by design: the rule
-    // gates regions declared ready for threading, not all of src/.
-    const std::string outside =
-        "double k(const double* xs, int n) {\n"
-        "    double total = 0.0;\n"
-        "    for (int i = 0; i < n; ++i) total += xs[i];\n"
-        "    return total;\n"
-        "}\n";
-    EXPECT_TRUE(htd::lint::lint_source("src/stats/x.cpp", outside).empty());
 }
 
 // --- tree walk + report -----------------------------------------------------

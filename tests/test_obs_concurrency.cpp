@@ -1,12 +1,14 @@
 /// Multi-threaded stress tests for the htd::obs concurrency surface: N
 /// writer threads hammer counters / gauges / histograms / nested spans
-/// while a reader thread snapshots continuously, and HealthMonitor takes
-/// concurrent record() / find() / verdict() traffic. The assertions check
-/// totals (every write landed exactly once); the real teeth are the
-/// `tsan` preset (scripts/check.sh tsan), under which any data race in
-/// the Registry / HealthMonitor lock discipline fails these tests, and
-/// Clang's `-Wthread-safety`, under which an unlocked access to guarded
-/// state fails the build. See DESIGN.md §11.
+/// while a reader thread snapshots continuously, HealthMonitor takes
+/// concurrent record() / find() / verdict() traffic, and an in-memory
+/// EventJournal takes concurrent append() / recent() traffic. The
+/// assertions check totals (every write landed exactly once) and journal
+/// sequencing; the real teeth are the `tsan` preset (scripts/check.sh
+/// tsan), under which any data race in the Registry / HealthMonitor /
+/// EventJournal locking fails these tests. No static lock analysis runs
+/// on this toolchain, so TSan is the only check of that locking. See
+/// DESIGN.md §11.
 
 #include <gtest/gtest.h>
 
@@ -19,11 +21,14 @@
 #include <vector>
 
 #include "obs/health.hpp"
+#include "obs/journal.hpp"
 #include "obs/obs.hpp"
 #include "obs/span.hpp"
 
 namespace {
 
+using htd::obs::Event;
+using htd::obs::EventJournal;
 using htd::obs::HealthLevel;
 using htd::obs::HealthMonitor;
 using htd::obs::HistogramSnapshot;
@@ -193,6 +198,59 @@ TEST_F(ObsConcurrencyTest, HealthMonitorConcurrentRecordAndSnapshot) {
     EXPECT_EQ(monitor.probes().size(), kThreads);
     for (std::size_t t = 0; t < kThreads; ++t) {
         EXPECT_TRUE(monitor.find("stress." + std::to_string(t)).has_value());
+    }
+}
+
+TEST_F(ObsConcurrencyTest, EventJournalConcurrentAppendAndRecent) {
+    // Memory mode on a private journal: the total stays inside the ring,
+    // so every appended event must be retained.
+    constexpr std::size_t kPerThread = 100;
+    static_assert(kThreads * kPerThread <= EventJournal::kMaxRecentEvents);
+    EventJournal journal;
+    journal.enable_memory();
+    std::atomic<bool> stop{false};
+
+    // Every snapshot the reader takes must already be in sequence order.
+    std::thread reader([&] {
+        while (!stop.load(std::memory_order_relaxed)) {
+            const std::vector<Event> snapshot = journal.recent();
+            for (std::size_t i = 1; i < snapshot.size(); ++i) {
+                EXPECT_LT(snapshot[i - 1].seq, snapshot[i].seq);
+            }
+        }
+    });
+
+    std::vector<std::thread> writers;
+    writers.reserve(kThreads);
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        writers.emplace_back([&journal, t] {
+            for (std::size_t i = 0; i < kPerThread; ++i) {
+                Event event(i % 2 == 0 ? "chip_scored" : "drift_trip");
+                event.chip = std::to_string(t);
+                event.value("i", static_cast<double>(i));
+                journal.append(std::move(event));
+            }
+        });
+    }
+    for (std::thread& w : writers) w.join();
+    stop.store(true, std::memory_order_relaxed);
+    reader.join();
+
+    // Every event landed exactly once, with seq 1..N in ring order, and
+    // each writer's events kept their append order.
+    const std::vector<Event> events = journal.recent();
+    ASSERT_EQ(events.size(), kThreads * kPerThread);
+    EXPECT_EQ(journal.sequence(), kThreads * kPerThread);
+    std::map<std::string, std::size_t> next_i;
+    for (std::size_t k = 0; k < events.size(); ++k) {
+        EXPECT_EQ(events[k].seq, k + 1);
+        ASSERT_EQ(events[k].values.size(), 1u);
+        const auto i = static_cast<std::size_t>(events[k].values[0].second);
+        EXPECT_EQ(i, next_i[events[k].chip]++) << "chip " << events[k].chip;
+    }
+    ASSERT_EQ(next_i.size(), kThreads);
+    for (const auto& [chip, count] : next_i) {
+        EXPECT_EQ(count, kPerThread) << "chip " << chip;
     }
 }
 

@@ -244,6 +244,35 @@ TEST(Simulator, StaleModelShiftsPopulations) {
               htd::stats::column_means(silicon.fingerprints)[0]);
 }
 
+TEST(Simulator, PowerChannelsAreOneChannelPlusConstantDbOffsets) {
+    // Every transmitted pulse of a block copies the same base amplitude,
+    // tau and frequency, so a Trojan-free block's noise-free power is
+    // (ones in the block / 128) x the per-pulse power P of the process
+    // point. In dBm the six S1 channels are one channel, 10 log10 P, plus
+    // constant offsets 10 log10(ones_b / ones_0): the channel differences
+    // must not move when the process point does.
+    const PlatformConfig cfg = PlatformConfig::paper_default();
+    const ProcessVariationModel model = ProcessVariationModel::default_350nm();
+    const SpiceSimulator sim(cfg, model);
+    Rng rng(31);
+    const auto nominal = sim.fingerprint_at(htd::process::nominal_350nm());
+    const auto sampled = sim.fingerprint_at(model.sample_monte_carlo(rng));
+    const auto bits = cfg.ciphertext_bits();
+    ASSERT_EQ(nominal.size(), bits.size());
+    ASSERT_EQ(sampled.size(), bits.size());
+    // The process point does move the common level.
+    EXPECT_GT(std::abs(nominal[0] - sampled[0]), 1e-3);
+
+    const auto ones = [&bits](std::size_t b) {
+        return static_cast<double>(std::count(bits[b].begin(), bits[b].end(), true));
+    };
+    for (std::size_t b = 1; b < bits.size(); ++b) {
+        const double offset_db = 10.0 * std::log10(ones(b) / ones(0));
+        EXPECT_NEAR(nominal[b] - nominal[0], offset_db, 1e-9) << "channel " << b;
+        EXPECT_NEAR(sampled[b] - sampled[0], offset_db, 1e-9) << "channel " << b;
+    }
+}
+
 TEST(Simulator, FingerprintsAtReportsAllBlocks) {
     PlatformConfig cfg = PlatformConfig::paper_default();
     cfg.include_ring_oscillator = true;

@@ -4,7 +4,6 @@
 #include <cctype>
 #include <map>
 #include <optional>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -59,7 +58,7 @@ bool is_ident(const Token& t, const char* text) {
     return t.kind == TokKind::kIdent && t.text == text;
 }
 
-/// Macro-shaped identifier (GUARDED_BY, HTD_CAPABILITY, ...): upper-case
+/// Macro-shaped identifier (HTD_SHARED_STATE_OK, NOLINT, ...): upper-case
 /// letters, digits and underscores with at least one letter.
 bool all_caps(const std::string& s) {
     bool alpha = false;
@@ -870,12 +869,11 @@ void check_event_kind_names(const std::string& path,
 
 // --- determinism passes (v6) ------------------------------------------------
 //
-// The four passes below gate the path to the parallel statistical core
-// (DESIGN.md §16): they run over src/ and tools/ and encode the properties
-// bitwise same-seed reproducibility depends on once the thread pool lands —
-// no unaudited shared mutable state, no hash-order leakage into serialized
-// output, per-thread RNG substream discipline, and pinned floating-point
-// reduction order inside regions marked HTD_PARALLEL_READY.
+// The three passes below guard same-seed byte identity (DESIGN.md §16):
+// they run over src/ and tools/ and reject the single-threaded ways a
+// rerun drifts — unaudited mutable state that survives Registry::reset or
+// a second run in the same process, hash-order leakage into serialized
+// output, and engines seeded from a wall clock.
 
 /// Skip toks[k] == "(" through its matching ")". Returns the index of the
 /// closing paren (or toks.size() when unbalanced).
@@ -886,60 +884,6 @@ std::size_t skip_parens(const std::vector<Token>& toks, std::size_t k) {
         if (is_punct(toks[k], ")") && --depth == 0) return k;
     }
     return toks.size();
-}
-
-/// One HTD_PARALLEL_READY region: the `for`/`while` statement (including
-/// its body) that follows the marker. `begin`/`end` are token indices.
-struct ParallelRegion {
-    std::size_t marker_line = 0;
-    std::size_t begin = 0;
-    std::size_t end = 0;
-};
-
-std::vector<ParallelRegion> parallel_regions(const std::vector<Token>& toks) {
-    std::vector<ParallelRegion> regions;
-    for (std::size_t i = 0; i < toks.size(); ++i) {
-        const Token& t = toks[i];
-        if (t.in_directive || !is_ident(t, "HTD_PARALLEL_READY")) continue;
-        // Find the loop the marker governs; a `}` first means the marker
-        // dangles at the end of a scope and governs nothing.
-        std::size_t loop = toks.size();
-        for (std::size_t k = i + 1; k < toks.size(); ++k) {
-            if (toks[k].in_directive) continue;
-            if (is_ident(toks[k], "for") || is_ident(toks[k], "while")) {
-                loop = k;
-                break;
-            }
-            if (is_punct(toks[k], "}")) break;
-        }
-        if (loop == toks.size()) continue;
-        std::size_t k = loop + 1;
-        if (k < toks.size() && is_punct(toks[k], "(")) {
-            k = skip_parens(toks, k);
-            if (k < toks.size()) ++k;
-        }
-        std::size_t end = toks.size();
-        if (k < toks.size() && is_punct(toks[k], "{")) {
-            int depth = 0;
-            for (; k < toks.size(); ++k) {
-                if (is_punct(toks[k], "{")) ++depth;
-                if (is_punct(toks[k], "}") && --depth == 0) {
-                    end = k + 1;
-                    break;
-                }
-            }
-        } else {
-            // Single-statement body.
-            for (; k < toks.size(); ++k) {
-                if (is_punct(toks[k], ";")) {
-                    end = k + 1;
-                    break;
-                }
-            }
-        }
-        regions.push_back({t.line, loop, end});
-    }
-    return regions;
 }
 
 // --- global-mutable-state ---------------------------------------------------
@@ -1047,9 +991,10 @@ void check_global_mutable_state(const std::string& path,
             findings.push_back(
                 {path, symbol_line, "global-mutable-state",
                  "mutable " + t.text + " state '" + symbol +
-                     "' is shared once the statistical core runs on a thread "
-                     "pool; make it const/constexpr, pass it explicitly, or "
-                     "annotate the declarator with "
+                     "' survives Registry::reset and carries over into the "
+                     "next run in this process, so two same-seed runs can "
+                     "differ; make it const/constexpr, pass it explicitly, "
+                     "or annotate the declarator with "
                      "HTD_SHARED_STATE_OK(\"reason\") after an audit"});
         }
     }
@@ -1210,9 +1155,8 @@ void check_rng_discipline(const std::string& path,
                           std::vector<Finding>& out) {
     if (!path_in(path, "src/") && !path_in(path, "tools/")) return;
 
-    // (a) Time-seeded constructions: an engine variable whose constructor
+    // Time-seeded constructions: an engine variable whose constructor
     // arguments read a clock. Same-seed reruns then never reproduce.
-    std::vector<std::string> engine_vars;
     for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
         const Token& t = toks[i];
         if (t.in_directive || t.kind != TokKind::kIdent ||
@@ -1228,7 +1172,6 @@ void check_rng_discipline(const std::string& path,
         if (k < toks.size() && toks[k].kind == TokKind::kIdent &&
             !all_caps(toks[k].text)) {
             var = toks[k].text;
-            engine_vars.push_back(var);
             ++k;
         }
         if (k >= toks.size()) break;
@@ -1252,119 +1195,6 @@ void check_rng_discipline(const std::string& path,
             }
         }
     }
-
-    // (b) Engine reuse across call sites inside HTD_PARALLEL_READY
-    // regions: each loop iteration advancing one shared engine serializes
-    // the loop and makes the stream order thread-schedule-dependent.
-    const std::vector<ParallelRegion> regions = parallel_regions(toks);
-    if (regions.empty() || engine_vars.empty()) return;
-    std::sort(engine_vars.begin(), engine_vars.end());
-    engine_vars.erase(std::unique(engine_vars.begin(), engine_vars.end()),
-                      engine_vars.end());
-    for (const ParallelRegion& region : regions) {
-        // engine -> list of "callee:line" call sites it is passed into.
-        std::map<std::string, std::vector<std::string>> uses;
-        for (std::size_t k = region.begin; k < region.end; ++k) {
-            const Token& t = toks[k];
-            if (t.in_directive || t.kind != TokKind::kIdent) continue;
-            if (k + 1 >= region.end || !is_punct(toks[k + 1], "(")) continue;
-            if (all_caps(t.text) || is_stmt_keyword(t.text)) continue;
-            const std::size_t close = skip_parens(toks, k + 1);
-            for (std::size_t a = k + 2; a < close && a < region.end; ++a) {
-                if (toks[a].kind != TokKind::kIdent) continue;
-                if (!std::binary_search(engine_vars.begin(), engine_vars.end(),
-                                        toks[a].text)) {
-                    continue;
-                }
-                // A bare engine argument (next token closes or separates
-                // the argument) is a by-reference handoff of engine state.
-                if (a + 1 < toks.size() && (is_punct(toks[a + 1], ",") ||
-                                            is_punct(toks[a + 1], ")"))) {
-                    uses[toks[a].text].push_back(
-                        t.text + "(...) at line " + std::to_string(t.line));
-                }
-            }
-        }
-        for (const auto& [engine, sites] : uses) {
-            if (sites.size() < 2) continue;
-            std::string chain;
-            for (const std::string& s : sites) {
-                if (!chain.empty()) chain += ", ";
-                chain += s;
-            }
-            out.push_back(
-                {path, region.marker_line, "rng-discipline",
-                 "engine '" + engine + "' is passed into " +
-                     std::to_string(sites.size()) +
-                     " call sites inside an HTD_PARALLEL_READY region (" +
-                     chain +
-                     "); one shared engine serializes the loop — give each "
-                     "worker its own substream via Rng::split before "
-                     "parallelizing"});
-        }
-    }
-}
-
-// --- float-reduction-order --------------------------------------------------
-
-void check_float_reduction_order(const std::string& path,
-                                 const std::vector<Token>& toks,
-                                 std::vector<Finding>& out) {
-    if (!path_in(path, "src/") && !path_in(path, "tools/")) return;
-    const std::vector<ParallelRegion> regions = parallel_regions(toks);
-    if (regions.empty()) return;
-
-    // Names declared (anywhere in the file) with a floating-point type —
-    // the candidates a naive in-region `+=` reduction accumulates into.
-    std::set<std::string> fp_vars;
-    for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-        const Token& t = toks[i];
-        if (t.in_directive || t.kind != TokKind::kIdent) continue;
-        if (t.text != "double" && t.text != "float") continue;
-        std::size_t k = i + 1;
-        while (k < toks.size() && toks[k].kind == TokKind::kPunct &&
-               (toks[k].text == "&" || toks[k].text == "*")) {
-            ++k;
-        }
-        if (k < toks.size() && toks[k].kind == TokKind::kIdent &&
-            !all_caps(toks[k].text) && !is_decl_specifier(toks[k].text)) {
-            fp_vars.insert(toks[k].text);
-        }
-    }
-
-    for (const ParallelRegion& region : regions) {
-        for (std::size_t k = region.begin; k < region.end; ++k) {
-            const Token& t = toks[k];
-            if (t.in_directive) continue;
-            if (t.kind == TokKind::kIdent && fp_vars.count(t.text) != 0 &&
-                k + 1 < region.end &&
-                toks[k + 1].kind == TokKind::kPunct &&
-                toks[k + 1].text == "+=") {
-                out.push_back(
-                    {path, t.line, "float-reduction-order",
-                     "naive floating-point reduction '" + t.text +
-                         " += ...' inside an HTD_PARALLEL_READY region "
-                         "(marker at line " +
-                         std::to_string(region.marker_line) +
-                         "); accumulation order changes under threading — "
-                         "reduce through core::StableAccumulator or "
-                         "core::stable_sum (src/core/stable_sum.hpp)"});
-            }
-            if (t.kind == TokKind::kIdent &&
-                (t.text == "accumulate" || t.text == "reduce") &&
-                k + 1 < region.end && is_punct(toks[k + 1], "(")) {
-                out.push_back(
-                    {path, t.line, "float-reduction-order",
-                     "std::" + t.text +
-                         " inside an HTD_PARALLEL_READY region (marker at "
-                         "line " +
-                         std::to_string(region.marker_line) +
-                         ") reduces in unspecified-for-threading order; use "
-                         "core::stable_sum (src/core/stable_sum.hpp), whose "
-                         "reduction tree is pinned"});
-            }
-        }
-    }
 }
 
 }  // namespace
@@ -1379,7 +1209,7 @@ const std::vector<std::string>& rule_ids() {
         "result-discard",   "missing-nodiscard",     "work-counter-name",
         "artifact-schema-version", "event-kind-name",
         "global-mutable-state",    "unordered-iteration-escape",
-        "rng-discipline",          "float-reduction-order"};
+        "rng-discipline"};
     return ids;
 }
 
@@ -1471,7 +1301,6 @@ FileAnalysis analyze_file(const std::string& path, const std::string& contents) 
     check_global_mutable_state(norm, toks, fa.findings, fa.annotations);
     check_unordered_iteration_escape(norm, toks, fa.findings);
     check_rng_discipline(norm, toks, fa.findings);
-    check_float_reduction_order(norm, toks, fa.findings);
 
     collect_includes(toks, fa);
     if (path_in(norm, "src/")) {

@@ -74,15 +74,16 @@
 ///                       silently on the next version bump (DESIGN.md §14).
 ///                       tools/htd_lint/ itself is exempt.
 ///
-/// Determinism & concurrency-readiness passes (v4 of the tool, DESIGN.md
-/// §16 — they gate the path to the parallel statistical core; scoped to
-/// src/ and tools/):
+/// Determinism passes (v4 of the tool, DESIGN.md §16 — they guard
+/// same-seed byte identity across `Registry::reset` and repeated runs in
+/// one process; scoped to src/ and tools/):
 ///
 ///   global-mutable-state
 ///                       Namespace-scope and function-local `static` /
-///                       `thread_local` mutable variables are data races
-///                       waiting for the thread pool. Each site is flagged
-///                       unless the declarator carries
+///                       `thread_local` mutable variables outlive
+///                       `Registry::reset` and carry state from one run
+///                       into the next in the same process. Each site is
+///                       flagged unless the declarator carries
 ///                       `HTD_SHARED_STATE_OK("reason")`
 ///                       (src/core/annotations.hpp); surviving annotations
 ///                       are surfaced — with their justifications — in the
@@ -91,26 +92,14 @@
 ///                       A range-for over a `std::unordered_map` /
 ///                       `unordered_set` whose body writes to a stream,
 ///                       `io::Json`, or an append-only container leaks the
-///                       hash table's nondeterministic iteration order into
-///                       serialized output. The diagnostic carries the
-///                       chain: container declaration line, loop line, and
-///                       the escaping write.
+///                       hash table's iteration order, which the standard
+///                       leaves unspecified, into serialized output. The
+///                       diagnostic carries the chain: container
+///                       declaration line, loop line, and the escaping
+///                       write.
 ///   rng-discipline      Time-seeded engine constructions
 ///                       (`time(...)`/`...::now()` in ctor args) break
-///                       same-seed reproducibility anywhere; inside an
-///                       `HTD_PARALLEL_READY` region, one engine fed into
-///                       two or more call sites serializes the whole loop
-///                       on the engine state — per-thread substreams via
-///                       `Rng::split` are required first. The diagnostic
-///                       lists every call site sharing the engine.
-///   float-reduction-order
-///                       Inside an `HTD_PARALLEL_READY` region, a naive
-///                       `+=` / `std::accumulate` reduction over
-///                       floating-point values makes the result depend on
-///                       accumulation order, which threading will change.
-///                       Reductions there go through `core::stable_sum` /
-///                       `core::StableAccumulator`
-///                       (src/core/stable_sum.hpp), whose order is pinned.
+///                       same-seed reproducibility anywhere.
 ///
 /// Every rule walks the one token stream lex() produces per file. The
 /// analyzer scans files single-threaded in sorted path order (a cold scan

@@ -28,10 +28,9 @@ constexpr const char* kUsage =
     "Checks htd project invariants (seeded RNG, obs-only output, centralized\n"
     "NaN screening, header hygiene, checked stream opens, module layering,\n"
     "include cycles, must-use result discards, [[nodiscard]] coverage) and\n"
-    "determinism/concurrency-readiness contracts (audited shared mutable\n"
-    "state, unordered-iteration escapes into serialized output, RNG engine\n"
-    "discipline, stable float reduction order inside HTD_PARALLEL_READY\n"
-    "regions) over *.cpp/*.hpp trees. Default PATHs: src tools bench tests\n"
+    "same-seed determinism contracts (audited mutable static state,\n"
+    "unordered-iteration escapes into serialized output, wall-clock engine\n"
+    "seeds) over *.cpp/*.hpp trees. Default PATHs: src tools bench tests\n"
     "examples.\n"
     "\n"
     "  --json            machine-readable htd_lint.v4 report on stdout\n"

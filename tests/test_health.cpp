@@ -198,6 +198,104 @@ TEST(ResidualProbe, InflatedIncomingResidualsEscalate) {
     EXPECT_EQ(probe.level, HealthLevel::kCritical) << probe.detail;
 }
 
+// --- band edges: a value just inside and just past each documented edge ----
+
+/// One-column KDE fixture: the source spans [0, 1]; of `n` synthetic
+/// samples, `outside` sit at 1.5 (tail mass, range expansion 1.5x) and the
+/// rest at 0.5, unless `far` is set, in which case one sample at 0 and one
+/// at `far` stretch the synthetic range to `far` times the source range.
+ProbeResult kde_probe(std::size_t n, std::size_t outside, double far = 0.0) {
+    const linalg::Matrix source{{0.0}, {1.0}};
+    linalg::Matrix synthetic(n, 1);
+    for (std::size_t r = 0; r < n; ++r) synthetic(r, 0) = r < outside ? 1.5 : 0.5;
+    if (far > 0.0) {
+        synthetic(0, 0) = 0.0;
+        synthetic(1, 0) = far;
+    }
+    return HealthMonitor().probe_kde("kde.test", source, synthetic, 0.1);
+}
+
+TEST(KdeProbe, TailMassBandEdges) {
+    // DESIGN §10: tail mass above 0.25 warns, above 0.50 is critical.
+    EXPECT_EQ(kde_probe(1000, 249).level, HealthLevel::kHealthy);
+    const ProbeResult warn = kde_probe(1000, 251);
+    EXPECT_EQ(warn.level, HealthLevel::kWarn);
+    EXPECT_EQ(warn.detail, "mean per-axis tail mass 0.251000 above 0.250000");
+    EXPECT_EQ(kde_probe(1000, 499).level, HealthLevel::kWarn);
+    const ProbeResult critical = kde_probe(1000, 501);
+    EXPECT_EQ(critical.level, HealthLevel::kCritical);
+    EXPECT_EQ(critical.detail, "mean per-axis tail mass 0.501000 above 0.500000");
+}
+
+TEST(KdeProbe, RangeExpansionBandEdges) {
+    // DESIGN §10: synthetic range above 3x the source range warns, above
+    // 6x is critical.
+    EXPECT_EQ(kde_probe(1000, 0, 2.99).level, HealthLevel::kHealthy);
+    const ProbeResult warn = kde_probe(1000, 0, 3.01);
+    EXPECT_EQ(warn.level, HealthLevel::kWarn);
+    EXPECT_EQ(warn.detail, "synthetic range expansion 3.010000x above 3.000000x");
+    EXPECT_EQ(kde_probe(1000, 0, 5.99).level, HealthLevel::kWarn);
+    const ProbeResult critical = kde_probe(1000, 0, 6.01);
+    EXPECT_EQ(critical.level, HealthLevel::kCritical);
+    EXPECT_EQ(critical.detail,
+              "synthetic range expansion 6.010000x above 6.000000x");
+}
+
+/// SVM margin probe over 1000 training decision values, `outside` of them
+/// negative, with `support_vectors` of 100 trained samples and nu = 0.1.
+ProbeResult svm_probe(std::size_t support_vectors, std::size_t outside) {
+    std::vector<double> decisions(1000, 1.0);
+    for (std::size_t i = 0; i < outside; ++i) decisions[i] = -1.0;
+    return HealthMonitor().probe_svm_margins("svm.test", decisions, 0.1,
+                                             support_vectors, 100);
+}
+
+TEST(SvmProbe, SupportVectorFractionBandEdges) {
+    // DESIGN §10: a support-vector fraction above 0.75 warns, above 0.95 is
+    // critical.
+    EXPECT_EQ(svm_probe(74, 0).level, HealthLevel::kHealthy);
+    const ProbeResult warn = svm_probe(76, 0);
+    EXPECT_EQ(warn.level, HealthLevel::kWarn);
+    EXPECT_EQ(warn.detail, "support-vector fraction 0.760000 above 0.750000");
+    EXPECT_EQ(svm_probe(94, 0).level, HealthLevel::kWarn);
+    const ProbeResult critical = svm_probe(96, 0);
+    EXPECT_EQ(critical.level, HealthLevel::kCritical);
+    EXPECT_EQ(critical.detail, "support-vector fraction 0.960000 above 0.950000");
+}
+
+TEST(SvmProbe, OutlierExcessBandEdges) {
+    // DESIGN §10: more than 3x nu of the training points left outside
+    // warns, more than 6x nu is critical.
+    EXPECT_EQ(svm_probe(10, 299).level, HealthLevel::kHealthy);
+    const ProbeResult warn = svm_probe(10, 301);
+    EXPECT_EQ(warn.level, HealthLevel::kWarn);
+    EXPECT_EQ(warn.detail, "0.301000 of training points left outside vs nu 0.100000");
+    EXPECT_EQ(svm_probe(10, 599).level, HealthLevel::kWarn);
+    const ProbeResult critical = svm_probe(10, 601);
+    EXPECT_EQ(critical.level, HealthLevel::kCritical);
+    EXPECT_EQ(critical.detail,
+              "0.601000 of training points left outside vs nu 0.100000");
+}
+
+TEST(MarsProbe, MeanR2BandEdges) {
+    // DESIGN §10: a mean training R^2 below 0.50 warns, below 0.20 is
+    // critical.
+    const linalg::Matrix residuals{{0.1, 0.2}, {0.3, 0.4}};
+    const auto level = [&](std::vector<double> r2) {
+        return HealthMonitor().probe_mars_fit(r2, residuals).level;
+    };
+    EXPECT_EQ(level({0.51, 0.51}), HealthLevel::kHealthy);
+    EXPECT_EQ(level({0.49, 0.49}), HealthLevel::kWarn);
+    EXPECT_EQ(level({0.21, 0.21}), HealthLevel::kWarn);
+    EXPECT_EQ(level({0.19, 0.19}), HealthLevel::kCritical);
+    const ProbeResult critical =
+        HealthMonitor().probe_mars_fit(std::vector<double>{0.19, 0.19}, residuals);
+    EXPECT_EQ(critical.detail, "mean training R^2 0.190000 below 0.200000");
+    const ProbeResult warn =
+        HealthMonitor().probe_mars_fit(std::vector<double>{0.49, 0.49}, residuals);
+    EXPECT_EQ(warn.detail, "mean training R^2 0.490000 below 0.500000");
+}
+
 TEST(MonitorState, RecordReplacesSameNameAndAggregatesVerdict) {
     HealthMonitor monitor;
     EXPECT_EQ(monitor.verdict(), HealthLevel::kHealthy);

@@ -15,8 +15,8 @@
 #include "pipeline/experiment.hpp"
 #include "pipeline/report.hpp"
 #include "io/table.hpp"
-#include "obs/health.hpp"
 #include "obs/run_report.hpp"
+#include "pipeline/health.hpp"
 
 namespace {
 
@@ -91,8 +91,8 @@ int main() {
         pipeline.run_silicon_stage(measured.pcms, pipe_rng);
         pipeline.probe_incoming(measured);
 
-        const obs::HealthMonitor& health = pipeline.health();
-        const std::optional<obs::ProbeResult> drift = health.find("drift.pcm");
+        const core::HealthMonitor& health = pipeline.health();
+        const std::optional<core::ProbeResult> drift = health.find("drift.pcm");
         double max_scaled_ks = 0.0;
         if (drift.has_value()) {
             for (const auto& [key, v] : drift->values) {
@@ -103,7 +103,7 @@ int main() {
         io::Json entry = io::Json::object();
         entry.set("shift_sigma", point.shift_sigma);
         entry.set("forced_kmm_collapse", point.force_kmm_collapse);
-        entry.set("verdict", obs::health_level_name(health.verdict()));
+        entry.set("verdict", core::health_level_name(health.verdict()));
         entry.set("max_scaled_ks", max_scaled_ks);
         entry.set("kmm_fallback_applied", pipeline.kmm_fallback_applied());
         entry.set("kmm_effective_sample_size", pipeline.kmm_effective_sample_size());
@@ -116,7 +116,7 @@ int main() {
         io::Json boundaries = io::Json::object();
         std::vector<std::string> row{
             io::fmt(point.shift_sigma, 1) + (point.force_kmm_collapse ? "*" : ""),
-            obs::health_level_name(health.verdict()), io::fmt(max_scaled_ks, 2),
+            core::health_level_name(health.verdict()), io::fmt(max_scaled_ks, 2),
             io::fmt(pipeline.kmm_effective_sample_size(), 1)};
         for (const core::Boundary b :
              {core::Boundary::kB3, core::Boundary::kB4, core::Boundary::kB5}) {

@@ -80,7 +80,7 @@ int main() {
 
     std::printf("Artifact scoring throughput: %zu-row batches, artifact %ju B "
                 "(save %.1f ms, load+validate %.1f ms)\n\n",
-                kBatchRows, artifact_bytes, load_ms, save_ms);
+                kBatchRows, artifact_bytes, save_ms, load_ms);
     io::Table table({"boundary", "health", "reps", "chips/sec"});
     io::Json boundaries = io::Json::array();
     // Throughput scales with the host, hence a ratio floor (>= 50% of the

@@ -120,12 +120,7 @@ void Registry::apply_environment() {
     configure(kind);
 }
 
-void Registry::configure(SinkKind sink, std::string json_path) {
-    if (sink == SinkKind::kInherit && json_path.empty()) return;
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        if (!json_path.empty()) json_path_ = std::move(json_path);
-    }
+void Registry::configure(SinkKind sink) {
     if (sink == SinkKind::kInherit) return;
     sink_.store(sink, std::memory_order_relaxed);
     enabled_.store(sink != SinkKind::kOff, std::memory_order_relaxed);

@@ -64,17 +64,6 @@ enum class SinkKind {
 /// untouched, so library code never overrides an explicit caller choice.
 struct Config {
     SinkKind sink = SinkKind::kInherit;
-
-    /// Default path used by Registry::write_default_report() under the JSON
-    /// sink; empty keeps the current path ("htd_obs.json" unless
-    /// HTD_OBS_PATH is set).
-    std::string json_path;
-
-    /// Chrome/Perfetto trace-event JSON destination used by
-    /// `trace_export.hpp::write_trace_if_configured()`; empty keeps the
-    /// current path (unset unless HTD_OBS_TRACE is set, in which case no
-    /// trace is written).
-    std::string trace_path;
 };
 
 /// One completed trace span.
@@ -125,11 +114,8 @@ public:
 
     /// Swap the sink; `SinkKind::kInherit` is a no-op. Not reset()-ing:
     /// already-recorded data survives a sink change.
-    void configure(SinkKind sink, std::string json_path = {});
-    void configure(const Config& config) {
-        configure(config.sink, config.json_path);
-        if (!config.trace_path.empty()) set_trace_path(config.trace_path);
-    }
+    void configure(SinkKind sink);
+    void configure(const Config& config) { configure(config.sink); }
 
     /// True when any sink other than kOff is active.
     [[nodiscard]] bool enabled() const noexcept {
@@ -140,7 +126,8 @@ public:
         return sink_.load(std::memory_order_relaxed);
     }
 
-    /// Default path for write_default_report().
+    /// Default path for write_default_report(): HTD_OBS_PATH, else
+    /// "htd_obs.json".
     [[nodiscard]] std::string json_path() const;
 
     /// Trace-event JSON destination (empty = no trace requested). First

@@ -1,15 +1,17 @@
-#include "obs/health.hpp"
+#include "pipeline/health.hpp"
 
 #include <algorithm>
 #include <cmath>
-#include <cstddef>
-#include <limits>
+#include <initializer_list>
 #include <stdexcept>
 
+#include "ml/kmm.hpp"
 #include "obs/journal.hpp"
 #include "obs/obs.hpp"
+#include "pipeline/pipeline.hpp"
+#include "stats/descriptive.hpp"
 
-namespace htd::obs {
+namespace htd::core {
 
 namespace {
 
@@ -32,23 +34,29 @@ std::vector<double> sorted_copy(std::span<const double> xs) {
     return out;
 }
 
-std::vector<double> column(const linalg::Matrix& m, std::size_t c) {
-    std::vector<double> out(m.rows());
-    for (std::size_t r = 0; r < m.rows(); ++r) out[r] = m(r, c);
+/// |x| for every x, sorted ascending.
+std::vector<double> sorted_abs(std::span<const double> xs) {
+    std::vector<double> out(xs.size());
+    std::transform(xs.begin(), xs.end(), out.begin(),
+                   [](double x) { return std::abs(x); });
+    std::sort(out.begin(), out.end());
     return out;
 }
 
-double mean_of(const std::vector<double>& xs) {
-    double s = 0.0;
-    for (const double x : xs) s += x;
-    return xs.empty() ? 0.0 : s / static_cast<double>(xs.size());
+/// |v| for every entry of `m`, sorted ascending.
+std::vector<double> sorted_abs(const linalg::Matrix& m) {
+    std::vector<double> out;
+    out.reserve(m.rows() * m.cols());
+    for (std::size_t r = 0; r < m.rows(); ++r) {
+        for (const double v : m.row_span(r)) out.push_back(std::abs(v));
+    }
+    std::sort(out.begin(), out.end());
+    return out;
 }
 
-double stddev_of(const std::vector<double>& xs, double mu) {
-    if (xs.size() < 2) return 0.0;
-    double s = 0.0;
-    for (const double x : xs) s += (x - mu) * (x - mu);
-    return std::sqrt(s / static_cast<double>(xs.size() - 1));
+/// Unbiased sample variance, 0 for fewer than two samples.
+double sample_variance(std::span<const double> xs) {
+    return xs.size() < 2 ? 0.0 : stats::variance(xs);
 }
 
 /// Mean Euclidean distance between the rows of `a` and the rows of `b`
@@ -87,6 +95,28 @@ double mean_within_distance(const linalg::Matrix& a) {
     }
     const double n = static_cast<double>(a.rows());
     return 2.0 * sum / (n * n);
+}
+
+/// One rung of a level ladder: `level` once the statistic is past `edge`.
+struct Rung {
+    HealthLevel level;
+    double edge;
+};
+
+/// Which side of an edge is the bad side.
+enum class Past { kAbove, kBelow };
+
+/// Escalate `probe` on the first rung (listed worst first) whose edge
+/// `value` is past, with the detail `reason(edge)`.
+template <typename Reason>
+void escalate_past(ProbeResult& probe, Past past, double value,
+                   std::initializer_list<Rung> rungs, const Reason& reason) {
+    for (const Rung& rung : rungs) {
+        if (past == Past::kAbove ? value > rung.edge : value < rung.edge) {
+            probe.escalate(rung.level, reason(rung.edge));
+            return;
+        }
+    }
 }
 
 }  // namespace
@@ -164,17 +194,6 @@ double energy_coefficient(const linalg::Matrix& a, const linalg::Matrix& b) {
     return e / (2.0 * cross);
 }
 
-double kish_ess(std::span<const double> weights) noexcept {
-    double sum = 0.0;
-    double sum_sq = 0.0;
-    for (const double w : weights) {
-        sum += w;
-        sum_sq += w * w;
-    }
-    if (sum_sq <= 0.0) return 0.0;
-    return sum * sum / sum_sq;
-}
-
 double weight_entropy_ratio(std::span<const double> weights) noexcept {
     if (weights.size() < 2) return 0.0;
     double sum = 0.0;
@@ -211,57 +230,25 @@ io::Json ProbeResult::to_json() const {
     return out;
 }
 
-// --- HealthMonitor -----------------------------------------------------------
+// --- probe builders ----------------------------------------------------------
+//
+// Every band below is calibrated against the paper-default pipeline
+// (quickstart / bench_table1 stay all-healthy) with headroom.
 
-HealthMonitor::HealthMonitor(HealthThresholds thresholds)
-    : thresholds_(thresholds) {}
+// kmm_weights: Kish ESS / n below the warn fraction warns, below the
+// critical fraction is critical; so does one weight carrying too large a
+// share of the mass; a low weight entropy ratio warns.
+constexpr double kKmmEssFractionWarn = 0.15;
+constexpr double kKmmEssFractionCritical = 0.05;
+constexpr double kKmmMaxWeightShareWarn = 0.30;
+constexpr double kKmmMaxWeightShareCritical = 0.60;
+constexpr double kKmmEntropyRatioWarn = 0.50;
 
-ProbeResult HealthMonitor::record(ProbeResult probe) {
-    ProbeResult stored;
-    HealthLevel verdict_now = HealthLevel::kHealthy;
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        auto it = std::find_if(
-            probes_.begin(), probes_.end(),
-            [&](const ProbeResult& p) { return p.name == probe.name; });
-        if (it == probes_.end()) {
-            probes_.push_back(std::move(probe));
-            it = probes_.end() - 1;
-        } else {
-            *it = std::move(probe);
-        }
-        stored = *it;
-        verdict_now = verdict_locked();
-    }
-    // Gauge publication happens outside the probe lock: the Registry has
-    // its own mutex and the Health -> Registry lock order must never be
-    // entangled (a sink flushing while a stage records must not deadlock).
-    // The journal append follows the same discipline (its own mutex, never
-    // nested inside probe state).
-    EventJournal& journal = EventJournal::global();
-    if (journal.enabled() && stored.name.rfind("drift.", 0) == 0 &&
-        stored.level >= HealthLevel::kDegraded) {
-        Event ev("drift_trip");
-        ev.detail = stored.name + ": " + stored.detail;
-        for (const auto& [key, v] : stored.values) ev.value(key, v);
-        journal.append(std::move(ev));
-    }
-    Registry& registry = Registry::global();
-    registry.counter_add("health.probes_recorded");
-    for (const auto& [key, v] : stored.values) {
-        registry.gauge_set("health." + stored.name + "." + key, v);
-    }
-    registry.gauge_set("health." + stored.name + ".level",
-                       static_cast<double>(stored.level));
-    registry.gauge_set("health.verdict", static_cast<double>(verdict_now));
-    return stored;
-}
-
-ProbeResult HealthMonitor::probe_kmm_weights(std::span<const double> weights) const {
+ProbeResult probe_kmm_weights(const linalg::Vector& weights) {
     ProbeResult probe;
     probe.name = "kmm_weights";
     const double n = static_cast<double>(weights.size());
-    const double ess = kish_ess(weights);
+    const double ess = ml::effective_sample_size(weights);
     const double ess_fraction = n > 0.0 ? ess / n : 0.0;
     double sum = 0.0;
     double max_w = 0.0;
@@ -270,48 +257,89 @@ ProbeResult HealthMonitor::probe_kmm_weights(std::span<const double> weights) co
         max_w = std::max(max_w, w);
     }
     const double max_share = sum > 0.0 ? max_w / sum : 0.0;
-    const double entropy = weight_entropy_ratio(weights);
+    const double entropy = weight_entropy_ratio(weights.span());
     probe.value("weights", n)
         .value("effective_sample_size", ess)
         .value("ess_fraction", ess_fraction)
         .value("max_weight_share", max_share)
         .value("entropy_ratio", entropy);
 
-    const HealthThresholds& t = thresholds_;
-    if (weights.empty() || sum <= 0.0) {
+    if (weights.size() == 0 || sum <= 0.0) {
         probe.escalate(HealthLevel::kCritical, "empty or all-zero weight vector");
         return probe;
     }
-    if (ess_fraction < t.kmm_ess_fraction_critical) {
+    if (ess_fraction < kKmmEssFractionCritical) {
         probe.escalate(HealthLevel::kCritical,
                        "Kish ESS fraction " + std::to_string(ess_fraction) +
                            " below critical floor " +
-                           std::to_string(t.kmm_ess_fraction_critical));
-    } else if (ess_fraction < t.kmm_ess_fraction_warn) {
+                           std::to_string(kKmmEssFractionCritical));
+    } else if (ess_fraction < kKmmEssFractionWarn) {
         probe.escalate(HealthLevel::kWarn,
                        "Kish ESS fraction " + std::to_string(ess_fraction) +
-                           " below " + std::to_string(t.kmm_ess_fraction_warn));
+                           " below " + std::to_string(kKmmEssFractionWarn));
     }
-    if (max_share > t.kmm_max_weight_share_critical) {
+    if (max_share > kKmmMaxWeightShareCritical) {
         probe.escalate(HealthLevel::kCritical,
                        "one weight carries " + std::to_string(max_share) +
                            " of the total mass");
-    } else if (max_share > t.kmm_max_weight_share_warn) {
+    } else if (max_share > kKmmMaxWeightShareWarn) {
         probe.escalate(HealthLevel::kWarn,
                        "max weight share " + std::to_string(max_share) + " above " +
-                           std::to_string(t.kmm_max_weight_share_warn));
+                           std::to_string(kKmmMaxWeightShareWarn));
     }
-    if (entropy < t.kmm_entropy_ratio_warn) {
+    if (entropy < kKmmEntropyRatioWarn) {
         probe.escalate(HealthLevel::kWarn,
-                       "weight entropy ratio " + std::to_string(entropy) +
-                           " below " + std::to_string(t.kmm_entropy_ratio_warn));
+                       "weight entropy ratio " + std::to_string(entropy) + " below " +
+                           std::to_string(kKmmEntropyRatioWarn));
     }
     return probe;
 }
 
-ProbeResult HealthMonitor::probe_drift(std::string_view name,
-                                       const linalg::Matrix& reference,
-                                       const linalg::Matrix& incoming) const {
+// calibration: the kernel mean shift in units of the reference cloud's
+// RMS column spread. The paper-default 4.5 sigma foundry process shift
+// lands near 4.4 (measured on the E15 harness), so the band starts at
+// roughly 2x the designed operating point.
+constexpr double kCalibrationShiftWarn = 8.0;
+constexpr double kCalibrationShiftCritical = 16.0;
+
+ProbeResult probe_calibration(const linalg::Matrix& reference,
+                              const linalg::Vector& total_shift,
+                              std::size_t iterations) {
+    ProbeResult probe;
+    probe.name = "calibration";
+    double variance_sum = 0.0;
+    for (std::size_t c = 0; c < reference.cols(); ++c) {
+        variance_sum += sample_variance(reference.col(c).span());
+    }
+    const double rms_spread =
+        std::sqrt(variance_sum / static_cast<double>(reference.cols()));
+    const double shift_norm = total_shift.norm();
+    const double shift_sigma = shift_norm / std::max(rms_spread, kTiny);
+    probe.value("shift_norm", shift_norm)
+        .value("reference_rms_spread", rms_spread)
+        .value("shift_sigma", shift_sigma)
+        .value("iterations", static_cast<double>(iterations));
+    escalate_past(probe, Past::kAbove, shift_sigma,
+                  {{HealthLevel::kCritical, kCalibrationShiftCritical},
+                   {HealthLevel::kWarn, kCalibrationShiftWarn}},
+                  [&](double edge) {
+                      return "calibration shift " + std::to_string(shift_sigma) +
+                             " reference sigmas (above " + std::to_string(edge) +
+                             ")";
+                  });
+    return probe;
+}
+
+// drift.*: the size-normalized per-channel KS maximum (warn ~p = 0.01,
+// degraded ~p = 0.001) and the energy coefficient over full vectors.
+constexpr double kDriftScaledKsWarn = 1.63;
+constexpr double kDriftScaledKsDegraded = 1.95;
+constexpr double kDriftScaledKsCritical = 2.80;
+constexpr double kDriftEnergyCoefficientWarn = 0.15;
+constexpr double kDriftEnergyCoefficientCritical = 0.35;
+
+ProbeResult probe_drift(std::string_view name, const linalg::Matrix& reference,
+                        const linalg::Matrix& incoming) {
     ProbeResult probe;
     probe.name = std::string(name);
     if (reference.rows() == 0 || incoming.rows() == 0 ||
@@ -331,14 +359,14 @@ ProbeResult HealthMonitor::probe_drift(std::string_view name,
     // vectors are short); the maxima below always cover every channel.
     constexpr std::size_t kMaxChannelEmit = 16;
     for (std::size_t c = 0; c < reference.cols(); ++c) {
-        const std::vector<double> ref = column(reference, c);
-        const std::vector<double> inc = column(incoming, c);
-        const double d = ks_statistic(ref, inc);
+        const linalg::Vector ref = reference.col(c);
+        const linalg::Vector inc = incoming.col(c);
+        const double d = ks_statistic(ref.span(), inc.span());
         const double scaled = scaled_ks_statistic(d, ref.size(), inc.size());
-        const double mu_ref = mean_of(ref);
-        const double sigma_ref = stddev_of(ref, mu_ref);
+        const double sigma_ref = std::sqrt(sample_variance(ref.span()));
         const double shift_sigma =
-            std::abs(mean_of(inc) - mu_ref) / std::max(sigma_ref, kTiny);
+            std::abs(stats::mean(inc.span()) - stats::mean(ref.span())) /
+            std::max(sigma_ref, kTiny);
         max_ks = std::max(max_ks, d);
         max_scaled = std::max(max_scaled, scaled);
         max_shift_sigma = std::max(max_shift_sigma, shift_sigma);
@@ -357,38 +385,35 @@ ProbeResult HealthMonitor::probe_drift(std::string_view name,
         .value("energy_distance", energy)
         .value("energy_coefficient", coefficient);
 
-    const HealthThresholds& t = thresholds_;
-    if (max_scaled > t.drift_scaled_ks_critical) {
-        probe.escalate(HealthLevel::kCritical,
-                       "per-channel scaled KS " + std::to_string(max_scaled) +
-                           " above " + std::to_string(t.drift_scaled_ks_critical));
-    } else if (max_scaled > t.drift_scaled_ks_degraded) {
-        probe.escalate(HealthLevel::kDegraded,
-                       "per-channel scaled KS " + std::to_string(max_scaled) +
-                           " above " + std::to_string(t.drift_scaled_ks_degraded));
-    } else if (max_scaled > t.drift_scaled_ks_warn) {
-        probe.escalate(HealthLevel::kWarn,
-                       "per-channel scaled KS " + std::to_string(max_scaled) +
-                           " above " + std::to_string(t.drift_scaled_ks_warn));
-    }
-    if (coefficient > t.drift_energy_coefficient_critical) {
-        probe.escalate(HealthLevel::kCritical,
-                       "energy coefficient " + std::to_string(coefficient) +
-                           " above " +
-                           std::to_string(t.drift_energy_coefficient_critical));
-    } else if (coefficient > t.drift_energy_coefficient_warn) {
-        probe.escalate(HealthLevel::kWarn,
-                       "energy coefficient " + std::to_string(coefficient) +
-                           " above " +
-                           std::to_string(t.drift_energy_coefficient_warn));
-    }
+    escalate_past(probe, Past::kAbove, max_scaled,
+                  {{HealthLevel::kCritical, kDriftScaledKsCritical},
+                   {HealthLevel::kDegraded, kDriftScaledKsDegraded},
+                   {HealthLevel::kWarn, kDriftScaledKsWarn}},
+                  [&](double edge) {
+                      return "per-channel scaled KS " + std::to_string(max_scaled) +
+                             " above " + std::to_string(edge);
+                  });
+    escalate_past(probe, Past::kAbove, coefficient,
+                  {{HealthLevel::kCritical, kDriftEnergyCoefficientCritical},
+                   {HealthLevel::kWarn, kDriftEnergyCoefficientWarn}},
+                  [&](double edge) {
+                      return "energy coefficient " + std::to_string(coefficient) +
+                             " above " + std::to_string(edge);
+                  });
     return probe;
 }
 
-ProbeResult HealthMonitor::probe_kde(std::string_view name,
-                                     const linalg::Matrix& source,
-                                     const linalg::Matrix& synthetic,
-                                     double bandwidth) const {
+// kde.*: the mean per-axis fraction of synthetic samples outside the
+// source population's [min, max] range, and the largest per-axis ratio of
+// synthetic to source range. Tail enhancement is the point, so only
+// runaway expansion alarms.
+constexpr double kKdeTailMassWarn = 0.25;
+constexpr double kKdeTailMassCritical = 0.50;
+constexpr double kKdeRangeExpansionWarn = 3.0;
+constexpr double kKdeRangeExpansionCritical = 6.0;
+
+ProbeResult probe_kde(std::string_view name, const linalg::Matrix& source,
+                      const linalg::Matrix& synthetic, double bandwidth) {
     ProbeResult probe;
     probe.name = std::string(name);
     probe.value("bandwidth", bandwidth)
@@ -430,32 +455,30 @@ ProbeResult HealthMonitor::probe_kde(std::string_view name,
     const double tail_mass = tail_mass_sum / static_cast<double>(source.cols());
     probe.value("tail_mass", tail_mass).value("max_range_expansion", max_expansion);
 
-    const HealthThresholds& t = thresholds_;
-    if (tail_mass > t.kde_tail_mass_critical) {
-        probe.escalate(HealthLevel::kCritical,
-                       "mean per-axis tail mass " + std::to_string(tail_mass) +
-                           " above " + std::to_string(t.kde_tail_mass_critical));
-    } else if (tail_mass > t.kde_tail_mass_warn) {
-        probe.escalate(HealthLevel::kWarn,
-                       "mean per-axis tail mass " + std::to_string(tail_mass) +
-                           " above " + std::to_string(t.kde_tail_mass_warn));
-    }
-    if (max_expansion > t.kde_range_expansion_critical) {
-        probe.escalate(HealthLevel::kCritical,
-                       "synthetic range expansion " + std::to_string(max_expansion) +
-                           "x above " +
-                           std::to_string(t.kde_range_expansion_critical) + "x");
-    } else if (max_expansion > t.kde_range_expansion_warn) {
-        probe.escalate(HealthLevel::kWarn,
-                       "synthetic range expansion " + std::to_string(max_expansion) +
-                           "x above " + std::to_string(t.kde_range_expansion_warn) +
-                           "x");
-    }
+    escalate_past(probe, Past::kAbove, tail_mass,
+                  {{HealthLevel::kCritical, kKdeTailMassCritical},
+                   {HealthLevel::kWarn, kKdeTailMassWarn}},
+                  [&](double edge) {
+                      return "mean per-axis tail mass " + std::to_string(tail_mass) +
+                             " above " + std::to_string(edge);
+                  });
+    escalate_past(probe, Past::kAbove, max_expansion,
+                  {{HealthLevel::kCritical, kKdeRangeExpansionCritical},
+                   {HealthLevel::kWarn, kKdeRangeExpansionWarn}},
+                  [&](double edge) {
+                      return "synthetic range expansion " +
+                             std::to_string(max_expansion) + "x above " +
+                             std::to_string(edge) + "x";
+                  });
     return probe;
 }
 
-ProbeResult HealthMonitor::probe_mars_fit(std::span<const double> per_output_r2,
-                                          const linalg::Matrix& abs_residuals) const {
+// mars_fit: the mean training R^2 across the bank.
+constexpr double kMarsR2Warn = 0.50;
+constexpr double kMarsR2Critical = 0.20;
+
+ProbeResult probe_mars_fit(std::span<const double> per_output_r2,
+                           const linalg::Matrix& abs_residuals) {
     ProbeResult probe;
     probe.name = "mars_fit";
     if (per_output_r2.empty()) {
@@ -470,14 +493,7 @@ ProbeResult HealthMonitor::probe_mars_fit(std::span<const double> per_output_r2,
     }
     mean_r2 /= static_cast<double>(per_output_r2.size());
 
-    std::vector<double> pooled;
-    pooled.reserve(abs_residuals.rows() * abs_residuals.cols());
-    for (std::size_t r = 0; r < abs_residuals.rows(); ++r) {
-        for (std::size_t c = 0; c < abs_residuals.cols(); ++c) {
-            pooled.push_back(std::abs(abs_residuals(r, c)));
-        }
-    }
-    std::sort(pooled.begin(), pooled.end());
+    const std::vector<double> pooled = sorted_abs(abs_residuals);
     probe.value("outputs", static_cast<double>(per_output_r2.size()))
         .value("mean_r2", mean_r2)
         .value("min_r2", min_r2)
@@ -485,22 +501,24 @@ ProbeResult HealthMonitor::probe_mars_fit(std::span<const double> per_output_r2,
         .value("residual_q90", quantile_sorted(pooled, 0.90))
         .value("residual_q99", quantile_sorted(pooled, 0.99));
 
-    const HealthThresholds& t = thresholds_;
-    if (mean_r2 < t.mars_r2_critical) {
-        probe.escalate(HealthLevel::kCritical,
-                       "mean training R^2 " + std::to_string(mean_r2) + " below " +
-                           std::to_string(t.mars_r2_critical));
-    } else if (mean_r2 < t.mars_r2_warn) {
-        probe.escalate(HealthLevel::kWarn,
-                       "mean training R^2 " + std::to_string(mean_r2) + " below " +
-                           std::to_string(t.mars_r2_warn));
-    }
+    escalate_past(probe, Past::kBelow, mean_r2,
+                  {{HealthLevel::kCritical, kMarsR2Critical},
+                   {HealthLevel::kWarn, kMarsR2Warn}},
+                  [&](double edge) {
+                      return "mean training R^2 " + std::to_string(mean_r2) +
+                             " below " + std::to_string(edge);
+                  });
     return probe;
 }
 
-ProbeResult HealthMonitor::probe_regression_residuals(
-    const linalg::Matrix& train_abs_residuals,
-    const linalg::Matrix& incoming_abs_residuals) const {
+// regression_residuals: the incoming |residual| q90 relative to the
+// training q90. The incoming population legitimately contains Trojans and
+// sits at the shifted foundry operating point, so the band is generous.
+constexpr double kResidualQ90RatioWarn = 8.0;
+constexpr double kResidualQ90RatioCritical = 25.0;
+
+ProbeResult probe_regression_residuals(const linalg::Matrix& train_abs_residuals,
+                                       const linalg::Matrix& incoming_abs_residuals) {
     ProbeResult probe;
     probe.name = "regression_residuals";
     if (train_abs_residuals.rows() == 0 || incoming_abs_residuals.rows() == 0 ||
@@ -511,14 +529,7 @@ ProbeResult HealthMonitor::probe_regression_residuals(
     }
 
     const auto pooled_quantiles = [](const linalg::Matrix& m) {
-        std::vector<double> pooled;
-        pooled.reserve(m.rows() * m.cols());
-        for (std::size_t r = 0; r < m.rows(); ++r) {
-            for (std::size_t c = 0; c < m.cols(); ++c) {
-                pooled.push_back(std::abs(m(r, c)));
-            }
-        }
-        std::sort(pooled.begin(), pooled.end());
+        const std::vector<double> pooled = sorted_abs(m);
         return std::array<double, 3>{quantile_sorted(pooled, 0.50),
                                      quantile_sorted(pooled, 0.90),
                                      quantile_sorted(pooled, 0.99)};
@@ -532,17 +543,16 @@ ProbeResult HealthMonitor::probe_regression_residuals(
     // Worst per-output q90 ratio: one stale regression hides in the pool.
     double max_output_ratio = 0.0;
     for (std::size_t c = 0; c < train_abs_residuals.cols(); ++c) {
-        std::vector<double> train_col = column(train_abs_residuals, c);
-        std::vector<double> incoming_col = column(incoming_abs_residuals, c);
-        for (double& v : train_col) v = std::abs(v);
-        for (double& v : incoming_col) v = std::abs(v);
-        std::sort(train_col.begin(), train_col.end());
-        std::sort(incoming_col.begin(), incoming_col.end());
-        max_output_ratio = std::max(
-            max_output_ratio, ratio(quantile_sorted(incoming_col, 0.90),
-                                    quantile_sorted(train_col, 0.90)));
+        const std::vector<double> train_col =
+            sorted_abs(train_abs_residuals.col(c).span());
+        const std::vector<double> incoming_col =
+            sorted_abs(incoming_abs_residuals.col(c).span());
+        max_output_ratio =
+            std::max(max_output_ratio, ratio(quantile_sorted(incoming_col, 0.90),
+                                             quantile_sorted(train_col, 0.90)));
     }
 
+    const double q90_ratio = ratio(incoming_q[1], train_q[1]);
     probe.value("incoming_devices", static_cast<double>(incoming_abs_residuals.rows()))
         .value("train_q50", train_q[0])
         .value("train_q90", train_q[1])
@@ -551,30 +561,33 @@ ProbeResult HealthMonitor::probe_regression_residuals(
         .value("incoming_q90", incoming_q[1])
         .value("incoming_q99", incoming_q[2])
         .value("q50_ratio", ratio(incoming_q[0], train_q[0]))
-        .value("q90_ratio", ratio(incoming_q[1], train_q[1]))
+        .value("q90_ratio", q90_ratio)
         .value("q99_ratio", ratio(incoming_q[2], train_q[2]))
         .value("max_output_q90_ratio", max_output_ratio);
 
-    const HealthThresholds& t = thresholds_;
-    const double q90_ratio = ratio(incoming_q[1], train_q[1]);
-    if (q90_ratio > t.residual_q90_ratio_critical) {
-        probe.escalate(HealthLevel::kCritical,
-                       "incoming residual q90 " + std::to_string(q90_ratio) +
-                           "x the training q90 (above " +
-                           std::to_string(t.residual_q90_ratio_critical) + "x)");
-    } else if (q90_ratio > t.residual_q90_ratio_warn) {
-        probe.escalate(HealthLevel::kWarn,
-                       "incoming residual q90 " + std::to_string(q90_ratio) +
-                           "x the training q90 (above " +
-                           std::to_string(t.residual_q90_ratio_warn) + "x)");
-    }
+    escalate_past(probe, Past::kAbove, q90_ratio,
+                  {{HealthLevel::kCritical, kResidualQ90RatioCritical},
+                   {HealthLevel::kWarn, kResidualQ90RatioWarn}},
+                  [&](double edge) {
+                      return "incoming residual q90 " + std::to_string(q90_ratio) +
+                             "x the training q90 (above " + std::to_string(edge) +
+                             "x)";
+                  });
     return probe;
 }
 
-ProbeResult HealthMonitor::probe_svm_margins(std::string_view name,
-                                             std::span<const double> train_decision_values,
-                                             double nu, std::size_t support_vectors,
-                                             std::size_t trained_samples) const {
+// svm.*: the support-vector fraction of the trained samples, and the
+// fraction of training points outside the boundary relative to nu (SMO
+// should leave ~nu outside; a large excess means it failed).
+constexpr double kSvmSvFractionWarn = 0.75;
+constexpr double kSvmSvFractionCritical = 0.95;
+constexpr double kSvmOutlierExcessWarn = 3.0;
+constexpr double kSvmOutlierExcessCritical = 6.0;
+
+ProbeResult probe_svm_margins(std::string_view name,
+                              std::span<const double> train_decision_values,
+                              double nu, std::size_t support_vectors,
+                              std::size_t trained_samples) {
     ProbeResult probe;
     probe.name = std::string(name);
     if (train_decision_values.empty() || trained_samples == 0) {
@@ -599,28 +612,97 @@ ProbeResult HealthMonitor::probe_svm_margins(std::string_view name,
         .value("margin_q05", quantile_sorted(sorted, 0.05))
         .value("margin_q50", quantile_sorted(sorted, 0.50));
 
-    const HealthThresholds& t = thresholds_;
-    if (sv_fraction > t.svm_sv_fraction_critical) {
-        probe.escalate(HealthLevel::kCritical,
-                       "support-vector fraction " + std::to_string(sv_fraction) +
-                           " above " + std::to_string(t.svm_sv_fraction_critical));
-    } else if (sv_fraction > t.svm_sv_fraction_warn) {
-        probe.escalate(HealthLevel::kWarn,
-                       "support-vector fraction " + std::to_string(sv_fraction) +
-                           " above " + std::to_string(t.svm_sv_fraction_warn));
+    escalate_past(probe, Past::kAbove, sv_fraction,
+                  {{HealthLevel::kCritical, kSvmSvFractionCritical},
+                   {HealthLevel::kWarn, kSvmSvFractionWarn}},
+                  [&](double edge) {
+                      return "support-vector fraction " + std::to_string(sv_fraction) +
+                             " above " + std::to_string(edge);
+                  });
+    escalate_past(probe, Past::kAbove, outlier_excess,
+                  {{HealthLevel::kCritical, kSvmOutlierExcessCritical},
+                   {HealthLevel::kWarn, kSvmOutlierExcessWarn}},
+                  [&](double) {
+                      return std::to_string(outside_fraction) +
+                             " of training points left outside vs nu " +
+                             std::to_string(nu);
+                  });
+    return probe;
+}
+
+ProbeResult probe_boundaries(const std::array<BoundaryStatus, 5>& status) {
+    ProbeResult probe;
+    probe.name = "boundaries";
+    double healthy = 0.0;
+    double degraded = 0.0;
+    double failed = 0.0;
+    std::string bad;
+    for (const Boundary b : kAllBoundaries) {
+        const BoundaryStatus& st = status[static_cast<std::size_t>(b)];
+        switch (st.health) {
+            case BoundaryHealth::kHealthy: healthy += 1.0; break;
+            case BoundaryHealth::kDegraded:
+                degraded += 1.0;
+                if (!bad.empty()) bad += ", ";
+                bad += boundary_name(b) + " degraded";
+                break;
+            case BoundaryHealth::kFailed:
+                failed += 1.0;
+                if (!bad.empty()) bad += ", ";
+                bad += boundary_name(b) + " failed";
+                break;
+            case BoundaryHealth::kUntrained: break;
+        }
     }
-    if (outlier_excess > t.svm_outlier_excess_critical) {
-        probe.escalate(HealthLevel::kCritical,
-                       std::to_string(outside_fraction) +
-                           " of training points left outside vs nu " +
-                           std::to_string(nu));
-    } else if (outlier_excess > t.svm_outlier_excess_warn) {
-        probe.escalate(HealthLevel::kWarn,
-                       std::to_string(outside_fraction) +
-                           " of training points left outside vs nu " +
-                           std::to_string(nu));
+    probe.value("healthy", healthy).value("degraded", degraded).value("failed", failed);
+    if (failed > 0.0) {
+        probe.escalate(HealthLevel::kCritical, bad);
+    } else if (degraded > 0.0) {
+        probe.escalate(HealthLevel::kDegraded, bad);
     }
     return probe;
+}
+
+// --- HealthMonitor -----------------------------------------------------------
+
+void HealthMonitor::record(ProbeResult probe) {
+    ProbeResult stored;
+    HealthLevel verdict_now = HealthLevel::kHealthy;
+    {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        auto it = std::find_if(
+            probes_.begin(), probes_.end(),
+            [&](const ProbeResult& p) { return p.name == probe.name; });
+        if (it == probes_.end()) {
+            probes_.push_back(std::move(probe));
+            it = probes_.end() - 1;
+        } else {
+            *it = std::move(probe);
+        }
+        stored = *it;
+        verdict_now = verdict_locked();
+    }
+    // Gauge publication happens outside the probe lock: the Registry has
+    // its own mutex and the Health -> Registry lock order must never be
+    // entangled (a sink flushing while a stage records must not deadlock).
+    // The journal append follows the same discipline (its own mutex, never
+    // nested inside probe state).
+    obs::EventJournal& journal = obs::EventJournal::global();
+    if (journal.enabled() && stored.name.rfind("drift.", 0) == 0 &&
+        stored.level >= HealthLevel::kDegraded) {
+        obs::Event ev("drift_trip");
+        ev.detail = stored.name + ": " + stored.detail;
+        for (const auto& [key, v] : stored.values) ev.value(key, v);
+        journal.append(std::move(ev));
+    }
+    obs::Registry& registry = obs::Registry::global();
+    registry.counter_add("health.probes_recorded");
+    for (const auto& [key, v] : stored.values) {
+        registry.gauge_set("health." + stored.name + "." + key, v);
+    }
+    registry.gauge_set("health." + stored.name + ".level",
+                       static_cast<double>(stored.level));
+    registry.gauge_set("health.verdict", static_cast<double>(verdict_now));
 }
 
 HealthLevel HealthMonitor::verdict_locked() const {
@@ -662,4 +744,4 @@ io::Json HealthMonitor::to_json() const {
     return out;
 }
 
-}  // namespace htd::obs
+}  // namespace htd::core

@@ -103,8 +103,7 @@ std::string boundary_health_name(BoundaryHealth health) {
 
 GoldenFreePipeline::GoldenFreePipeline(PipelineConfig config,
                                        silicon::SpiceSimulator simulator)
-    : config_(config), simulator_(std::move(simulator)), regressions_(config.mars),
-      health_(config.health) {
+    : config_(config), simulator_(std::move(simulator)), regressions_(config.mars) {
     if (config_.monte_carlo_samples < 2) {
         throw ConfigError("GoldenFreePipeline: need >= 2 Monte Carlo samples");
     }
@@ -150,7 +149,7 @@ linalg::Matrix GoldenFreePipeline::kde_enhance(Boundary b,
     stats::AdaptiveKde kde(source, config_.kde_alpha, config_.kde_bandwidth,
                            config_.kde_kernel, config_.kde_max_lambda);
     linalg::Matrix synthetic = kde.sample_n(rng, config_.synthetic_samples);
-    health_.record(health_.probe_kde(probe_name, source, synthetic, kde.bandwidth()));
+    health_.record(probe_kde(probe_name, source, synthetic, kde.bandwidth()));
     kdes_[index_of(b)] = std::move(kde);
     return synthetic;
 }
@@ -174,42 +173,9 @@ void GoldenFreePipeline::record_svm_probe(Boundary b) const {
     const linalg::Vector decisions = svm.decision_values(sample);
     const std::size_t trained =
         std::min(dataset.rows(), config_.svm.max_training_samples);
-    health_.record(health_.probe_svm_margins("svm." + boundary_name(b),
-                                             decisions.span(), config_.svm.nu,
-                                             svm.support_vector_count(), trained));
-}
-
-void GoldenFreePipeline::record_boundary_probe() const {
-    obs::ProbeResult probe;
-    probe.name = "boundaries";
-    double healthy = 0.0;
-    double degraded = 0.0;
-    double failed = 0.0;
-    std::string bad;
-    for (const Boundary b : kAllBoundaries) {
-        const BoundaryStatus& st = status_[index_of(b)];
-        switch (st.health) {
-            case BoundaryHealth::kHealthy: healthy += 1.0; break;
-            case BoundaryHealth::kDegraded:
-                degraded += 1.0;
-                if (!bad.empty()) bad += ", ";
-                bad += boundary_name(b) + " degraded";
-                break;
-            case BoundaryHealth::kFailed:
-                failed += 1.0;
-                if (!bad.empty()) bad += ", ";
-                bad += boundary_name(b) + " failed";
-                break;
-            case BoundaryHealth::kUntrained: break;
-        }
-    }
-    probe.value("healthy", healthy).value("degraded", degraded).value("failed", failed);
-    if (failed > 0.0) {
-        probe.escalate(obs::HealthLevel::kCritical, bad);
-    } else if (degraded > 0.0) {
-        probe.escalate(obs::HealthLevel::kDegraded, bad);
-    }
-    health_.record(std::move(probe));
+    health_.record(probe_svm_margins("svm." + boundary_name(b), decisions.span(),
+                                     config_.svm.nu, svm.support_vector_count(),
+                                     trained));
 }
 
 template <typename BuildDataset>
@@ -281,7 +247,7 @@ void GoldenFreePipeline::run_premanufacturing(rng::Rng& rng) {
                     std::abs(golden_fingerprints(r, c) - predicted(r, c));
             }
         }
-        health_.record(health_.probe_mars_fit(r2, train_abs_residuals_));
+        health_.record(probe_mars_fit(r2, train_abs_residuals_));
     }
 
     // S1 / B1: raw simulated fingerprints.
@@ -376,13 +342,12 @@ void GoldenFreePipeline::run_silicon_stage(const linalg::Matrix& dutt_pcms,
         if (kmm_ess_ < config_.kmm_min_effective_sample_size) {
             if (!config_.kmm_fallback_to_b3) {
                 silicon_done_ = true;  // B3 (if healthy) stays usable
-                obs::ProbeResult collapse =
-                    health_.probe_kmm_weights(calibration_->weights.span());
-                collapse.escalate(obs::HealthLevel::kCritical,
+                ProbeResult collapse = probe_kmm_weights(calibration_->weights);
+                collapse.escalate(HealthLevel::kCritical,
                                   "KMM calibration collapsed and the B4->B3 "
                                   "fallback is disabled");
                 health_.record(std::move(collapse));
-                record_boundary_probe();
+                health_.record(probe_boundaries(status_));
                 throw CalibrationCollapseError(
                     "run_silicon_stage: KMM calibration collapsed (effective "
                     "sample size " +
@@ -400,67 +365,31 @@ void GoldenFreePipeline::run_silicon_stage(const linalg::Matrix& dutt_pcms,
         status_[index_of(Boundary::kB4)] = {BoundaryHealth::kFailed, detail};
         status_[index_of(Boundary::kB5)] = {BoundaryHealth::kFailed, detail};
         obs::Registry::global().counter_add("pipeline.boundary_failures", 2.0);
-        obs::ProbeResult kmm_probe;
+        ProbeResult kmm_probe;
         kmm_probe.name = "kmm_weights";
-        kmm_probe.escalate(obs::HealthLevel::kCritical, detail);
+        kmm_probe.escalate(HealthLevel::kCritical, detail);
         health_.record(std::move(kmm_probe));
         // No calibrated reference exists; measure drift against the raw
         // simulated PCM cloud instead.
-        health_.record(health_.probe_drift("drift.pcm", mc_pcms_, silicon_pcms));
-        record_boundary_probe();
+        health_.record(probe_drift("drift.pcm", mc_pcms_, silicon_pcms));
+        health_.record(probe_boundaries(status_));
         silicon_done_ = true;
         journal_stage_done("KMM calibration failed, B4/B5 unavailable");
         return;
     }
 
     {
-        obs::ProbeResult kmm_probe =
-            health_.probe_kmm_weights(calibration_->weights.span());
+        ProbeResult kmm_probe = probe_kmm_weights(calibration_->weights);
         if (fallback) {
-            kmm_probe.escalate(obs::HealthLevel::kDegraded,
+            kmm_probe.escalate(HealthLevel::kDegraded,
                                "KMM collapse: B4/B5 fall back to S3");
         }
         health_.record(std::move(kmm_probe));
 
-        // Calibration staleness: how far (relative to the reference cloud's
-        // RMS per-column spread) the kernel mean shift had to move the
-        // simulated PCMs to reach the silicon operating point.
-        obs::ProbeResult cal_probe;
-        cal_probe.name = "calibration";
-        double variance_sum = 0.0;
-        for (std::size_t c = 0; c < mc_pcms_.cols(); ++c) {
-            double mean = 0.0;
-            for (std::size_t r = 0; r < mc_pcms_.rows(); ++r) mean += mc_pcms_(r, c);
-            mean /= static_cast<double>(mc_pcms_.rows());
-            double var = 0.0;
-            for (std::size_t r = 0; r < mc_pcms_.rows(); ++r) {
-                const double d = mc_pcms_(r, c) - mean;
-                var += d * d;
-            }
-            variance_sum += var / static_cast<double>(mc_pcms_.rows() - 1);
-        }
-        const double rms_spread =
-            std::sqrt(variance_sum / static_cast<double>(mc_pcms_.cols()));
-        const double shift_norm = calibration_->total_shift.norm();
-        const double shift_sigma = shift_norm / std::max(rms_spread, 1e-300);
-        cal_probe.value("shift_norm", shift_norm)
-            .value("reference_rms_spread", rms_spread)
-            .value("shift_sigma", shift_sigma)
-            .value("iterations", static_cast<double>(calibration_->iterations));
-        const obs::HealthThresholds& ht = health_.thresholds();
-        if (shift_sigma > ht.calibration_shift_critical) {
-            cal_probe.escalate(obs::HealthLevel::kCritical,
-                               "calibration shift " + std::to_string(shift_sigma) +
-                                   " reference sigmas (above " +
-                                   std::to_string(ht.calibration_shift_critical) +
-                                   ")");
-        } else if (shift_sigma > ht.calibration_shift_warn) {
-            cal_probe.escalate(obs::HealthLevel::kWarn,
-                               "calibration shift " + std::to_string(shift_sigma) +
-                                   " reference sigmas (above " +
-                                   std::to_string(ht.calibration_shift_warn) + ")");
-        }
-        health_.record(std::move(cal_probe));
+        // Calibration staleness: how far the kernel mean shift had to move
+        // the simulated PCMs to reach the silicon operating point.
+        health_.record(probe_calibration(mc_pcms_, calibration_->total_shift,
+                                         calibration_->iterations));
 
         // The drift detector proper: does the incoming silicon PCM batch
         // still look like the KMM-calibrated reference distribution? The
@@ -469,14 +398,18 @@ void GoldenFreePipeline::run_silicon_stage(const linalg::Matrix& dutt_pcms,
         // shape and would false-alarm on a healthy calibration. On a
         // fallback the weights are collapsed, so the unweighted cloud is
         // used (the verdict is already degraded through kmm_weights).
+        //
+        // The 512-row resample consumes the stage-2 RNG stream before B4
+        // and B5 sample from it, so it is part of the B-score byte
+        // contract: moving or dropping this draw changes the B4/B5 scores
+        // and needs a re-bless of the baselines in bench/baselines/.
         constexpr std::size_t kDriftReferenceSamples = 512;
         const linalg::Matrix drift_reference =
             fallback ? calibration_->calibrated
                      : ml::weighted_resample(calibration_->calibrated,
                                              calibration_->weights,
                                              kDriftReferenceSamples, rng);
-        health_.record(health_.probe_drift("drift.pcm", drift_reference,
-                                           silicon_pcms));
+        health_.record(probe_drift("drift.pcm", drift_reference, silicon_pcms));
     }
 
     if (fallback) {
@@ -503,7 +436,7 @@ void GoldenFreePipeline::run_silicon_stage(const linalg::Matrix& dutt_pcms,
                 status_[index_of(Boundary::kB3)].detail;
             status_[index_of(Boundary::kB4)] = {BoundaryHealth::kFailed, no_fb};
             status_[index_of(Boundary::kB5)] = {BoundaryHealth::kFailed, no_fb};
-            record_boundary_probe();
+            health_.record(probe_boundaries(status_));
             silicon_done_ = true;
             journal_stage_done("KMM collapse with B3 unavailable");
             return;
@@ -533,7 +466,7 @@ void GoldenFreePipeline::run_silicon_stage(const linalg::Matrix& dutt_pcms,
             "B4 unavailable: " + status_[index_of(Boundary::kB4)].detail};
     }
 
-    record_boundary_probe();
+    health_.record(probe_boundaries(status_));
     silicon_done_ = true;
     journal_stage_done(kmm_fallback_applied_ ? "B4/B5 fell back to S3"
                                              : "B3/B4/B5 trained");
@@ -562,8 +495,7 @@ void GoldenFreePipeline::probe_incoming(const silicon::DuttDataset& dutts) const
             incoming(r, c) = std::abs(dutts.fingerprints(r, c) - predicted(r, c));
         }
     }
-    health_.record(
-        health_.probe_regression_residuals(train_abs_residuals_, incoming));
+    health_.record(probe_regression_residuals(train_abs_residuals_, incoming));
 }
 
 bool GoldenFreePipeline::boundary_ready(Boundary b) const noexcept {

@@ -29,8 +29,8 @@
 #include "ml/mars.hpp"
 #include "ml/metrics.hpp"
 #include "ml/one_class_svm.hpp"
-#include "obs/health.hpp"
 #include "obs/obs.hpp"
+#include "pipeline/health.hpp"
 #include "rng/rng.hpp"
 #include "silicon/bench_measure.hpp"
 #include "stats/kde.hpp"
@@ -132,11 +132,6 @@ struct PipelineConfig {
     /// the pipeline is constructed. The default (kInherit) leaves whatever
     /// the process / HTD_OBS environment variable configured.
     obs::Config obs{};
-
-    /// Thresholds behind the statistical health probes recorded by every
-    /// stage (KMM weight diagnostics, PCM drift, KDE tail mass, MARS fit,
-    /// SVM margins). Defaults keep the paper-default clean path all-healthy.
-    obs::HealthThresholds health{};
 };
 
 /// Stage-3 input screen shared by every scoring path (the pipeline, the
@@ -243,7 +238,7 @@ public:
     /// Statistical health probes recorded so far (cleared when stage 1
     /// re-runs; stage re-runs replace same-name probes). Serialized as the
     /// "health" section of a run_report.v2 by core::pipeline_run_report.
-    [[nodiscard]] const obs::HealthMonitor& health() const noexcept {
+    [[nodiscard]] const HealthMonitor& health() const noexcept {
         return health_;
     }
 
@@ -290,9 +285,6 @@ private:
     /// Record the `svm.<boundary>` margin probe for a freshly trained
     /// boundary (decision values over a strided sample of its dataset).
     void record_svm_probe(Boundary b) const;
-    /// Record the `boundaries` probe summarizing the BoundaryStatus array
-    /// (any failed boundary -> CRITICAL, any degraded -> DEGRADED).
-    void record_boundary_probe() const;
 
     PipelineConfig config_;
     silicon::SpiceSimulator simulator_;
@@ -318,7 +310,7 @@ private:
     /// Per-run statistical health probes. Mutable: const observers
     /// (probe_incoming, record_svm_probe) record diagnostics without
     /// changing the detection state.
-    mutable obs::HealthMonitor health_;
+    mutable HealthMonitor health_;
     /// |fingerprint - g(pcm)| on the Monte Carlo training set — the
     /// reference distribution for the incoming residual probe.
     linalg::Matrix train_abs_residuals_;

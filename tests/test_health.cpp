@@ -1,9 +1,9 @@
-/// Statistical health monitor (htd::obs v2): exported two-sample statistics
+/// Statistical health probes (pipeline/health.*): exported two-sample statistics
 /// against offline-computed references, drift-detector behavior on synthetic
 /// batches, probe thresholds, pipeline wiring, and the committed quickstart
 /// artifact.
 
-#include "obs/health.hpp"
+#include "pipeline/health.hpp"
 
 #include <cmath>
 #include <optional>
@@ -23,20 +23,20 @@
 namespace {
 
 using namespace htd;
-using obs::HealthLevel;
-using obs::HealthMonitor;
-using obs::ProbeResult;
+using core::HealthLevel;
+using core::HealthMonitor;
+using core::ProbeResult;
 
 TEST(HealthLevel, NamesRoundTrip) {
     for (const HealthLevel level :
          {HealthLevel::kHealthy, HealthLevel::kWarn, HealthLevel::kDegraded,
           HealthLevel::kCritical}) {
-        EXPECT_EQ(obs::health_level_from_name(obs::health_level_name(level)), level);
+        EXPECT_EQ(core::health_level_from_name(core::health_level_name(level)), level);
     }
-    EXPECT_THROW((void)obs::health_level_from_name("bogus"), std::invalid_argument);
-    EXPECT_EQ(obs::worse(HealthLevel::kWarn, HealthLevel::kDegraded),
+    EXPECT_THROW((void)core::health_level_from_name("bogus"), std::invalid_argument);
+    EXPECT_EQ(core::worse(HealthLevel::kWarn, HealthLevel::kDegraded),
               HealthLevel::kDegraded);
-    EXPECT_EQ(obs::worse(HealthLevel::kCritical, HealthLevel::kHealthy),
+    EXPECT_EQ(core::worse(HealthLevel::kCritical, HealthLevel::kHealthy),
               HealthLevel::kCritical);
 }
 
@@ -47,48 +47,45 @@ TEST(TwoSampleStats, KsStatisticMatchesOfflineReference) {
     // D = sup |F_a - F_b| = 2/7 for these samples.
     const std::vector<double> a{0.12, 0.55, 0.93, 1.40, 2.10, 2.75, 3.30};
     const std::vector<double> b{0.30, 0.95, 1.15, 1.85, 2.60};
-    EXPECT_NEAR(obs::ks_statistic(a, b), 0.2857142857142857, 1e-12);
-    EXPECT_NEAR(obs::scaled_ks_statistic(0.2857142857142857, a.size(), b.size()),
+    EXPECT_NEAR(core::ks_statistic(a, b), 0.2857142857142857, 1e-12);
+    EXPECT_NEAR(core::scaled_ks_statistic(0.2857142857142857, a.size(), b.size()),
                 0.48795003647426655, 1e-12);
     // Symmetry and the identical-sample case.
-    EXPECT_NEAR(obs::ks_statistic(b, a), 0.2857142857142857, 1e-12);
-    EXPECT_EQ(obs::ks_statistic(a, a), 0.0);
-    EXPECT_THROW((void)obs::ks_statistic({}, a), std::invalid_argument);
-    EXPECT_THROW((void)obs::scaled_ks_statistic(0.5, 0, 3), std::invalid_argument);
+    EXPECT_NEAR(core::ks_statistic(b, a), 0.2857142857142857, 1e-12);
+    EXPECT_EQ(core::ks_statistic(a, a), 0.0);
+    EXPECT_THROW((void)core::ks_statistic({}, a), std::invalid_argument);
+    EXPECT_THROW((void)core::scaled_ks_statistic(0.5, 0, 3), std::invalid_argument);
 }
 
 TEST(TwoSampleStats, KsStatisticDisjointSupportsIsOne) {
     const std::vector<double> lo{0.0, 0.1, 0.2};
     const std::vector<double> hi{5.0, 5.1, 5.2, 5.3};
-    EXPECT_NEAR(obs::ks_statistic(lo, hi), 1.0, 1e-12);
+    EXPECT_NEAR(core::ks_statistic(lo, hi), 1.0, 1e-12);
 }
 
 TEST(TwoSampleStats, EnergyDistanceMatchesOfflineReference) {
     // V-statistic estimate computed offline for these row sets.
     const linalg::Matrix a{{0.0, 0.0}, {1.0, 0.5}, {2.0, 1.5}, {0.5, 2.0}};
     const linalg::Matrix b{{0.5, 0.25}, {1.5, 1.0}, {2.5, 2.0}};
-    EXPECT_NEAR(obs::energy_distance(a, b), 0.4490105346972, 1e-10);
-    EXPECT_NEAR(obs::energy_coefficient(a, b), 0.15410684218537768, 1e-10);
+    EXPECT_NEAR(core::energy_distance(a, b), 0.4490105346972, 1e-10);
+    EXPECT_NEAR(core::energy_coefficient(a, b), 0.15410684218537768, 1e-10);
     // Identical samples agree exactly; mismatched shapes are rejected.
-    EXPECT_NEAR(obs::energy_distance(a, a), 0.0, 1e-12);
-    EXPECT_EQ(obs::energy_coefficient(a, a), 0.0);
+    EXPECT_NEAR(core::energy_distance(a, a), 0.0, 1e-12);
+    EXPECT_EQ(core::energy_coefficient(a, a), 0.0);
     const linalg::Matrix one_col{{1.0}, {2.0}};
-    EXPECT_THROW((void)obs::energy_distance(a, one_col), std::invalid_argument);
-    EXPECT_EQ(obs::energy_coefficient(a, one_col), 0.0);
+    EXPECT_THROW((void)core::energy_distance(a, one_col), std::invalid_argument);
+    EXPECT_EQ(core::energy_coefficient(a, one_col), 0.0);
 }
 
-TEST(TwoSampleStats, KishEssAndEntropy) {
+TEST(TwoSampleStats, WeightEntropyRatio) {
     const std::vector<double> uniform(8, 0.25);
-    EXPECT_NEAR(obs::kish_ess(uniform), 8.0, 1e-12);
-    EXPECT_NEAR(obs::weight_entropy_ratio(uniform), 1.0, 1e-12);
+    EXPECT_NEAR(core::weight_entropy_ratio(uniform), 1.0, 1e-12);
 
     std::vector<double> collapsed(8, 0.0);
     collapsed[3] = 5.0;
-    EXPECT_NEAR(obs::kish_ess(collapsed), 1.0, 1e-12);
-    EXPECT_NEAR(obs::weight_entropy_ratio(collapsed), 0.0, 1e-12);
+    EXPECT_NEAR(core::weight_entropy_ratio(collapsed), 0.0, 1e-12);
 
-    EXPECT_EQ(obs::kish_ess({}), 0.0);
-    EXPECT_EQ(obs::weight_entropy_ratio({}), 0.0);
+    EXPECT_EQ(core::weight_entropy_ratio({}), 0.0);
 }
 
 // --- drift detector on synthetic batches ------------------------------------
@@ -107,8 +104,7 @@ TEST(DriftProbe, SameDistributionStaysBelowWarn) {
     rng::Rng rng(0xd21f7'5eedULL);
     const linalg::Matrix reference = gaussian_batch(rng, 500, 1.0, 0.3);
     const linalg::Matrix incoming = gaussian_batch(rng, 500, 1.0, 0.3);
-    const HealthMonitor monitor;
-    const ProbeResult probe = monitor.probe_drift("drift.test", reference, incoming);
+    const ProbeResult probe = core::probe_drift("drift.test", reference, incoming);
     EXPECT_EQ(probe.level, HealthLevel::kHealthy) << probe.detail;
 }
 
@@ -119,8 +115,7 @@ TEST(DriftProbe, MeanShiftTripsCritical) {
     for (std::size_t r = 0; r < incoming.rows(); ++r) {
         incoming(r, 0) += 0.45;  // 1.5 sigma mean shift on channel 0
     }
-    const HealthMonitor monitor;
-    const ProbeResult probe = monitor.probe_drift("drift.test", reference, incoming);
+    const ProbeResult probe = core::probe_drift("drift.test", reference, incoming);
     EXPECT_EQ(probe.level, HealthLevel::kCritical) << probe.detail;
 }
 
@@ -128,8 +123,7 @@ TEST(DriftProbe, VarianceInflationTripsCritical) {
     rng::Rng rng(0xd21f7'5eedULL);
     const linalg::Matrix reference = gaussian_batch(rng, 500, 1.0, 0.3);
     const linalg::Matrix incoming = gaussian_batch(rng, 500, 1.0, 0.9);
-    const HealthMonitor monitor;
-    const ProbeResult probe = monitor.probe_drift("drift.test", reference, incoming);
+    const ProbeResult probe = core::probe_drift("drift.test", reference, incoming);
     EXPECT_EQ(probe.level, HealthLevel::kCritical) << probe.detail;
 }
 
@@ -137,8 +131,7 @@ TEST(DriftProbe, EmitsPerChannelStatistics) {
     rng::Rng rng(1);
     const linalg::Matrix reference = gaussian_batch(rng, 60, 0.0, 1.0);
     const linalg::Matrix incoming = gaussian_batch(rng, 40, 0.0, 1.0);
-    const HealthMonitor monitor;
-    const ProbeResult probe = monitor.probe_drift("drift.test", reference, incoming);
+    const ProbeResult probe = core::probe_drift("drift.test", reference, incoming);
     bool saw_ks_ch0 = false;
     bool saw_ks_ch1 = false;
     bool saw_energy = false;
@@ -157,29 +150,26 @@ TEST(DriftProbe, EmitsPerChannelStatistics) {
 }
 
 TEST(DriftProbe, DegenerateInputsAreCritical) {
-    const HealthMonitor monitor;
     const linalg::Matrix some{{1.0, 2.0}};
-    const ProbeResult probe = monitor.probe_drift("drift.test", some, linalg::Matrix{});
+    const ProbeResult probe = core::probe_drift("drift.test", some, linalg::Matrix{});
     EXPECT_EQ(probe.level, HealthLevel::kCritical);
 }
 
 // --- other probes ------------------------------------------------------------
 
 TEST(KmmProbe, UniformWeightsHealthyCollapsedCritical) {
-    const HealthMonitor monitor;
-    const std::vector<double> uniform(100, 1.0);
-    EXPECT_EQ(monitor.probe_kmm_weights(uniform).level, HealthLevel::kHealthy);
+    const linalg::Vector uniform(100, 1.0);
+    EXPECT_EQ(core::probe_kmm_weights(uniform).level, HealthLevel::kHealthy);
 
-    std::vector<double> collapsed(100, 1e-9);
+    linalg::Vector collapsed(100, 1e-9);
     collapsed[0] = 5.0;
-    const ProbeResult probe = monitor.probe_kmm_weights(collapsed);
+    const ProbeResult probe = core::probe_kmm_weights(collapsed);
     EXPECT_EQ(probe.level, HealthLevel::kCritical) << probe.detail;
 
-    EXPECT_EQ(monitor.probe_kmm_weights({}).level, HealthLevel::kCritical);
+    EXPECT_EQ(core::probe_kmm_weights({}).level, HealthLevel::kCritical);
 }
 
 TEST(ResidualProbe, InflatedIncomingResidualsEscalate) {
-    const HealthMonitor monitor;
     linalg::Matrix train(50, 2);
     linalg::Matrix incoming(50, 2);
     rng::Rng rng(7);
@@ -189,12 +179,12 @@ TEST(ResidualProbe, InflatedIncomingResidualsEscalate) {
             incoming(r, c) = train(r, c);
         }
     }
-    EXPECT_EQ(monitor.probe_regression_residuals(train, incoming).level,
+    EXPECT_EQ(core::probe_regression_residuals(train, incoming).level,
               HealthLevel::kHealthy);
     for (std::size_t r = 0; r < 50; ++r) {
         for (std::size_t c = 0; c < 2; ++c) incoming(r, c) = train(r, c) * 40.0;
     }
-    const ProbeResult probe = monitor.probe_regression_residuals(train, incoming);
+    const ProbeResult probe = core::probe_regression_residuals(train, incoming);
     EXPECT_EQ(probe.level, HealthLevel::kCritical) << probe.detail;
 }
 
@@ -212,7 +202,7 @@ ProbeResult kde_probe(std::size_t n, std::size_t outside, double far = 0.0) {
         synthetic(0, 0) = 0.0;
         synthetic(1, 0) = far;
     }
-    return HealthMonitor().probe_kde("kde.test", source, synthetic, 0.1);
+    return core::probe_kde("kde.test", source, synthetic, 0.1);
 }
 
 TEST(KdeProbe, TailMassBandEdges) {
@@ -246,7 +236,7 @@ TEST(KdeProbe, RangeExpansionBandEdges) {
 ProbeResult svm_probe(std::size_t support_vectors, std::size_t outside) {
     std::vector<double> decisions(1000, 1.0);
     for (std::size_t i = 0; i < outside; ++i) decisions[i] = -1.0;
-    return HealthMonitor().probe_svm_margins("svm.test", decisions, 0.1,
+    return core::probe_svm_margins("svm.test", decisions, 0.1,
                                              support_vectors, 100);
 }
 
@@ -282,18 +272,38 @@ TEST(MarsProbe, MeanR2BandEdges) {
     // critical.
     const linalg::Matrix residuals{{0.1, 0.2}, {0.3, 0.4}};
     const auto level = [&](std::vector<double> r2) {
-        return HealthMonitor().probe_mars_fit(r2, residuals).level;
+        return core::probe_mars_fit(r2, residuals).level;
     };
     EXPECT_EQ(level({0.51, 0.51}), HealthLevel::kHealthy);
     EXPECT_EQ(level({0.49, 0.49}), HealthLevel::kWarn);
     EXPECT_EQ(level({0.21, 0.21}), HealthLevel::kWarn);
     EXPECT_EQ(level({0.19, 0.19}), HealthLevel::kCritical);
     const ProbeResult critical =
-        HealthMonitor().probe_mars_fit(std::vector<double>{0.19, 0.19}, residuals);
+        core::probe_mars_fit(std::vector<double>{0.19, 0.19}, residuals);
     EXPECT_EQ(critical.detail, "mean training R^2 0.190000 below 0.200000");
     const ProbeResult warn =
-        HealthMonitor().probe_mars_fit(std::vector<double>{0.49, 0.49}, residuals);
+        core::probe_mars_fit(std::vector<double>{0.49, 0.49}, residuals);
     EXPECT_EQ(warn.detail, "mean training R^2 0.490000 below 0.500000");
+}
+
+TEST(CalibrationProbe, ShiftBandEdges) {
+    // DESIGN §10: a kernel mean shift above 8 reference sigmas warns, above
+    // 16 is critical. The reference column {-1, 0, 1} has unit variance, so
+    // the shift norm is the shift in sigmas.
+    const linalg::Matrix reference{{-1.0}, {0.0}, {1.0}};
+    const auto probe = [&](double shift) {
+        return core::probe_calibration(reference, linalg::Vector{shift}, 3);
+    };
+    EXPECT_EQ(probe(7.99).level, HealthLevel::kHealthy);
+    const ProbeResult warn = probe(8.01);
+    EXPECT_EQ(warn.level, HealthLevel::kWarn);
+    EXPECT_EQ(warn.detail,
+              "calibration shift 8.010000 reference sigmas (above 8.000000)");
+    EXPECT_EQ(probe(15.99).level, HealthLevel::kWarn);
+    const ProbeResult critical = probe(16.01);
+    EXPECT_EQ(critical.level, HealthLevel::kCritical);
+    EXPECT_EQ(critical.detail,
+              "calibration shift 16.010000 reference sigmas (above 16.000000)");
 }
 
 TEST(MonitorState, RecordReplacesSameNameAndAggregatesVerdict) {
@@ -357,7 +367,7 @@ TEST(PipelineHealth, CleanRunReportsAllProbesHealthy) {
     pipeline.run_silicon_stage(measured.pcms, pipe_rng);
     pipeline.probe_incoming(measured);
 
-    const obs::HealthMonitor& health = pipeline.health();
+    const core::HealthMonitor& health = pipeline.health();
     EXPECT_EQ(health.verdict(), HealthLevel::kHealthy);
     for (const char* name : {"mars_fit", "kmm_weights", "calibration", "drift.pcm",
                              "kde.s2", "kde.s5", "boundaries",
@@ -405,7 +415,7 @@ TEST(PipelineHealth, ForcedDriftAndCollapseDegradeVerdictWithPerChannelKs) {
     pipeline.run_silicon_stage(measured.pcms, pipe_rng);
 
     ASSERT_TRUE(pipeline.kmm_fallback_applied());
-    const obs::HealthMonitor& health = pipeline.health();
+    const core::HealthMonitor& health = pipeline.health();
     EXPECT_GE(static_cast<int>(health.verdict()),
               static_cast<int>(HealthLevel::kDegraded));
 
@@ -433,7 +443,7 @@ TEST(PipelineHealth, ForcedDriftAndCollapseDegradeVerdictWithPerChannelKs) {
     const io::Json& doc = report.json();
     ASSERT_TRUE(doc.contains("health"));
     const HealthLevel reported =
-        obs::health_level_from_name(doc.at("health").at("verdict").str());
+        core::health_level_from_name(doc.at("health").at("verdict").str());
     EXPECT_GE(static_cast<int>(reported), static_cast<int>(HealthLevel::kDegraded));
 }
 
@@ -472,7 +482,7 @@ TEST(PipelineHealth, KmmCollapseFallbackVisibleInReportHealthAndJournal) {
     for (const io::Json& probe : doc.at("health").at("probes").elements()) {
         if (probe.at("name").str() != "boundaries") continue;
         EXPECT_GE(static_cast<int>(
-                      obs::health_level_from_name(probe.at("level").str())),
+                      core::health_level_from_name(probe.at("level").str())),
                   static_cast<int>(HealthLevel::kDegraded));
         EXPECT_NE(probe.at("detail").str().find("B4 degraded"),
                   std::string::npos)

@@ -245,6 +245,16 @@ INSTANTIATE_TEST_SUITE_P(Gaps, CalibratorGapSweep,
 
 namespace {
 
+TEST(EffectiveSampleSize, UniformCollapsedAndEmpty) {
+    // Kish ESS (sum w)^2 / sum w^2: n for uniform weights, 1 when one
+    // weight carries all the mass, 0 for an empty vector.
+    EXPECT_NEAR(htd::ml::effective_sample_size(Vector(8, 0.25)), 8.0, 1e-12);
+    Vector collapsed(8, 0.0);
+    collapsed[3] = 5.0;
+    EXPECT_NEAR(htd::ml::effective_sample_size(collapsed), 1.0, 1e-12);
+    EXPECT_EQ(htd::ml::effective_sample_size(Vector{}), 0.0);
+}
+
 TEST(WeightedResample, FollowsWeights) {
     Rng rng(30);
     Matrix data(3, 1);

@@ -38,7 +38,8 @@
 #                                  # the htd_score calibrate -> score
 #                                  # sequence twice with --journal and cmp's
 #                                  # the boundary artifact, fingerprints CSV,
-#                                  # both B-score reports and the journal;
+#                                  # both B-score reports, the score-time
+#                                  # --explain records and the journal;
 #                                  # requires score to reproduce the
 #                                  # calibrate-time B-scores byte for byte,
 #                                  # the journal to validate with htd_explain,
@@ -129,9 +130,10 @@ run_determinism() {
     fi
     # Prong 2: two same-seed calibrate -> score sequences with --journal
     # and normalized events (ts_ns = seq). The boundary artifact, the
-    # measured fingerprints, both B-score reports and the htd.events.v1
-    # journal carry no wall-clock state, so all of them must match
-    # byte-for-byte across runs (DESIGN.md §15 for the journal contract).
+    # measured fingerprints, both B-score reports, the htd.explain.v1
+    # records of every chip and the htd.events.v1 journal carry no
+    # wall-clock state, so all of them must match byte-for-byte across runs
+    # (DESIGN.md §15 for the explain and journal contracts).
     # Score may exit 1 (devices flagged) at this tiny calibration budget;
     # that is a verdict, not an error.
     local score=./build-release/tools/htd_score/htd_score
@@ -149,6 +151,7 @@ run_determinism() {
             --artifact "$out/boundary_$run.json" \
             --fingerprints "$out/fingerprints_$run.csv" \
             --bscores "$out/scored_$run.json" \
+            --explain "$out/explain_$run.json" \
             --journal "$out/journal_$run.jsonl" || rc=$?
         if [[ "$rc" != 0 && "$rc" != 1 ]]; then
             echo "check.sh: determinism: score exited $rc, want 0 or 1" >&2
@@ -156,7 +159,7 @@ run_determinism() {
         fi
     done
     for f in boundary.json fingerprints.csv ref.json scored.json \
-             journal.jsonl; do
+             explain.json journal.jsonl; do
         if ! cmp "$out/${f%.*}_a.${f##*.}" "$out/${f%.*}_b.${f##*.}"; then
             echo "check.sh: determinism: same-seed $f artifacts differ" >&2
             return 1

@@ -13,35 +13,6 @@ namespace htd::core {
 
 namespace {
 
-/// Tail mass of `x` under a persisted adaptive estimator: the density at x
-/// and the fraction of calibration observations whose own density is at
-/// most x's. Observations are reconstructed from the standardized pilot
-/// representation (obs = std * scale + mean) — the exact state the artifact
-/// round-trips, so the numbers match in-process and loaded scorers bitwise.
-KdeTailMass tail_mass(const std::optional<stats::AdaptiveKde::State>& state,
-                      const linalg::Vector& x) {
-    KdeTailMass out;
-    if (!state.has_value() || state->pilot.std_data.cols() != x.size()) {
-        return out;
-    }
-    const stats::AdaptiveKde kde = stats::AdaptiveKde::from_state(*state);
-    out.present = true;
-    out.density = kde.density(x);
-    const linalg::Matrix& std_data = state->pilot.std_data;
-    std::size_t at_most = 0;
-    linalg::Vector obs(std_data.cols());
-    for (std::size_t i = 0; i < std_data.rows(); ++i) {
-        for (std::size_t c = 0; c < std_data.cols(); ++c) {
-            obs[c] = std_data(i, c) * state->pilot.col_scale[c] +
-                     state->pilot.col_mean[c];
-        }
-        if (kde.density(obs) <= out.density) ++at_most;
-    }
-    out.tail_percentile =
-        static_cast<double>(at_most) / static_cast<double>(std_data.rows());
-    return out;
-}
-
 io::Json tail_mass_json(const KdeTailMass& t) {
     io::Json doc = io::Json::object();
     doc.set("present", t.present);
@@ -53,6 +24,41 @@ io::Json tail_mass_json(const KdeTailMass& t) {
 }
 
 }  // namespace
+
+KdeTailReference::KdeTailReference(const stats::AdaptiveKde::State& state)
+    : kde_(stats::AdaptiveKde::from_state(state)) {
+    const linalg::Matrix& std_data = state.pilot.std_data;
+    sorted_densities_.reserve(std_data.rows());
+    linalg::Vector obs(std_data.cols());
+    for (std::size_t i = 0; i < std_data.rows(); ++i) {
+        for (std::size_t c = 0; c < std_data.cols(); ++c) {
+            obs[c] = std_data(i, c) * state.pilot.col_scale[c] +
+                     state.pilot.col_mean[c];
+        }
+        // A NaN density is never <= the chip's, so it never counts; leaving
+        // it out keeps the sort well-defined.
+        if (const double f = kde_.density(obs); !std::isnan(f)) {
+            sorted_densities_.push_back(f);
+        }
+    }
+    std::sort(sorted_densities_.begin(), sorted_densities_.end());
+}
+
+KdeTailMass KdeTailReference::at(const linalg::Vector& x) const {
+    KdeTailMass out;
+    if (kde_.dim() != x.size()) return out;
+    out.present = true;
+    out.density = kde_.density(x);
+    // The ascending densities <= the chip's form a prefix (none when the
+    // chip's density is NaN), so its length is the `<=` count.
+    const auto at_most = std::partition_point(sorted_densities_.begin(),
+                                              sorted_densities_.end(),
+                                              [&](double f) { return f <= out.density; }) -
+                         sorted_densities_.begin();
+    out.tail_percentile = static_cast<double>(at_most) /
+                          static_cast<double>(kde_.observation_count());
+    return out;
+}
 
 io::Json ExplainRecord::to_json() const {
     io::Json bs = io::Json::array();
@@ -205,8 +211,15 @@ ExplainRecord BoundaryScorer::explain(const linalg::Vector& fingerprint,
         rec.flagged = vbe.usable && !vbe.inside;
     }
 
-    rec.kde_s2 = tail_mass(artifact_.kde_s2(), fingerprint);
-    rec.kde_s5 = tail_mass(artifact_.kde_s5(), fingerprint);
+    // The calibration densities depend only on the artifact: rank them on
+    // the first explain, not at construction, so loading a scorer that only
+    // scores pays nothing for them.
+    std::call_once(tail_once_, [this] {
+        if (artifact_.kde_s2().has_value()) tail_s2_.emplace(*artifact_.kde_s2());
+        if (artifact_.kde_s5().has_value()) tail_s5_.emplace(*artifact_.kde_s5());
+    });
+    if (tail_s2_.has_value()) rec.kde_s2 = tail_s2_->at(fingerprint);
+    if (tail_s5_.has_value()) rec.kde_s5 = tail_s5_->at(fingerprint);
     return rec;
 }
 

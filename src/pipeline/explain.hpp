@@ -19,7 +19,9 @@
 /// adaptive estimators: the density at the chip and the fraction of
 /// calibration observations whose own density is at most the chip's (a
 /// density-percentile — 0 means "deeper in the tail than every calibration
-/// sample").
+/// sample"). The calibration densities depend only on the artifact, so a
+/// scorer ranks them once (`KdeTailReference`) and each chip then costs one
+/// density evaluation per estimator.
 ///
 /// Everything is computed from the artifact's persisted state — the same
 /// representation `htd.boundary.v1` round-trips bitwise — so a record is
@@ -34,7 +36,9 @@
 #include <vector>
 
 #include "io/json.hpp"
+#include "linalg/matrix.hpp"
 #include "pipeline/pipeline.hpp"
+#include "stats/kde.hpp"
 
 namespace htd::core {
 
@@ -80,6 +84,25 @@ struct KdeTailMass {
     /// Fraction of calibration observations with density <= the chip's;
     /// 0 = deeper in the tail than every calibration sample.
     double tail_percentile = 0.0;
+};
+
+/// One persisted S2/S5 estimator, rebuilt once, with the ascending densities
+/// of its own calibration observations (reconstructed as std * scale + mean
+/// from the artifact state, so in-process and loaded scorers agree bitwise).
+class KdeTailReference {
+public:
+    /// Evaluates the M observation densities; throws like
+    /// AdaptiveKde::from_state.
+    explicit KdeTailReference(const stats::AdaptiveKde::State& state);
+
+    /// Tail mass of `x`: the density there and the share of the M
+    /// observations whose density is at most it, ties included — the count
+    /// a `<=` scan gives. Not present when the widths disagree.
+    [[nodiscard]] KdeTailMass at(const linalg::Vector& x) const;
+
+private:
+    stats::AdaptiveKde kde_;
+    std::vector<double> sorted_densities_;  ///< ascending, NaN densities left out
 };
 
 /// The full htd.explain.v1 record for one chip.

@@ -11,6 +11,7 @@
 /// persisted in the exact representation the decision function consumes,
 /// and doubles round-trip exactly through the JSON layer.
 
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -60,7 +61,10 @@ public:
     /// ranking with z-scores, k nearest calibration neighbours, and the S2/
     /// S5 KDE tail mass. Deterministic at fixed seed and bitwise-identical
     /// between an in-process artifact and its save/load round trip. Throws
-    /// DimensionError / DataQualityError like classify.
+    /// DimensionError / DataQualityError like classify. The first call
+    /// builds the S2/S5 tail references (M calibration densities each,
+    /// once per scorer, thread-safe); later calls evaluate one density per
+    /// estimator.
     [[nodiscard]] ExplainRecord explain(const linalg::Vector& fingerprint,
                                         std::string chip,
                                         const ExplainOptions& opts = {}) const;
@@ -82,6 +86,10 @@ private:
     [[nodiscard]] const ml::OneClassSvm& svm_for(Boundary b) const;
 
     BoundaryArtifact artifact_;
+    // Built by the first explain under tail_once_, read-only after.
+    mutable std::once_flag tail_once_;
+    mutable std::optional<KdeTailReference> tail_s2_;
+    mutable std::optional<KdeTailReference> tail_s5_;
 };
 
 }  // namespace htd::core

@@ -18,7 +18,6 @@ int main() {
     using namespace htd;
 
     core::ExperimentConfig config;
-    config.pipeline.obs.sink = obs::SinkKind::kJson;  // time the stages for the report
     rng::Rng master(config.seed);
     rng::Rng fab_rng = master.split();
     rng::Rng sim_rng = master.split();
@@ -29,6 +28,7 @@ int main() {
 
     const core::ProcessPair processes =
         core::make_process_pair(config.process_shift_sigma);
+    obs::Registry::global().configure(obs::SinkKind::kJson);  // time the stages for the report
     core::GoldenFreePipeline pipeline(
         config.pipeline, silicon::SpiceSimulator(config.platform, processes.spice));
     pipeline.run_premanufacturing(sim_rng);

@@ -26,12 +26,6 @@ int main() {
     config.n_chips = 12;                         // small demo lot: 36 devices
     config.pipeline.synthetic_samples = 20000;   // faster than the paper's 1e5
 
-    // Collect spans + metrics for the RunReport unless the HTD_OBS
-    // environment variable already picked a sink (e.g. HTD_OBS=text).
-    if (obs::Registry::global().sink() == obs::SinkKind::kOff) {
-        config.pipeline.obs.sink = obs::SinkKind::kJson;
-    }
-
     // 2. Fabricate and measure the devices under Trojan test. In a real
     //    deployment this is the tester output; here the virtual fab plays
     //    the (untrusted) foundry.
@@ -46,6 +40,11 @@ int main() {
     //    silicon operating point, KDE tail enhancement.
     const core::ProcessPair processes =
         core::make_process_pair(config.process_shift_sigma);
+    // Collect spans + metrics for the RunReport unless the HTD_OBS
+    // environment variable already picked a sink (e.g. HTD_OBS=text).
+    if (obs::Registry::global().sink() == obs::SinkKind::kOff) {
+        obs::Registry::global().configure(obs::SinkKind::kJson);
+    }
     core::GoldenFreePipeline pipeline(
         config.pipeline, silicon::SpiceSimulator(config.platform, processes.spice));
     rng::Rng sim_rng = rng.split();

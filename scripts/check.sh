@@ -43,8 +43,11 @@
 #                                  # requires score to reproduce the
 #                                  # calibrate-time B-scores byte for byte,
 #                                  # the journal to validate with htd_explain,
-#                                  # and a truncated artifact to be rejected
-#                                  # with exit code 2
+#                                  # a truncated artifact to be rejected
+#                                  # with exit code 2, and a boundary
+#                                  # section swap to be scored around with
+#                                  # both rejections reported (and refused
+#                                  # with exit code 2 under --strict)
 #
 # All presets build with HTD_WARNINGS_AS_ERRORS=ON: a new warning anywhere
 # in src/, tools/, bench/ or tests/ fails the build rather than scrolling
@@ -190,6 +193,39 @@ run_determinism() {
         --bscores "$out/rejected.json" || rc=$?
     if [[ "$rc" != 2 ]]; then
         echo "check.sh: determinism: corrupt artifact exited $rc, want 2" >&2
+        return 1
+    fi
+    # The tolerant path: seed 3 swaps two boundary.* payloads, which
+    # fails both name-bound CRCs. A tolerant score keeps scoring on the
+    # other boundaries and warns once per rejected section; --strict refuses
+    # the artifact with exit code 2.
+    cp "$out/boundary_a.json" "$out/swapped.json"
+    local swap
+    swap=$("$score" inject --artifact "$out/swapped.json" \
+        --fault section_swap --seed 3)
+    if ! grep -qE 'section_swap: boundary\.B[1-5] <-> boundary\.B[1-5]' <<< "$swap"; then
+        echo "check.sh: determinism: want a swap of two boundary sections, got: $swap" >&2
+        return 1
+    fi
+    rc=0
+    "$score" score --artifact "$out/swapped.json" \
+        --fingerprints "$out/fingerprints_a.csv" \
+        --bscores "$out/swapped_scores.json" 2> "$out/swapped.err" || rc=$?
+    if [[ "$rc" != 0 && "$rc" != 1 ]]; then
+        echo "check.sh: determinism: swapped artifact exited $rc, want 0 or 1" >&2
+        return 1
+    fi
+    if [[ "$(grep -c 'failed artifact validation' "$out/swapped.err")" != 2 ]]; then
+        echo "check.sh: determinism: swapped artifact did not report both rejected sections" >&2
+        cat "$out/swapped.err" >&2
+        return 1
+    fi
+    rc=0
+    "$score" score --strict --artifact "$out/swapped.json" \
+        --fingerprints "$out/fingerprints_a.csv" \
+        --bscores "$out/swapped_strict.json" || rc=$?
+    if [[ "$rc" != 2 ]]; then
+        echo "check.sh: determinism: strict score of swapped artifact exited $rc, want 2" >&2
         return 1
     fi
     rm -rf "$out"

@@ -9,7 +9,6 @@ std::string pipeline_error_code_name(PipelineErrorCode code) {
         case PipelineErrorCode::kDimensionMismatch: return "dimension_mismatch";
         case PipelineErrorCode::kDataQuality: return "data_quality";
         case PipelineErrorCode::kBoundaryUnavailable: return "boundary_unavailable";
-        case PipelineErrorCode::kCalibrationCollapse: return "calibration_collapse";
         case PipelineErrorCode::kArtifact: return "artifact";
     }
     return "unknown";

@@ -4,10 +4,10 @@
 /// pipeline and the ingestion layer can signal carries a machine-readable
 /// `PipelineErrorCode`, so callers can distinguish misuse (stage ordering,
 /// dimension mismatches) from data problems (non-finite measurements, a
-/// rejected lot) and from statistical degradation (a collapsed KMM
-/// calibration) — and react differently: misuse is a bug, data problems
-/// call for re-measurement, degradation for falling back to a healthier
-/// boundary.
+/// rejected lot) — and react differently: misuse is a bug, data problems
+/// call for re-measurement. Statistical degradation (a collapsed KMM
+/// calibration) is not an error: the pipeline falls back to a healthier
+/// boundary and records it in the boundary status.
 
 #include <stdexcept>
 #include <string>
@@ -21,7 +21,6 @@ enum class PipelineErrorCode {
     kDimensionMismatch,    ///< matrix shape disagrees with the trained model
     kDataQuality,          ///< non-finite / out-of-range / rejected measurements
     kBoundaryUnavailable,  ///< requested boundary not trained or failed
-    kCalibrationCollapse,  ///< KMM effective sample size below the floor
     kArtifact,             ///< persisted boundary artifact invalid or corrupt
 };
 
@@ -82,27 +81,6 @@ class BoundaryUnavailableError : public PipelineError {
 public:
     explicit BoundaryUnavailableError(const std::string& message)
         : PipelineError(PipelineErrorCode::kBoundaryUnavailable, message) {}
-};
-
-/// The KMM calibration weights collapsed: their Kish effective sample size
-/// fell below the configured floor and the B4->B3 fallback was disabled.
-class CalibrationCollapseError : public PipelineError {
-public:
-    CalibrationCollapseError(const std::string& message, double effective_sample_size,
-                             double floor)
-        : PipelineError(PipelineErrorCode::kCalibrationCollapse, message),
-          ess_(effective_sample_size),
-          floor_(floor) {}
-
-    /// Kish effective sample size the calibration actually achieved.
-    [[nodiscard]] double effective_sample_size() const noexcept { return ess_; }
-
-    /// The configured floor it fell below.
-    [[nodiscard]] double floor() const noexcept { return floor_; }
-
-private:
-    double ess_;
-    double floor_;
 };
 
 }  // namespace htd::core

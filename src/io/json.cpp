@@ -1,6 +1,5 @@
 #include "io/json.hpp"
 
-#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -27,8 +26,9 @@ public:
 
 private:
     [[noreturn]] void fail(const std::string& what) const {
-        throw std::invalid_argument("Json::parse: " + what + " at offset " +
-                                    std::to_string(pos_));
+        throw JsonParseError("Json::parse: " + what + " at offset " +
+                                 std::to_string(pos_),
+                             pos_);
     }
 
     void skip_whitespace() {
@@ -199,21 +199,39 @@ private:
         }
     }
 
+    /// RFC 8259 number: -? (0 | [1-9] digit*) (. digit+)? ([eE] [+-]? digit+)?
+    /// A leading '.' or '+', a leading zero or a bare '.'/'e' is rejected:
+    /// strtod would accept them, and a flipped byte that turns "0.5" into
+    /// " .5" would then re-serialize identically and pass a section CRC.
     Json parse_number() {
         const std::size_t start = pos_;
-        if (peek() == '-') ++pos_;
-        while (pos_ < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-                text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-                text_[pos_] == '+' || text_[pos_] == '-')) {
+        const auto next_is = [&](char c) {
+            return pos_ < text_.size() && text_[pos_] == c;
+        };
+        const auto digits = [&] {
+            const std::size_t from = pos_;
+            while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
+                ++pos_;
+            }
+            return pos_ - from;
+        };
+        if (next_is('-')) ++pos_;
+        const std::size_t int_start = pos_;
+        const std::size_t int_digits = digits();
+        if (int_digits == 0 || (int_digits > 1 && text_[int_start] == '0')) {
+            fail("invalid number");
+        }
+        if (next_is('.')) {
             ++pos_;
+            if (digits() == 0) fail("invalid number");
+        }
+        if (next_is('e') || next_is('E')) {
+            ++pos_;
+            if (next_is('+') || next_is('-')) ++pos_;
+            if (digits() == 0) fail("invalid number");
         }
         const std::string token(text_.substr(start, pos_ - start));
-        if (token.empty() || token == "-") fail("invalid number");
-        char* end = nullptr;
-        const double value = std::strtod(token.c_str(), &end);
-        if (end != token.c_str() + token.size()) fail("invalid number");
-        return Json(value);
+        return Json(std::strtod(token.c_str(), nullptr));
     }
 
     std::string_view text_;

@@ -9,6 +9,7 @@
 #include <cstddef>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -16,6 +17,19 @@
 #include "linalg/matrix.hpp"
 
 namespace htd::io {
+
+/// Json::parse rejected its input. what() reads "Json::parse: <reason> at
+/// offset N"; offset() is that N, the byte position where parsing stopped.
+class JsonParseError : public std::invalid_argument {
+public:
+    JsonParseError(const std::string& message, std::size_t offset)
+        : std::invalid_argument(message), offset_(offset) {}
+
+    [[nodiscard]] std::size_t offset() const noexcept { return offset_; }
+
+private:
+    std::size_t offset_;
+};
 
 /// A JSON value: null, bool, number, string, array or object.
 class Json {
@@ -44,11 +58,11 @@ public:
     [[nodiscard]] static Json from(const linalg::Matrix& m);
 
     /// Parse one JSON document (with optional surrounding whitespace);
-    /// throws std::invalid_argument on malformed input or trailing content.
+    /// throws JsonParseError on malformed input or trailing content.
     [[nodiscard]] static Json parse(std::string_view text);
 
     /// Read and parse a file; throws std::runtime_error on IO failure and
-    /// std::invalid_argument on malformed content.
+    /// JsonParseError on malformed content.
     [[nodiscard]] static Json parse_file(const std::string& path);
 
     /// Append to an array; throws std::logic_error when not an array.

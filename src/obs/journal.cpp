@@ -101,8 +101,6 @@ void EventJournal::reset_locked() {
     if (out_.is_open()) out_.close();
     path_.clear();
     seq_ = 0;
-    rotate_bytes_ = 0;
-    bytes_written_ = 0;
     ring_.clear();
     ring_head_ = 0;
 }
@@ -133,11 +131,6 @@ void EventJournal::close() {
     reset_locked();
 }
 
-void EventJournal::set_rotate_bytes(std::uint64_t max_bytes) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    rotate_bytes_ = max_bytes;
-}
-
 void EventJournal::append(Event event) {
     if (!enabled()) return;
     if (!event_kind_registered(event.kind)) {
@@ -153,29 +146,6 @@ void EventJournal::append(Event event) {
                                : wall_clock_ns();
     if (out_.is_open()) {
         const std::string line = event.to_json().dump() + "\n";
-        if (rotate_bytes_ > 0 && bytes_written_ > 0 &&
-            bytes_written_ + line.size() > rotate_bytes_) {
-            // Atomic rotation: the closed stream is renamed aside in one
-            // step, then a fresh stream continues the sequence. A crash
-            // between the two loses no records — either the rename did not
-            // happen (journal intact) or `<path>.1` holds everything.
-            out_.close();
-            const std::string aside = path_ + ".1";
-            std::remove(aside.c_str());
-            if (std::rename(path_.c_str(), aside.c_str()) != 0) {
-                enabled_.store(false, std::memory_order_relaxed);
-                throw std::runtime_error("EventJournal: cannot rotate " +
-                                         path_ + " -> " + aside);
-            }
-            out_.open(path_, std::ios::binary | std::ios::app);
-            if (!out_.is_open()) {
-                enabled_.store(false, std::memory_order_relaxed);
-                throw std::runtime_error(
-                    "EventJournal: cannot reopen journal file " + path_ +
-                    " after rotation");
-            }
-            bytes_written_ = 0;
-        }
         out_.write(line.data(), static_cast<std::streamsize>(line.size()));
         out_.flush();
         if (!out_.good()) {
@@ -183,7 +153,6 @@ void EventJournal::append(Event event) {
             throw std::runtime_error("EventJournal: write to " + path_ +
                                      " failed");
         }
-        bytes_written_ += line.size();
     }
     if (ring_.size() < kMaxRecentEvents) {
         ring_.push_back(std::move(event));

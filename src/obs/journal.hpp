@@ -22,12 +22,10 @@
 ///
 /// Crash-safety contract: each record is serialized as one compact JSON
 /// line, written and flushed before append() returns, so a crash loses at
-/// most the record being written — never a previously appended one. Rotation
-/// is atomic: when the stream exceeds the configured byte budget the file is
-/// closed and renamed to `<path>.1` (POSIX rename, all-or-nothing) before a
-/// fresh stream opens; sequence numbers keep counting across the boundary.
-/// Re-opening an existing journal resumes after its last sequence number, so
-/// a journal appended to by several processes in turn stays monotone.
+/// most the record being written — never a previously appended one. The
+/// file only grows: it is never rotated or truncated. Re-opening an existing
+/// journal resumes after its last sequence number, so a journal appended to
+/// by several processes in turn stays monotone.
 ///
 /// Normalized mode (`set_normalized(true)` or HTD_OBS_NORMALIZE=1, the same
 /// switch that normalizes traces, DESIGN.md §13) replaces wall-clock
@@ -135,10 +133,6 @@ public:
         return normalized_.load(std::memory_order_relaxed);
     }
 
-    /// Rotate to `<path>.1` once the stream exceeds `max_bytes` (0 = never,
-    /// the default). The record that crosses the budget opens the new file.
-    void set_rotate_bytes(std::uint64_t max_bytes);
-
     /// Sequence, stamp, serialize, write + flush. No-op when disabled.
     /// Throws std::invalid_argument on an unregistered kind and
     /// std::runtime_error when the stream write fails (a silent audit gap
@@ -166,8 +160,6 @@ private:
 
     mutable std::mutex mutex_;  // guards every member below
     std::uint64_t seq_ = 0;
-    std::uint64_t rotate_bytes_ = 0;
-    std::uint64_t bytes_written_ = 0;
     std::string path_;
     std::ofstream out_;
     // Bounded ring of recent events: ring_[head_] is the oldest slot once

@@ -6,14 +6,12 @@
 #include <stdexcept>
 
 #include "core/annotations.hpp"
-#include "obs/run_report.hpp"
 #include "obs/sink.hpp"
 
 namespace htd::obs {
 
 std::string sink_kind_name(SinkKind kind) {
     switch (kind) {
-        case SinkKind::kInherit: return "inherit";
         case SinkKind::kOff: return "off";
         case SinkKind::kText: return "text";
         case SinkKind::kJson: return "json";
@@ -29,7 +27,7 @@ SinkKind sink_kind_from_env(std::string_view value, std::string* error) {
         *error = "[obs] unrecognized HTD_OBS value '" + std::string(value) +
                  "' — valid values are: off, text, json (observability stays off)";
     }
-    return SinkKind::kInherit;
+    return SinkKind::kOff;
 }
 
 bool bool_env_value(std::string_view variable, std::string_view value,
@@ -85,9 +83,6 @@ Registry& Registry::global() {
 void Registry::apply_environment() {
     // getenv reads below: registry construction runs once, before any
     // worker threads exist, and nothing in this process calls setenv.
-    const char* path = std::getenv("HTD_OBS_PATH");  // NOLINT(concurrency-mt-unsafe)
-    json_path_ = (path != nullptr && *path != '\0') ? path : "htd_obs.json";
-
     const char* trace = std::getenv("HTD_OBS_TRACE");  // NOLINT(concurrency-mt-unsafe)
     if (trace != nullptr && *trace != '\0') trace_path_ = trace;
 
@@ -111,24 +106,15 @@ void Registry::apply_environment() {
     }
     std::string error;
     const SinkKind kind = sink_kind_from_env(mode, &error);
-    if (kind == SinkKind::kInherit) {
-        // Registry construction runs once per process, so this warning is
-        // naturally one-time.
-        std::fprintf(stderr, "%s\n", error.c_str());
-        return;
-    }
+    // Registry construction runs once per process, so this warning is
+    // naturally one-time.
+    if (!error.empty()) std::fprintf(stderr, "%s\n", error.c_str());
     configure(kind);
 }
 
 void Registry::configure(SinkKind sink) {
-    if (sink == SinkKind::kInherit) return;
     sink_.store(sink, std::memory_order_relaxed);
     enabled_.store(sink != SinkKind::kOff, std::memory_order_relaxed);
-}
-
-std::string Registry::json_path() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return json_path_;
 }
 
 std::string Registry::trace_path() const {
@@ -274,13 +260,6 @@ void Registry::flush() const {
     if (sink() != SinkKind::kText) return;
     const std::string text = metrics_text(*this);
     if (!text.empty()) std::fprintf(stderr, "%s", text.c_str());
-}
-
-void Registry::write_default_report() const {
-    if (sink() != SinkKind::kJson) return;
-    RunReport report("htd_obs");
-    report.capture_observability(*this);
-    report.write(json_path());
 }
 
 void Registry::reset() {

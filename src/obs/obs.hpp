@@ -14,8 +14,7 @@
 ///                    atomic load on the hot path
 ///     HTD_OBS=text   spans and flush() summaries stream to stderr
 ///     HTD_OBS=json   records accumulate in memory for a RunReport /
-///                    BENCH_<name>.json artifact (HTD_OBS_PATH overrides
-///                    the default report path of write_default_report())
+///                    BENCH_<name>.json artifact
 ///
 /// All registry operations are thread-safe: the hot-path enabled check is
 /// lock-free and the record/aggregate paths take one short `std::mutex`
@@ -35,19 +34,18 @@ namespace htd::obs {
 
 /// Output sink selection.
 enum class SinkKind {
-    kInherit,  ///< keep whatever the registry is already configured with
     kOff,      ///< disabled: all instrumentation is a no-op
     kText,     ///< human-readable stream to stderr
     kJson,     ///< accumulate in memory for JSON export
 };
 
-/// "off" / "text" / "json" / "inherit".
+/// "off" / "text" / "json".
 [[nodiscard]] std::string sink_kind_name(SinkKind kind);
 
 /// Parse an HTD_OBS environment value ("off" / "text" / "json"; empty means
-/// "off"). Returns kInherit and fills `*error` with a warning naming the
-/// valid values when the value is unrecognized — a misconfigured sink must
-/// warn once on stderr instead of silently behaving as "off".
+/// "off"). An unrecognized value returns kOff and fills `*error` with a
+/// warning naming the valid values — a misconfigured sink must warn once on
+/// stderr instead of silently behaving as "off".
 [[nodiscard]] SinkKind sink_kind_from_env(std::string_view value,
                                           std::string* error = nullptr);
 
@@ -58,13 +56,6 @@ enum class SinkKind {
 [[nodiscard]] bool bool_env_value(std::string_view variable,
                                   std::string_view value,
                                   std::string* error = nullptr);
-
-/// Observability options embeddable in a component config (for example
-/// `core::PipelineConfig::obs`). `kInherit` leaves the global registry
-/// untouched, so library code never overrides an explicit caller choice.
-struct Config {
-    SinkKind sink = SinkKind::kInherit;
-};
 
 /// One completed trace span.
 struct SpanRecord {
@@ -108,14 +99,13 @@ struct HistogramSnapshot {
 /// Process-global observability registry.
 class Registry {
 public:
-    /// The process-wide instance. First access applies the HTD_OBS /
-    /// HTD_OBS_PATH environment variables.
+    /// The process-wide instance. First access applies the HTD_OBS,
+    /// HTD_OBS_TRACE and HTD_OBS_NORMALIZE environment variables.
     static Registry& global();
 
-    /// Swap the sink; `SinkKind::kInherit` is a no-op. Not reset()-ing:
-    /// already-recorded data survives a sink change.
+    /// Swap the sink. Not reset()-ing: already-recorded data survives a
+    /// sink change.
     void configure(SinkKind sink);
-    void configure(const Config& config) { configure(config.sink); }
 
     /// True when any sink other than kOff is active.
     [[nodiscard]] bool enabled() const noexcept {
@@ -125,10 +115,6 @@ public:
     [[nodiscard]] SinkKind sink() const noexcept {
         return sink_.load(std::memory_order_relaxed);
     }
-
-    /// Default path for write_default_report(): HTD_OBS_PATH, else
-    /// "htd_obs.json".
-    [[nodiscard]] std::string json_path() const;
 
     /// Trace-event JSON destination (empty = no trace requested). First
     /// access applies the HTD_OBS_TRACE environment variable.
@@ -208,10 +194,6 @@ public:
     /// No-op otherwise.
     void flush() const;
 
-    /// Under the JSON sink, write a generic RunReport snapshot to
-    /// json_path(). No-op otherwise.
-    void write_default_report() const;
-
     /// Drop all recorded spans and metrics (sink selection is kept).
     void reset();
 
@@ -231,7 +213,6 @@ private:
     std::atomic<std::uint64_t> next_id_{0};
 
     mutable std::mutex mutex_;  // guards every member below
-    std::string json_path_;
     std::string trace_path_;
     std::vector<SpanRecord> spans_;
     std::map<std::string, double, std::less<>> counters_;

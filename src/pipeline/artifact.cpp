@@ -164,20 +164,48 @@ BoundaryHealth health_from_name(const std::string& name) {
 
 // --- model-state codecs -----------------------------------------------------
 
-io::Json svm_state_to_json(const ml::OneClassSvm::State& s) {
+io::Json svm_opts_to_json(const ml::OneClassSvm::Options& o) {
     io::Json opts = io::Json::object();
-    opts.set("nu", s.opts.nu);
-    opts.set("gamma", s.opts.gamma);
-    opts.set("gamma_scale", s.opts.gamma_scale);
-    opts.set("tolerance", s.opts.tolerance);
-    opts.set("max_iterations", s.opts.max_iterations);
-    opts.set("max_training_samples", s.opts.max_training_samples);
-    opts.set("subsample_seed", hex_u64(s.opts.subsample_seed));
-    opts.set("whiten", s.opts.whiten);
-    opts.set("whiten_floor", s.opts.whiten_floor);
+    opts.set("nu", o.nu);
+    opts.set("gamma", o.gamma);
+    opts.set("gamma_scale", o.gamma_scale);
+    opts.set("tolerance", o.tolerance);
+    opts.set("max_iterations", o.max_iterations);
+    opts.set("max_training_samples", o.max_training_samples);
+    opts.set("subsample_seed", hex_u64(o.subsample_seed));
+    opts.set("whiten", o.whiten);
+    opts.set("whiten_floor", o.whiten_floor);
+    return opts;
+}
 
+ml::OneClassSvm::Options svm_opts_from_json(const io::Json& opts) {
+    ml::OneClassSvm::Options o;
+    o.nu = expect_number(expect_member(opts, "nu", "svm.opts"), "svm.opts.nu");
+    o.gamma =
+        expect_number(expect_member(opts, "gamma", "svm.opts"), "svm.opts.gamma");
+    o.gamma_scale = expect_number(expect_member(opts, "gamma_scale", "svm.opts"),
+                                  "svm.opts.gamma_scale");
+    o.tolerance = expect_number(expect_member(opts, "tolerance", "svm.opts"),
+                                "svm.opts.tolerance");
+    o.max_iterations = expect_size(
+        expect_member(opts, "max_iterations", "svm.opts"), "svm.opts.max_iterations");
+    o.max_training_samples =
+        expect_size(expect_member(opts, "max_training_samples", "svm.opts"),
+                    "svm.opts.max_training_samples");
+    o.subsample_seed = parse_hex_u64(
+        expect_string(expect_member(opts, "subsample_seed", "svm.opts"),
+                      "svm.opts.subsample_seed"),
+        "svm.opts.subsample_seed");
+    o.whiten =
+        expect_bool(expect_member(opts, "whiten", "svm.opts"), "svm.opts.whiten");
+    o.whiten_floor = expect_number(
+        expect_member(opts, "whiten_floor", "svm.opts"), "svm.opts.whiten_floor");
+    return o;
+}
+
+io::Json svm_state_to_json(const ml::OneClassSvm::State& s) {
     io::Json j = io::Json::object();
-    j.set("opts", std::move(opts));
+    j.set("opts", svm_opts_to_json(s.opts));
     j.set("fitted", s.fitted);
     j.set("input_mean", json_from_vector(s.input_mean));
     j.set("input_transform", json_from_matrix(s.input_transform));
@@ -193,28 +221,7 @@ io::Json svm_state_to_json(const ml::OneClassSvm::State& s) {
 
 ml::OneClassSvm::State svm_state_from_json(const io::Json& j) {
     ml::OneClassSvm::State s;
-    const io::Json& opts = expect_member(j, "opts", "svm");
-    s.opts.nu = expect_number(expect_member(opts, "nu", "svm.opts"), "svm.opts.nu");
-    s.opts.gamma =
-        expect_number(expect_member(opts, "gamma", "svm.opts"), "svm.opts.gamma");
-    s.opts.gamma_scale = expect_number(expect_member(opts, "gamma_scale", "svm.opts"),
-                                       "svm.opts.gamma_scale");
-    s.opts.tolerance = expect_number(expect_member(opts, "tolerance", "svm.opts"),
-                                     "svm.opts.tolerance");
-    s.opts.max_iterations = expect_size(
-        expect_member(opts, "max_iterations", "svm.opts"), "svm.opts.max_iterations");
-    s.opts.max_training_samples =
-        expect_size(expect_member(opts, "max_training_samples", "svm.opts"),
-                    "svm.opts.max_training_samples");
-    s.opts.subsample_seed = parse_hex_u64(
-        expect_string(expect_member(opts, "subsample_seed", "svm.opts"),
-                      "svm.opts.subsample_seed"),
-        "svm.opts.subsample_seed");
-    s.opts.whiten =
-        expect_bool(expect_member(opts, "whiten", "svm.opts"), "svm.opts.whiten");
-    s.opts.whiten_floor = expect_number(
-        expect_member(opts, "whiten_floor", "svm.opts"), "svm.opts.whiten_floor");
-
+    s.opts = svm_opts_from_json(expect_member(j, "opts", "svm"));
     s.fitted = expect_bool(expect_member(j, "fitted", "svm"), "svm.fitted");
     s.input_mean =
         vector_from_json(expect_member(j, "input_mean", "svm"), "svm.input_mean");
@@ -509,25 +516,6 @@ std::uint32_t crc32(std::string_view bytes) noexcept {
 }
 
 io::Json canonical_config_json(const PipelineConfig& config) {
-    io::Json mars = io::Json::object();
-    mars.set("max_terms", config.mars.max_terms);
-    mars.set("max_degree", config.mars.max_degree);
-    mars.set("penalty", config.mars.penalty);
-    mars.set("prune", config.mars.prune);
-    mars.set("max_knots_per_variable", config.mars.max_knots_per_variable);
-    mars.set("min_relative_improvement", config.mars.min_relative_improvement);
-
-    io::Json svm = io::Json::object();
-    svm.set("nu", config.svm.nu);
-    svm.set("gamma", config.svm.gamma);
-    svm.set("gamma_scale", config.svm.gamma_scale);
-    svm.set("tolerance", config.svm.tolerance);
-    svm.set("max_iterations", config.svm.max_iterations);
-    svm.set("max_training_samples", config.svm.max_training_samples);
-    svm.set("subsample_seed", hex_u64(config.svm.subsample_seed));
-    svm.set("whiten", config.svm.whiten);
-    svm.set("whiten_floor", config.svm.whiten_floor);
-
     io::Json kmm = io::Json::object();
     kmm.set("weight_bound", config.calibration.kmm.weight_bound);
     kmm.set("epsilon", config.calibration.kmm.epsilon);
@@ -546,12 +534,10 @@ io::Json canonical_config_json(const PipelineConfig& config) {
     j.set("kde_bandwidth", config.kde_bandwidth);
     j.set("kde_max_lambda", config.kde_max_lambda);
     j.set("kde_kernel", kernel_name(config.kde_kernel));
-    j.set("log_transform_pcm", config.log_transform_pcm);
-    j.set("mars", std::move(mars));
-    j.set("svm", std::move(svm));
+    j.set("mars", mars_opts_to_json(config.mars));
+    j.set("svm", svm_opts_to_json(config.svm));
     j.set("calibration", std::move(calibration));
     j.set("kmm_min_effective_sample_size", config.kmm_min_effective_sample_size);
-    j.set("kmm_fallback_to_b3", config.kmm_fallback_to_b3);
     return j;
 }
 
@@ -765,16 +751,33 @@ BoundaryArtifact BoundaryArtifact::from_json(const io::Json& doc,
         throw ArtifactError(ArtifactErrorCode::kMalformed, e.what(), "status");
     }
 
-    // A failure in one of the auxiliary sections (mars / kde / kmm) does not
-    // change any score, so a tolerant load notes it and keeps going.
-    const auto tolerate = [&](const std::string& section, const std::string& why) {
-        if (opts.strict) {
-            throw ArtifactError(ArtifactErrorCode::kMalformed, why, section);
+    // Called from the catch block of a tolerant section (mars, kde, kmm,
+    // boundary.Bk), which resets that section's state. A strict load
+    // rethrows an ArtifactError and wraps a decoder's std::invalid_argument
+    // as kMalformed naming the section; a tolerant load records the section
+    // as failed with the note `note_prefix + why` and returns why. Any other
+    // exception propagates unchanged.
+    const auto reject = [&](const std::string& section,
+                            const std::string& note_prefix) {
+        std::string why;
+        try {
+            throw;
+        } catch (const ArtifactError& e) {
+            if (opts.strict) throw;
+            why = e.what();
+        } catch (const std::invalid_argument& e) {
+            if (opts.strict) {
+                throw ArtifactError(ArtifactErrorCode::kMalformed, e.what(), section);
+            }
+            why = e.what();
         }
         rep.failed_sections.push_back(section);
-        rep.notes.push_back("section " + section + " rejected: " + why);
+        rep.notes.push_back(note_prefix + why);
+        return why;
     };
 
+    // A failure in one of the auxiliary sections (mars / kde / kmm) does not
+    // change any score, so a tolerant load notes it and keeps going.
     try {
         const io::Json& mars = checked_section(sections, "mars");
         if (!mars.is_null()) {
@@ -790,12 +793,9 @@ BoundaryArtifact BoundaryArtifact::from_json(const io::Json& doc,
             }
             artifact.mars_ = ml::MarsBank::from_state(std::move(state));
         }
-    } catch (const ArtifactError& e) {
-        if (opts.strict) throw;
-        rep.failed_sections.push_back("mars");
-        rep.notes.push_back(std::string("section mars rejected: ") + e.what());
-    } catch (const std::invalid_argument& e) {
-        tolerate("mars", e.what());
+    } catch (...) {
+        artifact.mars_.reset();
+        reject("mars", "section mars rejected: ");
     }
 
     try {
@@ -804,16 +804,10 @@ BoundaryArtifact BoundaryArtifact::from_json(const io::Json& doc,
         if (!s2.is_null()) artifact.kde_s2_ = kde_state_from_json(s2);
         const io::Json& s5 = expect_member(kde, "s5", "kde");
         if (!s5.is_null()) artifact.kde_s5_ = kde_state_from_json(s5);
-    } catch (const ArtifactError& e) {
-        if (opts.strict) throw;
+    } catch (...) {
         artifact.kde_s2_.reset();
         artifact.kde_s5_.reset();
-        rep.failed_sections.push_back("kde");
-        rep.notes.push_back(std::string("section kde rejected: ") + e.what());
-    } catch (const std::invalid_argument& e) {
-        artifact.kde_s2_.reset();
-        artifact.kde_s5_.reset();
-        tolerate("kde", e.what());
+        reject("kde", "section kde rejected: ");
     }
 
     try {
@@ -834,14 +828,9 @@ BoundaryArtifact BoundaryArtifact::from_json(const io::Json& doc,
                           : expect_number(ess, "kmm.effective_sample_size");
         artifact.kmm_.fallback_applied = expect_bool(
             expect_member(kmm, "fallback_applied", "kmm"), "kmm.fallback_applied");
-    } catch (const ArtifactError& e) {
-        if (opts.strict) throw;
+    } catch (...) {
         artifact.kmm_ = {};
-        rep.failed_sections.push_back("kmm");
-        rep.notes.push_back(std::string("section kmm rejected: ") + e.what());
-    } catch (const std::invalid_argument& e) {
-        artifact.kmm_ = {};
-        tolerate("kmm", e.what());
+        reject("kmm", "section kmm rejected: ");
     }
 
     // Per-boundary sections: a rejected section takes down exactly that
@@ -850,18 +839,6 @@ BoundaryArtifact BoundaryArtifact::from_json(const io::Json& doc,
     for (const Boundary b : kAllBoundaries) {
         const std::size_t i = index_of(b);
         const std::string name = "boundary." + boundary_name(b);
-        const auto fail_boundary = [&](const std::string& why) {
-            if (opts.strict) {
-                throw ArtifactError(ArtifactErrorCode::kMalformed, why, name);
-            }
-            artifact.svms_[i].reset();
-            artifact.fingerprint_dims_[i] = 0;
-            artifact.status_[i] = {BoundaryHealth::kFailed,
-                                   "artifact section rejected: " + why};
-            rep.failed_sections.push_back(name);
-            rep.notes.push_back("boundary " + boundary_name(b) +
-                                " failed artifact validation: " + why);
-        };
         try {
             const io::Json& entry = checked_section(sections, name);
             artifact.fingerprint_dims_[i] = expect_size(
@@ -880,18 +857,13 @@ BoundaryArtifact BoundaryArtifact::from_json(const io::Json& doc,
                         "status says usable but the model is unfitted");
                 }
             }
-        } catch (const ArtifactError& e) {
-            if (opts.strict) throw;
+        } catch (...) {
             artifact.svms_[i].reset();
             artifact.fingerprint_dims_[i] = 0;
+            const std::string why = reject(
+                name, "boundary " + boundary_name(b) + " failed artifact validation: ");
             artifact.status_[i] = {BoundaryHealth::kFailed,
-                                   std::string("artifact section rejected: ") +
-                                       e.what()};
-            rep.failed_sections.push_back(name);
-            rep.notes.push_back("boundary " + boundary_name(b) +
-                                " failed artifact validation: " + e.what());
-        } catch (const std::invalid_argument& e) {
-            fail_boundary(e.what());
+                                   "artifact section rejected: " + why};
         }
     }
 
@@ -999,21 +971,8 @@ BoundaryArtifact BoundaryArtifact::load(const std::string& path,
     io::Json doc;
     try {
         doc = io::Json::parse(text);
-    } catch (const std::invalid_argument& e) {
-        // Json::parse reports "... at offset N"; surface N as a typed field.
-        std::size_t offset = ArtifactError::kNoOffset;
-        const std::string what = e.what();
-        const std::string marker = " at offset ";
-        const std::string::size_type pos = what.rfind(marker);
-        if (pos != std::string::npos) {
-            try {
-                offset = static_cast<std::size_t>(
-                    std::stoull(what.substr(pos + marker.size())));
-            } catch (const std::exception&) {
-                offset = ArtifactError::kNoOffset;
-            }
-        }
-        throw ArtifactError(ArtifactErrorCode::kParse, what, {}, offset);
+    } catch (const io::JsonParseError& e) {
+        throw ArtifactError(ArtifactErrorCode::kParse, e.what(), {}, e.offset());
     }
 
     BoundaryArtifact artifact = from_json(doc, opts, report);

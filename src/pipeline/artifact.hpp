@@ -103,9 +103,8 @@ private:
 /// CRC32 (IEEE 802.3, reflected polynomial 0xEDB88320) of a byte string.
 [[nodiscard]] std::uint32_t crc32(std::string_view bytes) noexcept;
 
-/// The canonical pipeline-config JSON the artifact stores and fingerprints.
-/// Observability and health-threshold knobs are excluded: they change what
-/// gets reported, never what gets scored.
+/// The canonical pipeline-config JSON the artifact stores and fingerprints:
+/// every PipelineConfig field.
 [[nodiscard]] io::Json canonical_config_json(const PipelineConfig& config);
 
 /// FNV-1a 64-bit fingerprint (16 hex digits) of the canonical config JSON.

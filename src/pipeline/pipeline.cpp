@@ -114,11 +114,9 @@ GoldenFreePipeline::GoldenFreePipeline(PipelineConfig config,
         throw ConfigError(
             "GoldenFreePipeline: negative KMM effective-sample-size floor");
     }
-    obs::Registry::global().configure(config_.obs);
 }
 
 linalg::Matrix GoldenFreePipeline::transform_pcms(const linalg::Matrix& pcms) const {
-    if (!config_.log_transform_pcm) return pcms;
     linalg::Matrix out = pcms;
     for (std::size_t r = 0; r < out.rows(); ++r) {
         auto row = out.row_span(r);
@@ -331,7 +329,7 @@ void GoldenFreePipeline::run_silicon_stage(const linalg::Matrix& dutt_pcms,
     // regression bank maps it to fingerprints. The Kish effective sample
     // size of the weights is the calibration's health metric: below the
     // configured floor the resampled cloud is a handful of repeated points
-    // and B4/B5 fall back to S3 (or the stage throws, keeping B3 usable).
+    // and B4/B5 fall back to S3.
     bool fallback = false;
     try {
         const ml::KernelMeanShiftCalibrator calibrator(config_.calibration);
@@ -339,27 +337,7 @@ void GoldenFreePipeline::run_silicon_stage(const linalg::Matrix& dutt_pcms,
         kmm_ess_ = ml::effective_sample_size(calibration_->weights);
         obs::Registry::global().gauge_set("pipeline.kmm_effective_sample_size",
                                           kmm_ess_);
-        if (kmm_ess_ < config_.kmm_min_effective_sample_size) {
-            if (!config_.kmm_fallback_to_b3) {
-                silicon_done_ = true;  // B3 (if healthy) stays usable
-                ProbeResult collapse = probe_kmm_weights(calibration_->weights);
-                collapse.escalate(HealthLevel::kCritical,
-                                  "KMM calibration collapsed and the B4->B3 "
-                                  "fallback is disabled");
-                health_.record(std::move(collapse));
-                health_.record(probe_boundaries(status_));
-                throw CalibrationCollapseError(
-                    "run_silicon_stage: KMM calibration collapsed (effective "
-                    "sample size " +
-                        std::to_string(kmm_ess_) + " below floor " +
-                        std::to_string(config_.kmm_min_effective_sample_size) +
-                        ") and the B4->B3 fallback is disabled",
-                    kmm_ess_, config_.kmm_min_effective_sample_size);
-            }
-            fallback = true;
-        }
-    } catch (const CalibrationCollapseError&) {
-        throw;
+        fallback = kmm_ess_ < config_.kmm_min_effective_sample_size;
     } catch (const std::exception& e) {
         const std::string detail = std::string("KMM calibration failed: ") + e.what();
         status_[index_of(Boundary::kB4)] = {BoundaryHealth::kFailed, detail};

@@ -29,7 +29,6 @@
 #include "ml/mars.hpp"
 #include "ml/metrics.hpp"
 #include "ml/one_class_svm.hpp"
-#include "obs/obs.hpp"
 #include "pipeline/health.hpp"
 #include "rng/rng.hpp"
 #include "silicon/bench_measure.hpp"
@@ -96,13 +95,6 @@ struct PipelineConfig {
     double kde_max_lambda = 2.5;
     stats::KernelType kde_kernel = stats::KernelType::kEpanechnikov;
 
-    /// Regress fingerprints against log(PCM) instead of raw PCM values.
-    /// Transmit power in dB is log-linear in the drive parameters, and so is
-    /// log(delay), so the log transform makes the PCM->fingerprint relation
-    /// near-linear and keeps the MARS extrapolation to the (shifted) silicon
-    /// operating point well behaved. Requires strictly positive PCMs.
-    bool log_transform_pcm = true;
-
     /// MARS regression options for the PCM -> fingerprint bank. The term
     /// budget is kept small so the six per-fingerprint models extrapolate
     /// consistently to the (shifted) silicon operating point.
@@ -120,18 +112,10 @@ struct PipelineConfig {
 
     /// Kish effective-sample-size floor for the KMM calibration weights.
     /// Below it the calibration has collapsed onto a handful of Monte Carlo
-    /// points and boundary B4 would train on effectively no data.
+    /// points and boundary B4 would train on effectively no data, so B4/B5
+    /// train on S3 instead (recorded in the boundary status, the
+    /// `pipeline.kmm_fallback_to_b3` counter and degradation_report()).
     double kmm_min_effective_sample_size = 4.0;
-
-    /// On a KMM collapse, train B4/B5 on S3 (the fingerprints predicted
-    /// from the measured PCMs) instead of throwing CalibrationCollapseError.
-    /// The fallback is recorded in the boundary status and observability.
-    bool kmm_fallback_to_b3 = true;
-
-    /// Observability sink selection, applied to the global obs registry when
-    /// the pipeline is constructed. The default (kInherit) leaves whatever
-    /// the process / HTD_OBS environment variable configured.
-    obs::Config obs{};
 };
 
 /// Stage-3 input screen shared by every scoring path (the pipeline, the
@@ -169,10 +153,10 @@ public:
     /// Stage 2. Consumes the PCM measurements of the DUTTs (rows = devices)
     /// and trains B3/B4/B5. Throws StageOrderError when stage 1 has not
     /// run, DimensionError on a PCM dimension mismatch, DataQualityError on
-    /// empty or non-finite input. A collapsed KMM calibration either falls
-    /// back to training B4/B5 on S3 (kmm_fallback_to_b3, boundary marked
-    /// kDegraded) or throws CalibrationCollapseError — in which case B3
-    /// stays usable. Other per-boundary failures mark that boundary kFailed
+    /// empty or non-finite input, and DataQualityError on a non-positive
+    /// PCM (the regression bank works on log(PCM)). A collapsed KMM
+    /// calibration falls back to training B4/B5 on S3 (boundaries marked
+    /// kDegraded). Other per-boundary failures mark that boundary kFailed
     /// and the rest keep working.
     void run_silicon_stage(const linalg::Matrix& dutt_pcms, rng::Rng& rng);
 
@@ -273,6 +257,11 @@ private:
     template <typename BuildDataset>
     void build_boundary(Boundary b, BuildDataset&& build);
     [[nodiscard]] const ml::OneClassSvm& svm_for(Boundary b) const;
+    /// log(PCM), elementwise; throws DataQualityError on a non-positive
+    /// value. Transmit power in dB is log-linear in the drive parameters, and
+    /// so is log(delay), so the regression bank sees a near-linear
+    /// PCM->fingerprint relation and its MARS extrapolation to the (shifted)
+    /// silicon operating point stays well behaved.
     [[nodiscard]] linalg::Matrix transform_pcms(const linalg::Matrix& pcms) const;
     [[nodiscard]] ml::OneClassSvm train_boundary(const linalg::Matrix& dataset) const;
     /// Build the synthetic tail-enhanced population for boundary `b` from

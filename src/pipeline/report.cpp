@@ -89,7 +89,6 @@ obs::RunReport pipeline_run_report(const GoldenFreePipeline& pipeline,
     cfg.set("kde_alpha", config.kde_alpha);
     cfg.set("kde_bandwidth", config.kde_bandwidth);
     cfg.set("kde_max_lambda", config.kde_max_lambda);
-    cfg.set("log_transform_pcm", config.log_transform_pcm);
     cfg.set("svm_nu", config.svm.nu);
     cfg.set("svm_gamma_scale", config.svm.gamma_scale);
     cfg.set("kmm_weight_bound", config.calibration.kmm.weight_bound);

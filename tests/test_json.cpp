@@ -161,6 +161,24 @@ TEST(JsonParse, MalformedInputThrows) {
     EXPECT_THROW((void)Json::parse("{\"a\" 1}"), std::invalid_argument);
 }
 
+TEST(JsonParse, NumbersFollowTheRfcGrammar) {
+    EXPECT_EQ(Json::parse("0").number(), 0.0);
+    EXPECT_EQ(Json::parse("-0.5").number(), -0.5);
+    EXPECT_EQ(Json::parse("1e-04").number(), 1e-4);
+    EXPECT_EQ(Json::parse("2E+2").number(), 200.0);
+    // Spellings strtod accepts but JSON does not. In a pretty-printed
+    // artifact a one-bit flip can turn "0.5" into " .5", which must not
+    // parse as the same value.
+    for (const char* bad : {".5", "+1", "01", "-01", "1.", "1.e5", "1e", "1e+", "-", "--1"}) {
+        try {
+            (void)Json::parse(bad);
+            ADD_FAILURE() << bad << " parsed";
+        } catch (const htd::io::JsonParseError& e) {
+            EXPECT_NE(std::string(e.what()).find("invalid number"), std::string::npos) << bad;
+        }
+    }
+}
+
 TEST(JsonParse, DumpParseRoundTrip) {
     Json doc = Json::object();
     doc.set("name", "round trip");

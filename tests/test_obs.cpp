@@ -259,7 +259,7 @@ TEST_F(ObsTest, SinkKindFromEnvNamesValidValuesOnMisconfiguration) {
     EXPECT_EQ(sink_kind_from_env("json"), SinkKind::kJson);
 
     std::string error;
-    EXPECT_EQ(sink_kind_from_env("verbose", &error), SinkKind::kInherit);
+    EXPECT_EQ(sink_kind_from_env("verbose", &error), SinkKind::kOff);
     EXPECT_NE(error.find("'verbose'"), std::string::npos);
     // The warning must name every valid spelling — it is the only clue the
     // user gets for a typo'd HTD_OBS.

@@ -159,7 +159,6 @@ TEST(Pipeline, MarsBankHasOneModelPerFingerprint) {
 
 TEST(Pipeline, LogTransformAppliedToStoredPcms) {
     PipelineConfig cfg = small_config();
-    cfg.log_transform_pcm = true;
     GoldenFreePipeline pipeline(cfg, make_simulator());
     Rng rng(9);
     pipeline.run_premanufacturing(rng);

@@ -19,7 +19,6 @@ namespace {
 
 using htd::core::Boundary;
 using htd::core::BoundaryHealth;
-using htd::core::CalibrationCollapseError;
 using htd::core::CellFault;
 using htd::core::DataQualityError;
 using htd::core::DimensionError;
@@ -343,28 +342,6 @@ TEST(Degradation, KmmCollapseFallsBackToB3) {
     const htd::io::Json report = pipeline.degradation_report();
     EXPECT_TRUE(report.at("kmm_fallback_to_b3").boolean());
     EXPECT_EQ(report.at("boundaries").at(3).at("health").str(), "degraded");
-}
-
-TEST(Degradation, KmmCollapseThrowsWhenFallbackDisabled) {
-    PipelineConfig cfg = small_config();
-    cfg.kmm_min_effective_sample_size = 1e9;
-    cfg.kmm_fallback_to_b3 = false;
-    GoldenFreePipeline pipeline(cfg, make_simulator());
-    Rng rng(13);
-    pipeline.run_premanufacturing(rng);
-    const Matrix pcms = measured_pcms(10, 14);
-    try {
-        pipeline.run_silicon_stage(pcms, rng);
-        FAIL() << "expected CalibrationCollapseError";
-    } catch (const CalibrationCollapseError& e) {
-        EXPECT_TRUE(std::isfinite(e.effective_sample_size()));
-        EXPECT_DOUBLE_EQ(e.floor(), 1e9);
-    }
-    // B3 was trained before the collapse and keeps working.
-    EXPECT_TRUE(pipeline.boundary_ready(Boundary::kB3));
-    EXPECT_FALSE(pipeline.boundary_ready(Boundary::kB4));
-    EXPECT_NO_THROW(
-        (void)pipeline.classify(Boundary::kB3, pipeline.dataset(Boundary::kB3)));
 }
 
 TEST(Degradation, HealthyRunReportsAllBoundariesHealthy) {

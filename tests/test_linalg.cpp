@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "linalg/decompositions.hpp"
 #include "linalg/matrix.hpp"
@@ -177,6 +182,90 @@ TEST(Matrix, MatmulShapeMismatchThrows) {
 TEST(Matrix, Matvec) {
     Matrix a{{1.0, 2.0}, {3.0, 4.0}};
     EXPECT_EQ(a.matvec(Vector{1.0, 1.0}), (Vector{3.0, 7.0}));
+}
+
+/// The reference matvec contract: each output element is one
+/// left-to-right sum over the columns, starting from +0.0.
+Vector naive_matvec(const Matrix& a, const Vector& v) {
+    Vector out(a.rows());
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+        double acc = 0.0;
+        for (std::size_t j = 0; j < a.cols(); ++j) acc += a(i, j) * v[j];
+        out[i] = acc;
+    }
+    return out;
+}
+
+void expect_matvec_bits(const Matrix& a, const Vector& v, const std::string& label) {
+    const Vector got = a.matvec(v);
+    const Vector want = naive_matvec(a, v);
+    ASSERT_EQ(got.size(), want.size()) << label;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                  std::bit_cast<std::uint64_t>(want[i]))
+            << label << " row " << i << ": " << got[i] << " vs " << want[i];
+    }
+}
+
+/// Terms spread over 2^-20 .. 2^20, so any reassociation of a row's sum
+/// shows up in the low bits.
+double spread_normal(htd::rng::Rng& rng, std::size_t k) {
+    return std::ldexp(rng.normal(), static_cast<int>(k % 41) - 20);
+}
+
+TEST(Matrix, MatvecBitsMatchLeftToRightRowSumsForEveryTail) {
+    // Every NaN here carries the bit pattern the hardware gives a fresh
+    // NaN (Inf - Inf, 0 * Inf), so a NaN result does not depend on which
+    // operand of an add the compiler puts first; the pin is on the order
+    // of the sum, which is what a row-blocked kernel must keep.
+    volatile double inf_v = std::numeric_limits<double>::infinity();
+    const double inf = inf_v;
+    const double nan = inf - inf;
+    const double subnormal = std::numeric_limits<double>::denorm_min() * 12345.0;
+    const double specials[] = {-0.0, inf, -inf, nan, subnormal};
+
+    htd::rng::Rng rng(2024);
+    for (std::size_t rows = 0; rows <= 9; ++rows) {
+        for (std::size_t cols = 0; cols <= 9; ++cols) {
+            Matrix a(rows, cols);
+            Vector v(cols);
+            std::size_t k = 0;
+            for (std::size_t i = 0; i < rows; ++i)
+                for (std::size_t j = 0; j < cols; ++j) a(i, j) = spread_normal(rng, k++);
+            for (std::size_t j = 0; j < cols; ++j) v[j] = spread_normal(rng, k++);
+            const std::string shape =
+                std::to_string(rows) + "x" + std::to_string(cols);
+            expect_matvec_bits(a, v, shape + " finite");
+
+            // Sprinkle the special values over the matrix and the vector.
+            for (std::size_t i = 0; i < rows; ++i)
+                for (std::size_t j = 0; j < cols; ++j)
+                    if ((3 * i + j) % 4 == 1) a(i, j) = specials[(i + 2 * j) % 5];
+            if (cols > 1) v[1] = -0.0;
+            if (cols > 4) v[4] = subnormal;
+            if (cols > 7) v[7] = (rows % 2 == 0) ? nan : -inf;
+            expect_matvec_bits(a, v, shape + " specials");
+        }
+    }
+}
+
+TEST(Matrix, MatvecBitsMatchOnSymmetricRbfGram) {
+    // A KMM-sized symmetric RBF Gram: 1001 = 4 * 250 + 1 rows.
+    constexpr std::size_t kN = 1001;
+    htd::rng::Rng rng(7);
+    std::vector<double> x(kN);
+    for (double& xi : x) xi = rng.normal();
+    Matrix k(kN, kN);
+    for (std::size_t i = 0; i < kN; ++i) {
+        for (std::size_t j = 0; j <= i; ++j) {
+            const double d = x[i] - x[j];
+            k(i, j) = std::exp(-0.5 * d * d);
+            k(j, i) = k(i, j);
+        }
+    }
+    Vector beta(kN);
+    for (std::size_t i = 0; i < kN; ++i) beta[i] = rng.uniform(0.0, 3.0);
+    expect_matvec_bits(k, beta, "1001x1001 RBF Gram");
 }
 
 TEST(Matrix, IsSymmetric) {

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -191,6 +192,38 @@ TEST_F(WorkProfilePinTest, KmmSolveReproducesPinnedProfile) {
         EXPECT_EQ(work("work.kmm.gram_cells"), c.gram_cells) << "n=" << c.n;
         EXPECT_EQ(beta[0], c.beta0) << "n=" << c.n;
     }
+}
+
+/// FNV-1a over the little-endian bytes of each weight's bit pattern.
+std::uint64_t fnv1a_bits(const Vector& v) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (std::size_t i = 0; i < v.size(); ++i) {
+        const auto bits = std::bit_cast<std::uint64_t>(v[i]);
+        for (int byte = 0; byte < 8; ++byte) {
+            h ^= (bits >> (8 * byte)) & 0xffU;
+            h *= 0x100000001b3ULL;
+        }
+    }
+    return h;
+}
+
+TEST_F(WorkProfilePinTest, KmmSolveOddSizedSixDimensionalSolutionIsPinned) {
+    // Shaped like the pipeline's KMM call: 6-D PCM-like clouds with a
+    // train size that is not a multiple of 4 (203 = 4 * 50 + 3), so a
+    // row-blocked Gram matvec runs its tail on every PGD iteration. The
+    // hash pins all 203 weights bit for bit; the solve runs to the
+    // 2000-iteration cap.
+    const Matrix train = gaussian_cloud(203, 6, 21);
+    Matrix test = gaussian_cloud(120, 6, 22);
+    for (std::size_t r = 0; r < test.rows(); ++r)
+        for (std::size_t c = 0; c < test.cols(); ++c) test(r, c) += 0.25;
+    const htd::ml::KernelMeanMatching kmm;
+    const Vector beta = kmm.solve(train, test);
+    ASSERT_EQ(beta.size(), 203u);
+    EXPECT_EQ(work("work.kmm.pgd_matvec_cells"), 2000.0 * 203.0 * 203.0);
+    EXPECT_EQ(beta[0], 0x1.92d212b2356eep+1);
+    EXPECT_EQ(beta[202], 0x1.bd0e0b4894629p-2);
+    EXPECT_EQ(fnv1a_bits(beta), 0xe69c32f85e108b74ULL);
 }
 
 }  // namespace

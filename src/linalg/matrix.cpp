@@ -232,7 +232,33 @@ Matrix Matrix::matmul(const Matrix& rhs) const {
 Vector Matrix::matvec(const Vector& v) const {
     require(cols_ == v.size(), "Matrix::matvec: dimension mismatch");
     Vector out(rows_);
-    for (std::size_t i = 0; i < rows_; ++i) {
+    const double* x = v.data();
+    // Four rows per pass: four independent add chains hide the add latency
+    // and each v[j] load feeds all four. Every chain still sums its row in
+    // column order, so the result is bit-identical to the one-row loop.
+    std::size_t i = 0;
+    for (; i + 4 <= rows_; i += 4) {
+        const double* a0 = data_.data() + i * cols_;
+        const double* a1 = a0 + cols_;
+        const double* a2 = a1 + cols_;
+        const double* a3 = a2 + cols_;
+        double acc0 = 0.0;
+        double acc1 = 0.0;
+        double acc2 = 0.0;
+        double acc3 = 0.0;
+        for (std::size_t j = 0; j < cols_; ++j) {
+            const double xj = x[j];
+            acc0 += a0[j] * xj;
+            acc1 += a1[j] * xj;
+            acc2 += a2[j] * xj;
+            acc3 += a3[j] * xj;
+        }
+        out[i] = acc0;
+        out[i + 1] = acc1;
+        out[i + 2] = acc2;
+        out[i + 3] = acc3;
+    }
+    for (; i < rows_; ++i) {
         double acc = 0.0;
         for (std::size_t j = 0; j < cols_; ++j) acc += (*this)(i, j) * v[j];
         out[i] = acc;

@@ -199,6 +199,11 @@ public:
     [[nodiscard]] Matrix matmul(const Matrix& rhs) const;
 
     /// Matrix-vector product; throws std::invalid_argument on shape mismatch.
+    /// Contract: each output element is the left-to-right sum over columns,
+    /// out[i] = ((0 + a(i,0) v[0]) + a(i,1) v[1]) + ..., so the result is
+    /// bit-for-bit that of the naive one-row loop. Computing several rows
+    /// at once keeps that order; reordering or splitting the columns would
+    /// not.
     [[nodiscard]] Vector matvec(const Vector& v) const;
 
     /// Frobenius norm.

@@ -156,6 +156,7 @@ linalg::Vector KernelMeanMatching::solve(const linalg::Matrix& train,
     linalg::Vector beta(ntr, 1.0);
     beta = project_box_sum(beta, opts_.weight_bound, lo_sum, hi_sum);
     std::size_t pgd_iterations = 0;
+    bool converged = false;
     for (std::size_t it = 0; it < opts_.max_iterations; ++it) {
         ++pgd_iterations;
         const linalg::Vector grad = k.matvec(beta) - kappa;
@@ -167,9 +168,14 @@ linalg::Vector KernelMeanMatching::solve(const linalg::Matrix& train,
             delta = std::max(delta, std::abs(next[i] - beta[i]));
         }
         beta = std::move(next);
-        if (delta < opts_.tolerance) break;
+        if (delta < opts_.tolerance) {
+            converged = true;
+            break;
+        }
     }
     span.attr("pgd_iterations", static_cast<double>(pgd_iterations));
+    // 0 when PGD stopped at max_iterations without meeting the tolerance.
+    span.attr("converged", converged ? 1.0 : 0.0);
     // Each PGD step is dominated by the ntr² Gram matvec.
     obs::Registry::global().work_add("work.kmm.pgd_matvec_cells",
                                      static_cast<double>(pgd_iterations) *

@@ -5,8 +5,10 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "ml/kmm.hpp"
+#include "obs/obs.hpp"
 #include "rng/rng.hpp"
 #include "stats/descriptive.hpp"
 
@@ -144,6 +146,54 @@ TEST(Kmm, ObjectiveDecreasesFromUniform) {
     const Vector uniform(60, 1.0);
     EXPECT_LE(KernelMeanMatching::objective(k, kappa, beta),
               KernelMeanMatching::objective(k, kappa, uniform) + 1e-9);
+}
+
+class KmmSpanTest : public ::testing::Test {
+protected:
+    void SetUp() override {
+        htd::obs::Registry::global().configure(htd::obs::SinkKind::kJson);
+        htd::obs::Registry::global().reset();
+    }
+    void TearDown() override {
+        htd::obs::Registry::global().configure(htd::obs::SinkKind::kOff);
+        htd::obs::Registry::global().reset();
+    }
+    /// Attribute `key` of the last recorded kmm.solve span.
+    static double solve_attr(const std::string& key) {
+        const auto spans = htd::obs::Registry::global().spans();
+        for (auto it = spans.rbegin(); it != spans.rend(); ++it) {
+            if (it->name != "kmm.solve") continue;
+            for (const auto& [k, v] : it->attrs) {
+                if (k == key) return v;
+            }
+            ADD_FAILURE() << "kmm.solve has no attribute " << key;
+            return -1.0;
+        }
+        ADD_FAILURE() << "no kmm.solve span";
+        return -1.0;
+    }
+};
+
+TEST_F(KmmSpanTest, SolveReportsConvergence) {
+    // One training row: eps = 0 pins the weight sum to 1, so beta = 1 (up
+    // to the projection's bisection) is the only feasible point and the
+    // first step meets the tolerance.
+    Rng rng(10);
+    const Matrix test = cloud(rng, 20, 6, 0.0, 1.0);
+    const KernelMeanMatching kmm;
+    const Vector single = kmm.solve(cloud(rng, 1, 6, 0.0, 1.0), test);
+    EXPECT_NEAR(single[0], 1.0, 1e-12);
+    EXPECT_EQ(solve_attr("pgd_iterations"), 1.0);
+    EXPECT_EQ(solve_attr("converged"), 1.0);
+
+    // A pipeline-shaped problem stopped after one step has not converged.
+    const Matrix train = cloud(rng, 203, 6, 0.0, 1.0);
+    const Matrix shifted = cloud(rng, 120, 6, 0.25, 1.0);
+    KernelMeanMatching::Options opts;
+    opts.max_iterations = 1;
+    (void)KernelMeanMatching(opts).solve(train, shifted);
+    EXPECT_EQ(solve_attr("pgd_iterations"), 1.0);
+    EXPECT_EQ(solve_attr("converged"), 0.0);
 }
 
 // --- calibrator ------------------------------------------------------------------------

@@ -322,10 +322,17 @@ int main(int argc, char** argv) {
     benchmark::Shutdown();
 
     const htd::io::Json work = work_profile();
+    // Work counts are deterministic, so each work_profile point is also an
+    // exact gate record: any added work fails bench_compare.
+    htd::io::Json gate = reporter.gate();
+    for (const auto& [name, value] : work.members()) {
+        gate.push_back(htd::obs::gate_record(name, value.number(),
+                                             htd::obs::Better::kLower, 0.0, 0.0));
+    }
 
     htd::obs::RunReport report("bench_micro");
     report.set("results", reporter.results());
-    report.set("gate", reporter.gate());
+    report.set("gate", gate);
     report.set("work_profile", work);
     report.capture_observability();
     const std::string path = "BENCH_micro.json";

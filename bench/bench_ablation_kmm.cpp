@@ -34,25 +34,16 @@ int main() {
 
     core::ExperimentConfig config;
     config.pipeline.synthetic_samples = 20000;
-    rng::Rng master(config.seed);
-    rng::Rng fab_rng = master.split();
-    rng::Rng sim_rng = master.split();
-    rng::Rng pipe_rng = master.split();
-
-    const silicon::DuttDataset measured = core::fabricate_and_measure(config, fab_rng);
-    const core::ProcessPair processes =
-        core::make_process_pair(config.process_shift_sigma);
-    core::GoldenFreePipeline pipeline(
-        config.pipeline, silicon::SpiceSimulator(config.platform, processes.spice));
-    pipeline.run_premanufacturing(sim_rng);
-    pipeline.run_silicon_stage(measured.pcms, pipe_rng);
+    const silicon::DuttDataset measured = core::measure_lot(config);
+    const std::unique_ptr<core::GoldenFreePipeline> pipeline =
+        core::calibrate_pipeline(config, measured.pcms);
 
     std::printf("Ablation: kernel-mean-shift calibration (stage behind S4/B4)\n\n");
     io::Table table({"variant", "FP", "FN"});
 
     // (a) no calibration at all: g applied to the raw simulated PCMs.
     const linalg::Matrix s4_uncal =
-        pipeline.regressions().predict_batch(pipeline.simulated_pcms());
+        pipeline->regressions().predict_batch(pipeline->simulated_pcms());
     const auto m_uncal = boundary_from(s4_uncal, config.pipeline.svm, measured);
     table.add_row({"no calibration",
                    io::fmt_ratio(m_uncal.false_positives, m_uncal.trojan_infested_total),
@@ -60,15 +51,15 @@ int main() {
 
     // (b) mean-shift only: translate the simulated PCM cloud, no resampling.
     {
-        const auto& calib = pipeline.calibration_result();
-        linalg::Matrix shifted = pipeline.simulated_pcms();
+        const auto& calib = pipeline->calibration_result();
+        linalg::Matrix shifted = pipeline->simulated_pcms();
         for (std::size_t r = 0; r < shifted.rows(); ++r) {
             auto row = shifted.row_span(r);
             for (std::size_t c = 0; c < row.size(); ++c) {
                 row[c] += calib->total_shift[c];
             }
         }
-        const linalg::Matrix s4_shift = pipeline.regressions().predict_batch(shifted);
+        const linalg::Matrix s4_shift = pipeline->regressions().predict_batch(shifted);
         const auto m = boundary_from(s4_shift, config.pipeline.svm, measured);
         table.add_row({"mean shift only",
                        io::fmt_ratio(m.false_positives, m.trojan_infested_total),
@@ -76,7 +67,7 @@ int main() {
     }
 
     // (c) full B4 (shift + KMM importance resampling).
-    const auto m_b4 = pipeline.evaluate(core::Boundary::kB4, measured);
+    const auto m_b4 = pipeline->evaluate(core::Boundary::kB4, measured);
     table.add_row({"full B4 (shift + KMM resample)",
                    io::fmt_ratio(m_b4.false_positives, m_b4.trojan_infested_total),
                    io::fmt_ratio(m_b4.false_negatives, m_b4.trojan_free_total)});

@@ -50,12 +50,7 @@ int main() {
     for (const SweepPoint& point : points) {
         const std::string gate_prefix = "sweep[" + std::to_string(sweep.size()) + "].";
         // Identical streams per point: only the applied drift changes.
-        rng::Rng master(config.seed);
-        rng::Rng fab_rng = master.split();
-        rng::Rng sim_rng = master.split();
-        rng::Rng pipe_rng = master.split();
-
-        silicon::DuttDataset measured = core::fabricate_and_measure(config, fab_rng);
+        silicon::DuttDataset measured = core::measure_lot(config);
 
         // Shift every PCM channel by `shift_sigma` measured standard
         // deviations (raw space, before the pipeline's log transform).
@@ -79,16 +74,13 @@ int main() {
             }
         }
 
-        core::PipelineConfig pipe_config = config.pipeline;
+        core::ExperimentConfig point_config = config;
         if (point.force_kmm_collapse) {
-            pipe_config.kmm_min_effective_sample_size = 1e9;
+            point_config.pipeline.kmm_min_effective_sample_size = 1e9;
         }
-        const core::ProcessPair processes =
-            core::make_process_pair(config.process_shift_sigma);
-        core::GoldenFreePipeline pipeline(
-            pipe_config, silicon::SpiceSimulator(config.platform, processes.spice));
-        pipeline.run_premanufacturing(sim_rng);
-        pipeline.run_silicon_stage(measured.pcms, pipe_rng);
+        const std::unique_ptr<core::GoldenFreePipeline> fitted =
+            core::calibrate_pipeline(point_config, measured.pcms);
+        const core::GoldenFreePipeline& pipeline = *fitted;
         pipeline.probe_incoming(measured);
 
         const core::HealthMonitor& health = pipeline.health();

@@ -48,19 +48,16 @@ int main() {
     for (const SweepPoint& point : points) {
         const std::string gate_prefix = "sweep[" + std::to_string(sweep.size()) + "].";
         // Identical streams per point: the sweep perturbs the same lot and
-        // the same pipeline randomness, only the fault model changes.
-        rng::Rng master(config.seed);
-        rng::Rng fab_rng = master.split();
-        rng::Rng sim_rng = master.split();
-        rng::Rng pipe_rng = master.split();
-        rng::Rng measure_rng = master.split();
-
+        // the same pipeline randomness, only the fault model changes. The
+        // faulty tester measures on the experiment's spare stream.
+        core::ExperimentStreams streams = core::experiment_streams(config.seed);
         const core::ProcessPair processes =
             core::make_process_pair(config.process_shift_sigma);
         silicon::Fab::Options fab_opts = config.fab;
         fab_opts.within_die_fraction = config.platform.within_die_fraction;
         const silicon::Fab fab(processes.silicon, fab_opts);
-        const silicon::FabricatedLot lot = fab.fabricate_lot(fab_rng, config.n_chips);
+        const silicon::FabricatedLot lot =
+            fab.fabricate_lot(streams.fab, config.n_chips);
 
         const silicon::MeasurementBench bench(config.platform);
         silicon::FaultModel faults;
@@ -71,17 +68,16 @@ int main() {
 
         const core::MeasurementValidator validator;
         const core::IngestResult ingested =
-            validator.ingest(lot, faulty, measure_rng);
+            validator.ingest(lot, faulty, streams.extra);
         const silicon::DuttDataset& measured = ingested.dataset;
 
-        core::PipelineConfig pipe_config = config.pipeline;
+        core::ExperimentConfig point_config = config;
         if (point.force_kmm_collapse) {
-            pipe_config.kmm_min_effective_sample_size = 1e9;
+            point_config.pipeline.kmm_min_effective_sample_size = 1e9;
         }
-        core::GoldenFreePipeline pipeline(
-            pipe_config, silicon::SpiceSimulator(config.platform, processes.spice));
-        pipeline.run_premanufacturing(sim_rng);
-        pipeline.run_silicon_stage(measured.pcms, pipe_rng);
+        const std::unique_ptr<core::GoldenFreePipeline> fitted =
+            core::calibrate_pipeline(point_config, measured.pcms);
+        const core::GoldenFreePipeline& pipeline = *fitted;
 
         io::Json entry = io::Json::object();
         entry.set("nan_dropout_rate", point.rate);

@@ -76,10 +76,9 @@ int main() {
     series.push_back({"measured TF (blue)", pca.transform(tf)});
     series.push_back({"measured TI-amp (green)", pca.transform(ti_amp)});
     series.push_back({"measured TI-freq (black)", pca.transform(ti_freq)});
-    for (std::size_t i = 0; i < core::kAllBoundaries.size(); ++i) {
-        series.push_back(
-            {core::dataset_name(core::kAllBoundaries[i]) + " (purple)",
-             pca.transform(subsample(result.datasets[i], 2000))});
+    for (const core::Boundary b : core::kAllBoundaries) {
+        series.push_back({core::dataset_name(b) + " (purple)",
+                          pca.transform(subsample(result.pipeline->dataset(b), 2000))});
     }
     for (const Series& s : series) report(table, s.name, s.scores);
     std::printf("%s\n", table.str().c_str());

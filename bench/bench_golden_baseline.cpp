@@ -15,9 +15,7 @@ int main() {
     using namespace htd;
 
     core::ExperimentConfig config;
-    rng::Rng master(config.seed);
-    rng::Rng fab_rng = master.split();
-    const silicon::DuttDataset measured = core::fabricate_and_measure(config, fab_rng);
+    const silicon::DuttDataset measured = core::measure_lot(config);
     const auto tf_rows = measured.trojan_free_indices();
 
     std::printf("Golden-chip baseline (Fig. 1 / [12]): 1-class SVM on measured\n");

@@ -48,23 +48,12 @@ int main() {
     config.pipeline.monte_carlo_samples = 60;
     config.pipeline.synthetic_samples = 4000;
 
-    rng::Rng rng(config.seed);
-    rng::Rng fab_rng = rng.split();
-    const silicon::DuttDataset devices =
-        core::fabricate_and_measure(config, fab_rng);
-
-    const core::ProcessPair processes =
-        core::make_process_pair(config.process_shift_sigma);
-    core::GoldenFreePipeline pipeline(
-        config.pipeline,
-        silicon::SpiceSimulator(config.platform, processes.spice));
-    rng::Rng sim_rng = rng.split();
-    rng::Rng pipe_rng = rng.split();
-    pipeline.run_premanufacturing(sim_rng);
-    pipeline.run_silicon_stage(devices.pcms, pipe_rng);
+    const silicon::DuttDataset devices = core::measure_lot(config);
+    const std::unique_ptr<core::GoldenFreePipeline> pipeline =
+        core::calibrate_pipeline(config, devices.pcms);
 
     const core::BoundaryScorer scorer(core::BoundaryArtifact::from_pipeline(
-        pipeline, config.seed, "bench_journal"));
+        *pipeline, config.seed, "bench_journal"));
     const core::Boundary verdict = scorer.verdict_boundary().value();
 
     // Tile the measured lot into a production-sized batch (scoring cost is

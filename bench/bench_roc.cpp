@@ -18,28 +18,19 @@ int main() {
     using namespace htd;
 
     core::ExperimentConfig config;
-    rng::Rng master(config.seed);
-    rng::Rng fab_rng = master.split();
-    rng::Rng sim_rng = master.split();
-    rng::Rng pipe_rng = master.split();
-
-    const silicon::DuttDataset measured = core::fabricate_and_measure(config, fab_rng);
+    const silicon::DuttDataset measured = core::measure_lot(config);
     const auto labels = measured.labels();
 
-    const core::ProcessPair processes =
-        core::make_process_pair(config.process_shift_sigma);
     obs::Registry::global().configure(obs::SinkKind::kJson);  // time the stages for the report
-    core::GoldenFreePipeline pipeline(
-        config.pipeline, silicon::SpiceSimulator(config.platform, processes.spice));
-    pipeline.run_premanufacturing(sim_rng);
-    pipeline.run_silicon_stage(measured.pcms, pipe_rng);
+    const std::unique_ptr<core::GoldenFreePipeline> pipeline =
+        core::calibrate_pipeline(config, measured.pcms);
 
     std::printf("ROC analysis of the trusted-region decision values\n\n");
     io::Table table({"boundary", "AUC", "FN at FP=0"});
     io::Json roc_results = io::Json::array();
     io::Json gate = io::Json::array();
     for (const core::Boundary b : core::kAllBoundaries) {
-        const linalg::Vector dv = pipeline.decision_values(b, measured.fingerprints);
+        const linalg::Vector dv = pipeline->decision_values(b, measured.fingerprints);
         const std::vector<double> scores(dv.begin(), dv.end());
         const auto curve = ml::roc_curve(scores, labels);
 
@@ -75,7 +66,7 @@ int main() {
 
     // Detector swap: k-NN one-class on the same S5 population.
     ml::KnnDetector knn({.k = 5, .nu = config.pipeline.svm.nu});
-    knn.fit(pipeline.dataset(core::Boundary::kB5));
+    knn.fit(pipeline->dataset(core::Boundary::kB5));
     std::vector<double> knn_scores(measured.size());
     std::vector<bool> knn_inside(measured.size());
     for (std::size_t i = 0; i < measured.size(); ++i) {

@@ -37,26 +37,13 @@ int main() {
     config.pipeline.monte_carlo_samples = 60;
     config.pipeline.synthetic_samples = 4000;
 
-    // Same stream discipline as examples/quickstart.cpp and htd_score
-    // calibrate: one master seed, one split per stochastic stage.
-    rng::Rng rng(config.seed);
-    rng::Rng fab_rng = rng.split();
-    const silicon::DuttDataset devices =
-        core::fabricate_and_measure(config, fab_rng);
-
-    const core::ProcessPair processes =
-        core::make_process_pair(config.process_shift_sigma);
-    core::GoldenFreePipeline pipeline(
-        config.pipeline,
-        silicon::SpiceSimulator(config.platform, processes.spice));
-    rng::Rng sim_rng = rng.split();
-    rng::Rng pipe_rng = rng.split();
-    pipeline.run_premanufacturing(sim_rng);
-    pipeline.run_silicon_stage(devices.pcms, pipe_rng);
+    const silicon::DuttDataset devices = core::measure_lot(config);
+    const std::unique_ptr<core::GoldenFreePipeline> pipeline =
+        core::calibrate_pipeline(config, devices.pcms);
 
     const std::string artifact_path = "bench_score_artifact.json";
     const core::BoundaryArtifact trained =
-        core::BoundaryArtifact::from_pipeline(pipeline, config.seed,
+        core::BoundaryArtifact::from_pipeline(*pipeline, config.seed,
                                               "bench_score_throughput");
     const Clock::time_point save_start = Clock::now();
     trained.save(artifact_path);

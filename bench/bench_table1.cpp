@@ -36,7 +36,9 @@ int main() {
 
     std::printf("Golden-chip baseline [12] (reference): %s\n",
                 result.golden_baseline.str().c_str());
-    std::printf("MARS mean training R^2: %.4f\n", result.mars_mean_r2);
-    std::printf("Kernel-mean-shift iterations: %zu\n", result.calibration_iterations);
+    std::printf("MARS mean training R^2: %.4f\n",
+                result.pipeline->regressions().mean_r_squared());
+    std::printf("Kernel-mean-shift iterations: %zu\n",
+                result.pipeline->calibration_result()->iterations);
     return 0;
 }

@@ -29,33 +29,25 @@ int main() {
     // 2. Fabricate and measure the devices under Trojan test. In a real
     //    deployment this is the tester output; here the virtual fab plays
     //    the (untrusted) foundry.
-    rng::Rng rng(config.seed);
-    rng::Rng fab_rng = rng.split();
-    const silicon::DuttDataset devices = core::fabricate_and_measure(config, fab_rng);
+    const silicon::DuttDataset devices = core::measure_lot(config);
     std::printf("measured %zu devices (%zu PCMs, %zu fingerprints each)\n",
                 devices.size(), devices.pcms.cols(), devices.fingerprints.cols());
 
     // 3. The golden-free pipeline: Monte Carlo simulation of the *trusted*
     //    design model, PCM->fingerprint regression, calibration to the
     //    silicon operating point, KDE tail enhancement.
-    const core::ProcessPair processes =
-        core::make_process_pair(config.process_shift_sigma);
     // Collect spans + metrics for the RunReport unless the HTD_OBS
     // environment variable already picked a sink (e.g. HTD_OBS=text).
     if (obs::Registry::global().sink() == obs::SinkKind::kOff) {
         obs::Registry::global().configure(obs::SinkKind::kJson);
     }
-    core::GoldenFreePipeline pipeline(
-        config.pipeline, silicon::SpiceSimulator(config.platform, processes.spice));
-    rng::Rng sim_rng = rng.split();
-    rng::Rng pipe_rng = rng.split();
-    pipeline.run_premanufacturing(sim_rng);
-    pipeline.run_silicon_stage(devices.pcms, pipe_rng);
+    const std::unique_ptr<core::GoldenFreePipeline> pipeline =
+        core::calibrate_pipeline(config, devices.pcms);
 
     // 4. Trojan test: devices inside the B5 trusted region are declared
     //    Trojan-free.
     const std::vector<bool> verdicts =
-        pipeline.classify(core::Boundary::kB5, devices.fingerprints);
+        pipeline->classify(core::Boundary::kB5, devices.fingerprints);
     std::printf("\n%-8s %-18s %-14s %s\n", "device", "actual", "verdict", "correct");
     std::size_t correct = 0;
     for (std::size_t i = 0; i < devices.size(); ++i) {
@@ -74,7 +66,7 @@ int main() {
     //    detection metrics on this lot, calibration diagnostics, and the
     //    timed spans/counters of everything above.
     const obs::RunReport report =
-        core::pipeline_run_report(pipeline, "quickstart", &devices);
+        core::pipeline_run_report(*pipeline, "quickstart", &devices);
     report.write("quickstart_run_report.json");
     std::printf("wrote quickstart_run_report.json (%zu spans captured)\n",
                 obs::Registry::global().span_count());

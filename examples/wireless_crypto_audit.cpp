@@ -21,36 +21,25 @@ int main() {
     using namespace htd;
 
     core::ExperimentConfig config;  // the paper's 40-chip batch
-    rng::Rng master(config.seed);
-    rng::Rng fab_rng = master.split();
-    rng::Rng sim_rng = master.split();
-    rng::Rng pipe_rng = master.split();
 
     std::printf("=== Wireless cryptographic IC audit ===\n");
     std::printf("batch: %zu chips x 3 design versions = %zu devices under test\n",
                 config.n_chips, 3 * config.n_chips);
     std::printf("root of trust: design database + on-die PCMs (no golden chips)\n\n");
 
-    const silicon::DuttDataset devices = core::fabricate_and_measure(config, fab_rng);
-
-    const core::ProcessPair processes =
-        core::make_process_pair(config.process_shift_sigma);
-    core::GoldenFreePipeline pipeline(
-        config.pipeline, silicon::SpiceSimulator(config.platform, processes.spice));
+    // The canonical experiment: measure the lot, run both pipeline stages,
+    // score Table 1. The stages below read the fitted pipeline.
+    const core::ExperimentResult result = core::run_experiment(config);
+    const silicon::DuttDataset& devices = result.measured;
+    const core::GoldenFreePipeline& pipeline = *result.pipeline;
 
     std::printf("[stage 1] pre-manufacturing: Monte Carlo of %zu golden devices,\n",
                 config.pipeline.monte_carlo_samples);
     std::printf("          MARS bank g : PCM -> fingerprints, boundaries B1/B2\n");
-    pipeline.run_premanufacturing(sim_rng);
-    double r2 = 0.0;
-    for (std::size_t j = 0; j < pipeline.regressions().output_dim(); ++j) {
-        r2 += pipeline.regressions().model(j).r_squared();
-    }
     std::printf("          mean regression R^2 = %.3f\n\n",
-                r2 / static_cast<double>(pipeline.regressions().output_dim()));
+                pipeline.regressions().mean_r_squared());
 
     std::printf("[stage 2] silicon measurement: PCM calibration + boundaries B3..B5\n");
-    pipeline.run_silicon_stage(devices.pcms, pipe_rng);
     std::printf("          kernel-mean-shift iterations: %zu\n\n",
                 pipeline.calibration_result()->iterations);
 
@@ -65,7 +54,7 @@ int main() {
     io::Table summary({"boundary", "FP (missed Trojans)", "FN (false alarms)",
                        "accuracy"});
     for (std::size_t b = 0; b < 5; ++b) {
-        const auto m = pipeline.evaluate(core::kAllBoundaries[b], devices);
+        const auto& m = result.table1[b];
         summary.add_row({core::boundary_name(core::kAllBoundaries[b]),
                          io::fmt_ratio(m.false_positives, m.trojan_infested_total),
                          io::fmt_ratio(m.false_negatives, m.trojan_free_total),
@@ -108,11 +97,8 @@ int main() {
     io::write_csv("audit_report.csv", report, header);
     std::printf("wrote audit_report.csv (one row per device)\n");
 
-    // Machine-readable summary for archiving / regression tracking. The
-    // example rebuilds the canonical result via the experiment driver so the
-    // JSON matches what bench_table1 reports.
-    const core::ExperimentResult canonical = core::run_experiment(config);
-    core::write_experiment_report("audit_report.json", config, canonical);
+    // Machine-readable summary for archiving / regression tracking.
+    core::write_experiment_report("audit_report.json", config, result);
     std::printf("wrote audit_report.json (Table-1 metrics + diagnostics)\n");
     return 0;
 }

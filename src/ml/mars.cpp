@@ -396,4 +396,11 @@ linalg::Matrix MarsBank::predict_batch(const linalg::Matrix& x) const {
     return out;
 }
 
+double MarsBank::mean_r_squared() const noexcept {
+    if (models_.empty()) return 0.0;
+    double r2 = 0.0;
+    for (const Mars& m : models_) r2 += m.r_squared();
+    return r2 / static_cast<double>(models_.size());
+}
+
 }  // namespace htd::ml

@@ -183,6 +183,9 @@ public:
     [[nodiscard]] std::size_t output_dim() const noexcept { return models_.size(); }
     [[nodiscard]] const Mars& model(std::size_t j) const { return models_.at(j); }
 
+    /// Mean training R^2 over the outputs (0 before fit).
+    [[nodiscard]] double mean_r_squared() const noexcept;
+
 private:
     Mars::Options opts_{};
     std::vector<Mars> models_;

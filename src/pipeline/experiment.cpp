@@ -31,44 +31,46 @@ silicon::DuttDataset fabricate_and_measure(const ExperimentConfig& config,
     return bench.measure_lot(lot, rng);
 }
 
+ExperimentStreams experiment_streams(std::uint64_t seed) {
+    rng::Rng master(seed);
+    rng::Rng fab = master.split();
+    rng::Rng sim = master.split();
+    rng::Rng pipe = master.split();
+    rng::Rng extra = master.split();
+    return {fab, sim, pipe, extra};
+}
+
+silicon::DuttDataset measure_lot(const ExperimentConfig& config) {
+    rng::Rng fab_rng = experiment_streams(config.seed).fab;
+    return fabricate_and_measure(config, fab_rng);
+}
+
+std::unique_ptr<GoldenFreePipeline> calibrate_pipeline(const ExperimentConfig& config,
+                                                       const linalg::Matrix& dutt_pcms) {
+    ExperimentStreams streams = experiment_streams(config.seed);
+    const ProcessPair processes = make_process_pair(config.process_shift_sigma);
+    auto pipeline = std::make_unique<GoldenFreePipeline>(
+        config.pipeline, silicon::SpiceSimulator(config.platform, processes.spice));
+    pipeline->run_premanufacturing(streams.sim);
+    pipeline->run_silicon_stage(dutt_pcms, streams.pipe);
+    return pipeline;
+}
+
 ExperimentResult run_experiment(const ExperimentConfig& config) {
     obs::ScopedSpan span("experiment.run");
     span.attr("seed", static_cast<double>(config.seed));
     span.attr("n_chips", static_cast<double>(config.n_chips));
-    rng::Rng master(config.seed);
-    rng::Rng fab_rng = master.split();
-    rng::Rng sim_rng = master.split();
-    rng::Rng pipeline_rng = master.split();
 
     ExperimentResult result;
-    result.measured = fabricate_and_measure(config, fab_rng);
-
-    const ProcessPair processes = make_process_pair(config.process_shift_sigma);
-    silicon::SpiceSimulator simulator(config.platform, processes.spice);
-
-    GoldenFreePipeline pipeline(config.pipeline, std::move(simulator));
-    pipeline.run_premanufacturing(sim_rng);
-    pipeline.run_silicon_stage(result.measured.pcms, pipeline_rng);
+    result.measured = measure_lot(config);
+    result.pipeline = calibrate_pipeline(config, result.measured.pcms);
 
     {
         obs::ScopedSpan score_span("experiment.score_boundaries");
         for (std::size_t i = 0; i < kAllBoundaries.size(); ++i) {
-            const Boundary b = kAllBoundaries[i];
-            result.table1[i] = pipeline.evaluate(b, result.measured);
-            result.datasets[i] = pipeline.dataset(b);
+            result.table1[i] =
+                result.pipeline->evaluate(kAllBoundaries[i], result.measured);
         }
-    }
-
-    const ml::MarsBank& bank = pipeline.regressions();
-    double r2 = 0.0;
-    for (std::size_t j = 0; j < bank.output_dim(); ++j) {
-        r2 += bank.model(j).r_squared();
-    }
-    result.mars_mean_r2 = bank.output_dim() > 0
-                              ? r2 / static_cast<double>(bank.output_dim())
-                              : 0.0;
-    if (pipeline.calibration_result()) {
-        result.calibration_iterations = pipeline.calibration_result()->iterations;
     }
 
     // Golden-chip baseline (Fig. 1 / [12]): boundary from the measured

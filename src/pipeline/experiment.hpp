@@ -7,6 +7,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 
 #include "pipeline/pipeline.hpp"
 #include "process/variation_model.hpp"
@@ -44,26 +45,43 @@ struct ExperimentResult {
     /// Measured DUTT population (fingerprints, PCMs, ground truth).
     silicon::DuttDataset measured;
 
+    /// The pipeline fitted on `measured.pcms` (both stages run). Held by
+    /// pointer because a GoldenFreePipeline cannot be moved.
+    std::unique_ptr<GoldenFreePipeline> pipeline;
+
     /// Table 1: FP/FN of B1..B5 in pipeline order.
     std::array<ml::DetectionMetrics, 5> table1;
 
     /// The golden-chip baseline of [12] (Fig. 1) on the same population.
     ml::DetectionMetrics golden_baseline;
-
-    /// Copies of the datasets S1..S5 the boundaries were trained on
-    /// (S2/S5 may be large; they are kept for the Fig. 4 projections).
-    std::array<linalg::Matrix, 5> datasets;
-
-    /// Mean training R^2 of the MARS regression bank (diagnostic).
-    double mars_mean_r2 = 0.0;
-
-    /// Kernel-mean-shift iterations used by the calibration stage.
-    std::size_t calibration_iterations = 0;
 };
 
-/// Run the full experiment. This is the programmatic equivalent of the
-/// paper's Section 3 and the engine behind bench_table1 / bench_fig4.
+/// Run the full experiment: measure_lot, calibrate_pipeline on its PCMs,
+/// then score every boundary and the golden-chip baseline. This is the
+/// programmatic equivalent of the paper's Section 3 and the engine behind
+/// bench_table1 / bench_fig4.
 [[nodiscard]] ExperimentResult run_experiment(const ExperimentConfig& config);
+
+/// The stream-split contract. Every experiment draws its randomness from
+/// Rng(config.seed), split in this order: `fab` fabricates and measures the
+/// lot, `sim` runs stage 1 (Monte Carlo), `pipe` runs stage 2 (calibration
+/// and KDE sampling), and `extra` is free for a study's own draws. The
+/// order fixes every B-score, so it is written down only here.
+struct ExperimentStreams {
+    rng::Rng fab;
+    rng::Rng sim;
+    rng::Rng pipe;
+    rng::Rng extra;
+};
+[[nodiscard]] ExperimentStreams experiment_streams(std::uint64_t seed);
+
+/// Fabricate and measure the canonical lot of a config (the `fab` stream).
+[[nodiscard]] silicon::DuttDataset measure_lot(const ExperimentConfig& config);
+
+/// Build the golden-free pipeline on the config's stale Spice model and run
+/// both stages on the given DUTT PCMs (the `sim` and `pipe` streams).
+[[nodiscard]] std::unique_ptr<GoldenFreePipeline> calibrate_pipeline(
+    const ExperimentConfig& config, const linalg::Matrix& dutt_pcms);
 
 /// Construct the pieces individually (exposed for custom studies):
 

@@ -51,8 +51,11 @@ io::Json experiment_report(const ExperimentConfig& config,
     doc.set("golden_chip_baseline", std::move(baseline));
 
     io::Json diag = io::Json::object();
-    diag.set("mars_mean_r2", result.mars_mean_r2);
-    diag.set("calibration_iterations", result.calibration_iterations);
+    const GoldenFreePipeline& pipeline = *result.pipeline;
+    diag.set("mars_mean_r2", pipeline.regressions().mean_r_squared());
+    diag.set("calibration_iterations",
+             pipeline.calibration_result() ? pipeline.calibration_result()->iterations
+                                           : std::size_t{0});
     doc.set("diagnostics", std::move(diag));
 
     if (include_measurements) {

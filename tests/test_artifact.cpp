@@ -41,21 +41,9 @@ protected:
         config.pipeline.monte_carlo_samples = 40;
         config.pipeline.synthetic_samples = 3000;
 
-        rng::Rng rng(config.seed);
-        rng::Rng fab_rng = rng.split();
-        const silicon::DuttDataset devices =
-            core::fabricate_and_measure(config, fab_rng);
+        const silicon::DuttDataset devices = core::measure_lot(config);
         fingerprints_ = devices.fingerprints;
-
-        const core::ProcessPair processes =
-            core::make_process_pair(config.process_shift_sigma);
-        pipeline_ = std::make_unique<core::GoldenFreePipeline>(
-            config.pipeline,
-            silicon::SpiceSimulator(config.platform, processes.spice));
-        rng::Rng sim_rng = rng.split();
-        rng::Rng pipe_rng = rng.split();
-        pipeline_->run_premanufacturing(sim_rng);
-        pipeline_->run_silicon_stage(devices.pcms, pipe_rng);
+        pipeline_ = core::calibrate_pipeline(config, devices.pcms);
 
         seed_ = config.seed;
         artifact_doc_ = core::BoundaryArtifact::from_pipeline(*pipeline_, seed_,
@@ -512,18 +500,11 @@ TEST(Stage3Contract, PipelineAndScorerJournalAndCountAlike) {
     config.n_chips = 12;  // quickstart: 36 devices
     config.pipeline.synthetic_samples = 20000;
 
-    rng::Rng rng(config.seed);
-    rng::Rng fab_rng = rng.split();
-    const silicon::DuttDataset devices = core::fabricate_and_measure(config, fab_rng);
+    const silicon::DuttDataset devices = core::measure_lot(config);
     const linalg::Matrix& fingerprints = devices.fingerprints;
-    const core::ProcessPair processes =
-        core::make_process_pair(config.process_shift_sigma);
-    core::GoldenFreePipeline pipeline(
-        config.pipeline, silicon::SpiceSimulator(config.platform, processes.spice));
-    rng::Rng sim_rng = rng.split();
-    rng::Rng pipe_rng = rng.split();
-    pipeline.run_premanufacturing(sim_rng);
-    pipeline.run_silicon_stage(devices.pcms, pipe_rng);
+    const std::unique_ptr<core::GoldenFreePipeline> fitted =
+        core::calibrate_pipeline(config, devices.pcms);
+    const core::GoldenFreePipeline& pipeline = *fitted;
     const core::BoundaryScorer scorer(
         core::BoundaryArtifact::from_pipeline(pipeline, config.seed, "test_artifact"));
     ASSERT_FALSE(obs::EventJournal::global().enabled());

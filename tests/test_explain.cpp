@@ -43,25 +43,11 @@ protected:
         config.pipeline.monte_carlo_samples = 40;
         config.pipeline.synthetic_samples = 3000;
 
-        rng::Rng rng(config.seed);
-        rng::Rng fab_rng = rng.split();
-        const silicon::DuttDataset devices =
-            core::fabricate_and_measure(config, fab_rng);
+        const silicon::DuttDataset devices = core::measure_lot(config);
         fingerprints_ = devices.fingerprints;
 
-        const core::ProcessPair processes =
-            core::make_process_pair(config.process_shift_sigma);
-        core::GoldenFreePipeline pipeline(
-            config.pipeline,
-            silicon::SpiceSimulator(config.platform, processes.spice));
-        rng::Rng sim_rng = rng.split();
-        rng::Rng pipe_rng = rng.split();
-        pipeline.run_premanufacturing(sim_rng);
-        pipeline.run_silicon_stage(devices.pcms, pipe_rng);
-
-        const core::BoundaryArtifact artifact =
-            core::BoundaryArtifact::from_pipeline(pipeline, config.seed,
-                                                  "test_explain");
+        const core::BoundaryArtifact artifact = core::BoundaryArtifact::from_pipeline(
+            *core::calibrate_pipeline(config, devices.pcms), config.seed, "test_explain");
         scorer_ = std::make_unique<core::BoundaryScorer>(artifact);
 
         const std::string path =

@@ -353,18 +353,10 @@ core::ExperimentConfig small_config() {
 
 TEST(PipelineHealth, CleanRunReportsAllProbesHealthy) {
     const core::ExperimentConfig config = small_config();
-    rng::Rng master(config.seed);
-    rng::Rng fab_rng = master.split();
-    rng::Rng sim_rng = master.split();
-    rng::Rng pipe_rng = master.split();
-    const silicon::DuttDataset measured =
-        core::fabricate_and_measure(config, fab_rng);
-    const core::ProcessPair processes =
-        core::make_process_pair(config.process_shift_sigma);
-    core::GoldenFreePipeline pipeline(
-        config.pipeline, silicon::SpiceSimulator(config.platform, processes.spice));
-    pipeline.run_premanufacturing(sim_rng);
-    pipeline.run_silicon_stage(measured.pcms, pipe_rng);
+    const silicon::DuttDataset measured = core::measure_lot(config);
+    const std::unique_ptr<core::GoldenFreePipeline> fitted =
+        core::calibrate_pipeline(config, measured.pcms);
+    const core::GoldenFreePipeline& pipeline = *fitted;
     pipeline.probe_incoming(measured);
 
     const core::HealthMonitor& health = pipeline.health();
@@ -384,11 +376,7 @@ TEST(PipelineHealth, ForcedDriftAndCollapseDegradeVerdictWithPerChannelKs) {
     // The E14/E15 forcing: an impossible ESS floor guarantees the KMM
     // collapse fallback, and the DUTT PCMs get an extra >= 1 sigma shift.
     config.pipeline.kmm_min_effective_sample_size = 1e9;
-    rng::Rng master(config.seed);
-    rng::Rng fab_rng = master.split();
-    rng::Rng sim_rng = master.split();
-    rng::Rng pipe_rng = master.split();
-    silicon::DuttDataset measured = core::fabricate_and_measure(config, fab_rng);
+    silicon::DuttDataset measured = core::measure_lot(config);
     for (std::size_t c = 0; c < measured.pcms.cols(); ++c) {
         double mean = 0.0;
         for (std::size_t r = 0; r < measured.pcms.rows(); ++r) {
@@ -407,12 +395,9 @@ TEST(PipelineHealth, ForcedDriftAndCollapseDegradeVerdictWithPerChannelKs) {
         }
     }
 
-    const core::ProcessPair processes =
-        core::make_process_pair(config.process_shift_sigma);
-    core::GoldenFreePipeline pipeline(
-        config.pipeline, silicon::SpiceSimulator(config.platform, processes.spice));
-    pipeline.run_premanufacturing(sim_rng);
-    pipeline.run_silicon_stage(measured.pcms, pipe_rng);
+    const std::unique_ptr<core::GoldenFreePipeline> fitted =
+        core::calibrate_pipeline(config, measured.pcms);
+    const core::GoldenFreePipeline& pipeline = *fitted;
 
     ASSERT_TRUE(pipeline.kmm_fallback_applied());
     const core::HealthMonitor& health = pipeline.health();
@@ -458,19 +443,10 @@ TEST(PipelineHealth, KmmCollapseFallbackVisibleInReportHealthAndJournal) {
     obs::EventJournal& journal = obs::EventJournal::global();
     journal.enable_memory();
 
-    rng::Rng master(config.seed);
-    rng::Rng fab_rng = master.split();
-    rng::Rng sim_rng = master.split();
-    rng::Rng pipe_rng = master.split();
-    const silicon::DuttDataset measured =
-        core::fabricate_and_measure(config, fab_rng);
-    const core::ProcessPair processes =
-        core::make_process_pair(config.process_shift_sigma);
-    core::GoldenFreePipeline pipeline(
-        config.pipeline,
-        silicon::SpiceSimulator(config.platform, processes.spice));
-    pipeline.run_premanufacturing(sim_rng);
-    pipeline.run_silicon_stage(measured.pcms, pipe_rng);
+    const silicon::DuttDataset measured = core::measure_lot(config);
+    const std::unique_ptr<core::GoldenFreePipeline> fitted =
+        core::calibrate_pipeline(config, measured.pcms);
+    const core::GoldenFreePipeline& pipeline = *fitted;
     ASSERT_TRUE(pipeline.kmm_fallback_applied());
 
     // Surface 1: the run report's health section names the degraded B4.

@@ -333,22 +333,12 @@ TEST_F(ObsTest, PipelineRunReportCoversAllBoundaries) {
     config.n_chips = 8;
     config.pipeline.synthetic_samples = 5000;
 
-    htd::rng::Rng master(config.seed);
-    htd::rng::Rng fab_rng = master.split();
-    htd::rng::Rng sim_rng = master.split();
-    htd::rng::Rng pipe_rng = master.split();
-    const htd::silicon::DuttDataset measured =
-        core::fabricate_and_measure(config, fab_rng);
-    const core::ProcessPair processes =
-        core::make_process_pair(config.process_shift_sigma);
-    core::GoldenFreePipeline pipeline(
-        config.pipeline,
-        htd::silicon::SpiceSimulator(config.platform, processes.spice));
-    pipeline.run_premanufacturing(sim_rng);
-    pipeline.run_silicon_stage(measured.pcms, pipe_rng);
+    const htd::silicon::DuttDataset measured = core::measure_lot(config);
+    const std::unique_ptr<core::GoldenFreePipeline> pipeline =
+        core::calibrate_pipeline(config, measured.pcms);
 
     const htd::obs::RunReport report =
-        core::pipeline_run_report(pipeline, "obs_pipeline_test", &measured);
+        core::pipeline_run_report(*pipeline, "obs_pipeline_test", &measured);
     const Json parsed = Json::parse(report.json().dump());
     EXPECT_EQ(parsed.at("run").str(), "obs_pipeline_test");
 

@@ -175,27 +175,14 @@ int run_calibrate(const Args& args) {
     config.pipeline.synthetic_samples = args.synthetic;
     if (args.seed_set) config.seed = args.seed;
 
-    // The canonical experiment driver (same stream discipline as
-    // examples/quickstart.cpp): one master seed, one split per stochastic
-    // stage. Reproducing this exact split order is what makes the
-    // calibrate-time B-scores bit-for-bit reproducible.
-    rng::Rng rng(config.seed);
-    rng::Rng fab_rng = rng.split();
-    const silicon::DuttDataset devices =
-        core::fabricate_and_measure(config, fab_rng);
-
-    const core::ProcessPair processes =
-        core::make_process_pair(config.process_shift_sigma);
-    core::GoldenFreePipeline pipeline(
-        config.pipeline,
-        silicon::SpiceSimulator(config.platform, processes.spice));
-    rng::Rng sim_rng = rng.split();
-    rng::Rng pipe_rng = rng.split();
-    pipeline.run_premanufacturing(sim_rng);
-    pipeline.run_silicon_stage(devices.pcms, pipe_rng);
+    // The canonical lot and pipeline of the experiment driver: the same
+    // seed always reproduces the calibrate-time B-scores bit for bit.
+    const silicon::DuttDataset devices = core::measure_lot(config);
+    const std::unique_ptr<core::GoldenFreePipeline> pipeline =
+        core::calibrate_pipeline(config, devices.pcms);
 
     const core::BoundaryArtifact artifact =
-        core::BoundaryArtifact::from_pipeline(pipeline, config.seed, "htd_score");
+        core::BoundaryArtifact::from_pipeline(*pipeline, config.seed, "htd_score");
     artifact.save(args.artifact);
     std::printf("calibrated %zu devices -> %s (config %s)\n", devices.size(),
                 args.artifact.c_str(),
@@ -208,7 +195,7 @@ int run_calibrate(const Args& args) {
                     devices.fingerprints.cols());
     }
     if (!args.bscores.empty()) {
-        bscores_json(pipeline, config.seed, devices.fingerprints)
+        bscores_json(*pipeline, config.seed, devices.fingerprints)
             .dump_to_file(args.bscores);
         std::printf("wrote reference B-scores %s\n", args.bscores.c_str());
     }

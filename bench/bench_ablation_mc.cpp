@@ -12,7 +12,6 @@ namespace {
 
 void add_rows(htd::io::Table& table, const std::string& label,
               const htd::core::ExperimentResult& r) {
-    std::string row = label;
     std::vector<std::string> cells{label};
     for (const auto& m : r.table1) {
         cells.push_back(htd::io::fmt_ratio(m.false_positives, 80) + " " +

@@ -14,7 +14,8 @@
 namespace htd::core {
 
 /// Build the JSON document for one experiment run. Includes the per-boundary
-/// Table-1 metrics, the golden-chip baseline, diagnostics, the key
+/// Table-1 metrics, the golden-chip baseline, diagnostics read from the
+/// fitted pipeline (so `result` must come from run_experiment), the key
 /// configuration knobs, and (optionally) the measured per-device data.
 [[nodiscard]] io::Json experiment_report(const ExperimentConfig& config,
                                          const ExperimentResult& result,

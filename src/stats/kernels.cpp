@@ -29,24 +29,21 @@ double EpanechnikovKernel::density(std::span<const double> t) const {
 
 void EpanechnikovKernel::sample(rng::Rng& rng, std::span<double> out) const {
     if (out.size() != dim_) throw std::invalid_argument("EpanechnikovKernel::sample: dim mismatch");
-    for (;;) {
-        // Uniform direction on the sphere from normalized Gaussians.
-        double nrm2 = 0.0;
+    // The first d coordinates of a uniform point on S^{d+3}: d+4 normals,
+    // of which the last four only add to the norm (see the header).
+    double nrm2 = 0.0;
+    while (nrm2 == 0.0) {
         for (double& v : out) {
             v = rng.normal();
             nrm2 += v * v;
         }
-        if (nrm2 == 0.0) continue;
-        const double nrm = std::sqrt(nrm2);
-
-        // Radius of a uniform-ball draw, thinned to the Epanechnikov radial
-        // law r^{d-1}(1-r^2) by accepting with probability (1 - r^2).
-        const double r = std::pow(rng.uniform(), 1.0 / static_cast<double>(dim_));
-        if (rng.uniform() < 1.0 - r * r) {
-            for (double& v : out) v *= r / nrm;
-            return;
+        for (int k = 0; k < 4; ++k) {
+            const double z = rng.normal();
+            nrm2 += z * z;
         }
     }
+    const double inv = 1.0 / std::sqrt(nrm2);
+    for (double& v : out) v *= inv;
 }
 
 // --- Gaussian ----------------------------------------------------------------

@@ -37,9 +37,12 @@ public:
 
 /// Multivariate Epanechnikov kernel, Eq. (6) of the paper.
 ///
-/// Sampling uses the exact radial decomposition: direction uniform on the
-/// sphere; radius via rejection from the uniform-ball radial law with
-/// acceptance probability (1 - r^2) (overall acceptance 2/(d+2)).
+/// Sampling is exact and rejection-free: a draw is the first d coordinates
+/// of a point uniform on the unit sphere S^{d+3} in R^{d+4}, i.e. d+4
+/// standard normals scaled by one inverse norm. Projecting the uniform law
+/// on S^{n-1} onto d coordinates gives the density proportional to
+/// (1 - t^T t)^{(n-d)/2 - 1} on the unit ball; at n = d+4 the exponent is 1,
+/// which is Eq. (6). Each draw consumes exactly d+4 `Rng::normal()` values.
 class EpanechnikovKernel final : public SmoothingKernel {
 public:
     /// Throws std::invalid_argument when dim == 0.

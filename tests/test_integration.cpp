@@ -170,10 +170,10 @@ TEST(Integration, CanonicalLotDecisionValuesArePinned) {
     };
     constexpr Pin kPins[] = {
         {0xa1740a23fcc44a51ULL, 0, 10},  // B1
-        {0xefcfb439f4ab9da2ULL, 0, 10},  // B2
+        {0xcfcaea923c478c4dULL, 0, 10},  // B2
         {0xe18f0ed8cc8f77ebULL, 0, 3},   // B3
         {0x3e6d82c84a375b5fULL, 0, 4},   // B4
-        {0x63f27c6be152701aULL, 0, 1},   // B5
+        {0xcdc39d1f0da1096eULL, 0, 2},   // B5
     };
     ASSERT_EQ(devices.size(), 30u);
     for (std::size_t i = 0; i < htd::core::kAllBoundaries.size(); ++i) {

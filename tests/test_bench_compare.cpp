@@ -4,7 +4,7 @@
 /// (lower-is-better with a relative band and an absolute floor, a ratio
 /// floor, an absolute band, the drift verdict rank) passes exactly at its
 /// band and fails just past it; a metric missing from the candidate fails;
-/// and the waiver and missing-file exit codes hold.
+/// and a missing candidate file is a usage error.
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
@@ -106,19 +106,6 @@ protected:
         doc.dump_to_file((dir / ("BENCH_" + name + ".json")).string());
     }
 
-    void write_waiver(const std::string& artifact, const std::string& metric) const {
-        Json entry = Json::object();
-        entry.set("artifact", artifact);
-        entry.set("metric", metric);
-        entry.set("reason", "fixture waiver");
-        Json waivers = Json::array();
-        waivers.push_back(std::move(entry));
-        Json doc = Json::object();
-        doc.set("schema", "htd.bench_waivers.v1");
-        doc.set("waivers", std::move(waivers));
-        doc.dump_to_file((base_dir() / "WAIVERS.json").string());
-    }
-
     [[nodiscard]] Result compare() const {
         const std::string cmd = std::string(HTD_BENCH_COMPARE) + " --baseline-dir '" +
                                 base_dir().string() + "' --candidate-dir '" +
@@ -141,7 +128,7 @@ TEST_F(BenchCompareTest, EveryRuleShapePassesExactlyAtItsBand) {
     write_pair("fixture", at_band());
     const Result run = compare();
     EXPECT_EQ(run.exit_code, 0) << run.output;
-    EXPECT_NE(run.output.find("OK (6 checks, 0 failed, 0 waived)"), std::string::npos)
+    EXPECT_NE(run.output.find("OK (6 checks, 0 failed)"), std::string::npos)
         << run.output;
 }
 
@@ -154,7 +141,7 @@ TEST_F(BenchCompareTest, EveryRuleShapeFailsJustPastItsBand) {
     write_pair("fixture", metrics);
     const Result run = compare();
     EXPECT_EQ(run.exit_code, 1) << run.output;
-    EXPECT_NE(run.output.find("REGRESSION (6 checks, 6 failed, 0 waived)"),
+    EXPECT_NE(run.output.find("REGRESSION (6 checks, 6 failed)"),
               std::string::npos)
         << run.output;
     for (const Metric& m : metrics) {
@@ -168,29 +155,6 @@ TEST_F(BenchCompareTest, MetricMissingFromCandidateFails) {
     EXPECT_EQ(run.exit_code, 1) << run.output;
     EXPECT_NE(run.output.find("1 failed"), std::string::npos) << run.output;
     EXPECT_NE(run.output.find("candidate missing"), std::string::npos) << run.output;
-}
-
-TEST_F(BenchCompareTest, WaivedFailurePassesLoudly) {
-    std::vector<Metric> metrics = at_band();
-    metrics[0].candidate = 5000.0;
-    write_pair("fixture", metrics);
-    write_waiver("fixture", metrics[0].name);
-    const Result run = compare();
-    EXPECT_EQ(run.exit_code, 0) << run.output;
-    EXPECT_NE(run.output.find("OK* (6 checks, 0 failed, 1 waived)"), std::string::npos)
-        << run.output;
-    EXPECT_NE(run.output.find("WAIVED " + metrics[0].name), std::string::npos)
-        << run.output;
-    EXPECT_NE(run.output.find("reason: fixture waiver"), std::string::npos) << run.output;
-}
-
-TEST_F(BenchCompareTest, UnusedWaiverFailsTheGate) {
-    write_pair("fixture", at_band());
-    write_waiver("fixture", "ratio");  // passing metric: the waiver is stale
-    const Result run = compare();
-    EXPECT_EQ(run.exit_code, 1) << run.output;
-    EXPECT_NE(run.output.find("UNUSED WAIVER fixture ratio"), std::string::npos)
-        << run.output;
 }
 
 TEST_F(BenchCompareTest, MissingCandidateFileIsAUsageError) {

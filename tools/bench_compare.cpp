@@ -23,14 +23,6 @@
 /// missing *candidate* file is a hard usage error. Exit codes: 0 = no
 /// regression, 1 = regression detected, 2 = usage / IO error.
 ///
-/// Known, accepted failures are *waived* in <baseline-dir>/WAIVERS.json
-/// (htd.bench_waivers.v1). Every entry names an artifact + metric and must
-/// carry a written rationale — entries without one are a usage error. A
-/// waived failing check is reported loudly (WAIVED line) but does not trip
-/// the gate; a waiver that matches nothing is itself a gate failure, so
-/// stale entries get deleted instead of silently shadowing future
-/// regressions.
-///
 /// On any gated regression the tool points at tools/htd_profile, which
 /// attributes the delta to pipeline stages / work counters.
 ///
@@ -66,43 +58,7 @@ struct Check {
     Record base;
     std::optional<double> candidate{};  ///< empty when the candidate lacks the metric
     bool ok = false;
-    std::string waive_reason{};  ///< nonempty when a waiver covers the failure
 };
-
-/// One htd.bench_waivers.v1 entry: a known failing metric that must not
-/// trip the gate, with the written rationale that justifies it.
-struct Waiver {
-    std::string artifact;  ///< the <name> of BENCH_<name>.json
-    std::string metric;    ///< exact gate record metric
-    std::string reason;
-    bool used = false;
-};
-
-/// Parse a waiver file; throws std::runtime_error on schema violations
-/// (including a missing or empty rationale — waivers must be justified).
-std::vector<Waiver> load_waivers(const std::string& path) {
-    const Json doc = Json::parse_file(path);
-    if (!doc.is_object() || !doc.contains("schema") ||
-        doc.at("schema").str() != "htd.bench_waivers.v1") {
-        throw std::runtime_error(path + ": schema is not htd.bench_waivers.v1");
-    }
-    std::vector<Waiver> waivers;
-    for (const Json& entry : doc.at("waivers").elements()) {
-        if (!entry.is_object() || !entry.contains("artifact") ||
-            !entry.contains("metric") || !entry.contains("reason")) {
-            throw std::runtime_error(
-                path + ": every waiver needs artifact, metric and reason");
-        }
-        Waiver w{entry.at("artifact").str(), entry.at("metric").str(),
-                 entry.at("reason").str()};
-        if (w.reason.empty()) {
-            throw std::runtime_error(path + ": waiver for " + w.artifact + " " +
-                                     w.metric + " has an empty reason");
-        }
-        waivers.push_back(std::move(w));
-    }
-    return waivers;
-}
 
 /// The artifact's gate records in file order; throws on a missing or
 /// malformed `gate` array.
@@ -168,8 +124,7 @@ int usage(const char* argv0) {
     std::fprintf(stderr,
                  "usage: %s [--baseline-dir DIR] [--candidate-dir DIR] [--bless] "
                  "[name...]\n"
-                 "names default to every BENCH_<name>.json in the baseline dir;\n"
-                 "waivers come from <baseline-dir>/WAIVERS.json when present\n",
+                 "names default to every BENCH_<name>.json in the baseline dir\n",
                  argv0);
     return 2;
 }
@@ -223,17 +178,6 @@ int main(int argc, char** argv) {
         return 0;
     }
 
-    const std::string waivers_path = (fs::path(baseline_dir) / "WAIVERS.json").string();
-    std::vector<Waiver> waivers;
-    if (fs::exists(waivers_path)) {
-        try {
-            waivers = load_waivers(waivers_path);
-        } catch (const std::exception& e) {
-            std::fprintf(stderr, "bench_compare: %s\n", e.what());
-            return 2;
-        }
-    }
-
     int regressions = 0;
     for (const std::string& name : names) {
         const fs::path base_path = artifact_path(baseline_dir, name);
@@ -264,50 +208,24 @@ int main(int argc, char** argv) {
             return 2;
         }
 
-        int failed = 0;
-        int waived = 0;
-        for (Check& c : checks) {
-            if (c.ok) continue;
-            for (Waiver& w : waivers) {
-                if (w.artifact == name && w.metric == c.base.metric) {
-                    c.waive_reason = w.reason;
-                    w.used = true;
-                    break;
-                }
-            }
-            if (c.waive_reason.empty()) {
-                ++failed;
-            } else {
-                ++waived;
-            }
-        }
-        regressions += failed;
-        std::printf("%-12s %s (%zu checks, %d failed, %d waived)\n", name.c_str(),
-                    failed != 0 ? "REGRESSION" : (waived != 0 ? "OK*" : "OK"),
-                    checks.size(), failed, waived);
+        const auto failed = std::count_if(checks.begin(), checks.end(),
+                                          [](const Check& c) { return !c.ok; });
+        regressions += static_cast<int>(failed);
+        std::printf("%-12s %s (%zu checks, %td failed)\n", name.c_str(),
+                    failed != 0 ? "REGRESSION" : "OK", checks.size(), failed);
         for (const Check& c : checks) {
             if (c.ok) continue;
             char candidate[32] = "missing";
             if (c.candidate) std::snprintf(candidate, sizeof candidate, "%.6g", *c.candidate);
-            const bool is_waived = !c.waive_reason.empty();
-            std::printf("  %-6s %-38s baseline %.6g candidate %s  rule: %s\n",
-                        is_waived ? "WAIVED" : "FAIL", c.base.metric.c_str(),
-                        c.base.value, candidate, rule_text(c.base).c_str());
-            if (is_waived) std::printf("         reason: %s\n", c.waive_reason.c_str());
+            std::printf("  FAIL   %-38s baseline %.6g candidate %s  rule: %s\n",
+                        c.base.metric.c_str(), c.base.value, candidate,
+                        rule_text(c.base).c_str());
         }
         if (failed != 0) {
             std::printf("  hint: attribute this with tools/htd_profile — e.g.\n"
                         "        htd_profile %s %s\n",
                         base_path.string().c_str(), cand_path.string().c_str());
         }
-    }
-
-    for (const Waiver& w : waivers) {
-        if (w.used) continue;
-        ++regressions;
-        std::printf("UNUSED WAIVER %s %s — nothing failing matches it; remove it "
-                    "from %s so it cannot shadow a future regression\n",
-                    w.artifact.c_str(), w.metric.c_str(), waivers_path.c_str());
     }
     return regressions == 0 ? 0 : 1;
 }

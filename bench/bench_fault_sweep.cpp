@@ -51,13 +51,7 @@ int main() {
         // the same pipeline randomness, only the fault model changes. The
         // faulty tester measures on the experiment's spare stream.
         core::ExperimentStreams streams = core::experiment_streams(config.seed);
-        const core::ProcessPair processes =
-            core::make_process_pair(config.process_shift_sigma);
-        silicon::Fab::Options fab_opts = config.fab;
-        fab_opts.within_die_fraction = config.platform.within_die_fraction;
-        const silicon::Fab fab(processes.silicon, fab_opts);
-        const silicon::FabricatedLot lot =
-            fab.fabricate_lot(streams.fab, config.n_chips);
+        const silicon::FabricatedLot lot = core::fabricate_lot(config, streams.fab);
 
         const silicon::MeasurementBench bench(config.platform);
         silicon::FaultModel faults;

@@ -18,15 +18,17 @@ ProcessPair make_process_pair(double process_shift_sigma) {
     return {std::move(silicon), std::move(spice)};
 }
 
+silicon::FabricatedLot fabricate_lot(const ExperimentConfig& config, rng::Rng& rng) {
+    const ProcessPair processes = make_process_pair(config.process_shift_sigma);
+    const silicon::Fab fab(processes.silicon, config.fab);
+    return fab.fabricate_lot(rng, config.n_chips);
+}
+
 silicon::DuttDataset fabricate_and_measure(const ExperimentConfig& config,
                                            rng::Rng& rng) {
     obs::ScopedSpan span("experiment.fabricate_measure");
     span.attr("n_chips", static_cast<double>(config.n_chips));
-    silicon::Fab::Options fab_opts = config.fab;
-    fab_opts.within_die_fraction = config.platform.within_die_fraction;
-    const ProcessPair processes = make_process_pair(config.process_shift_sigma);
-    const silicon::Fab fab(processes.silicon, fab_opts);
-    const silicon::FabricatedLot lot = fab.fabricate_lot(rng, config.n_chips);
+    const silicon::FabricatedLot lot = fabricate_lot(config, rng);
     const silicon::MeasurementBench bench(config.platform);
     return bench.measure_lot(lot, rng);
 }

@@ -93,7 +93,14 @@ struct ProcessPair {
 };
 [[nodiscard]] ProcessPair make_process_pair(double process_shift_sigma);
 
-/// Fabricate and measure the DUTT population for a config.
+/// Fabricate the config's lot of n_chips dies on the silicon process with
+/// the config's Fab options, without measuring it (a study that measures
+/// through its own tester, such as a faulty one, starts here).
+[[nodiscard]] silicon::FabricatedLot fabricate_lot(const ExperimentConfig& config,
+                                                   rng::Rng& rng);
+
+/// Fabricate and measure the DUTT population for a config: fabricate_lot,
+/// then the config's measurement bench on the same stream.
 [[nodiscard]] silicon::DuttDataset fabricate_and_measure(const ExperimentConfig& config,
                                                          rng::Rng& rng);
 

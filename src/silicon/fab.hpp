@@ -49,7 +49,9 @@ class Fab {
 public:
     struct Options {
         std::size_t wafers = 2;               ///< wafers the lot is spread over
-        double within_die_fraction = 0.15;    ///< version mismatch scale
+        /// Relative 1-sigma mismatch of the several design versions sharing
+        /// one die (fraction of the die-level process sigma).
+        double within_die_fraction = 0.15;
 
         /// Strength of the radial across-wafer systematic gradient, in
         /// process sigmas from wafer center to edge (0 disables). Real

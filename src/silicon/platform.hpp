@@ -64,10 +64,6 @@ struct PlatformConfig {
     /// stay below the Trojans' transverse signature for FP = 0.
     double fingerprint_mismatch_db = 0.02;
 
-    /// Relative 1-sigma mismatch of the several design versions sharing one
-    /// die (fraction of the die-level process sigma).
-    double within_die_fraction = 0.15;
-
     /// Side-channel modality of the fingerprints.
     FingerprintMode fingerprint_mode = FingerprintMode::kTransmitPower;
 

@@ -69,7 +69,8 @@ run_bench_gate() {
     cmake --preset release
     cmake --build --preset release -j "$(nproc)" \
         --target bench_micro bench_roc bench_fault_sweep bench_drift_sweep \
-                 bench_score_throughput bench_journal bench_compare
+                 bench_score_throughput bench_journal bench_seed_robustness \
+                 bench_compare
     local out
     out="$(mktemp -d)"
     # Each bench writes BENCH_<name>.json into the CWD. bench_micro runs
@@ -81,6 +82,7 @@ run_bench_gate() {
     (cd "$out" && "$OLDPWD"/build-release/bench/bench_drift_sweep)
     (cd "$out" && "$OLDPWD"/build-release/bench/bench_score_throughput)
     (cd "$out" && "$OLDPWD"/build-release/bench/bench_journal)
+    (cd "$out" && "$OLDPWD"/build-release/bench/bench_seed_robustness)
     ./build-release/tools/bench_compare --candidate-dir "$out"
 }
 

@@ -81,7 +81,6 @@ int main() {
         const std::unique_ptr<core::GoldenFreePipeline> fitted =
             core::calibrate_pipeline(point_config, measured.pcms);
         const core::GoldenFreePipeline& pipeline = *fitted;
-        pipeline.probe_incoming(measured);
 
         const core::HealthMonitor& health = pipeline.health();
         const std::optional<core::ProbeResult> drift = health.find("drift.pcm");

@@ -73,6 +73,8 @@ run_bench_gate() {
                  bench_compare
     local out
     out="$(mktemp -d)"
+    # Removed on every exit, including a set -e abort or a gate failure.
+    trap "rm -rf '$out'" EXIT
     # Each bench writes BENCH_<name>.json into the CWD. bench_micro runs
     # with its default min-time so the candidate methodology matches the
     # blessed baseline's.
@@ -93,6 +95,8 @@ run_determinism() {
         --target quickstart htd_score htd_profile htd_explain
     local out
     out="$(mktemp -d)"
+    # Removed on every exit, including each early `return 1` and set -e abort.
+    trap "rm -rf '$out'" EXIT
     local run f
     # Everything below runs under HTD_OBS_NORMALIZE=1: normalized traces,
     # run-report observability and journal timestamps.
@@ -230,7 +234,6 @@ run_determinism() {
         echo "check.sh: determinism: strict score of swapped artifact exited $rc, want 2" >&2
         return 1
     fi
-    rm -rf "$out"
     echo "== check.sh: determinism gate OK =="
 }
 

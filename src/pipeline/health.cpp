@@ -17,39 +17,8 @@ namespace {
 
 constexpr double kTiny = 1e-300;
 
-/// Linear-interpolation quantile of an already sorted sample.
-double quantile_sorted(const std::vector<double>& sorted, double q) {
-    if (sorted.empty()) return 0.0;
-    if (sorted.size() == 1) return sorted.front();
-    const double pos = q * static_cast<double>(sorted.size() - 1);
-    const auto lo = static_cast<std::size_t>(pos);
-    const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-    const double frac = pos - static_cast<double>(lo);
-    return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
-}
-
 std::vector<double> sorted_copy(std::span<const double> xs) {
     std::vector<double> out(xs.begin(), xs.end());
-    std::sort(out.begin(), out.end());
-    return out;
-}
-
-/// |x| for every x, sorted ascending.
-std::vector<double> sorted_abs(std::span<const double> xs) {
-    std::vector<double> out(xs.size());
-    std::transform(xs.begin(), xs.end(), out.begin(),
-                   [](double x) { return std::abs(x); });
-    std::sort(out.begin(), out.end());
-    return out;
-}
-
-/// |v| for every entry of `m`, sorted ascending.
-std::vector<double> sorted_abs(const linalg::Matrix& m) {
-    std::vector<double> out;
-    out.reserve(m.rows() * m.cols());
-    for (std::size_t r = 0; r < m.rows(); ++r) {
-        for (const double v : m.row_span(r)) out.push_back(std::abs(v));
-    }
     std::sort(out.begin(), out.end());
     return out;
 }
@@ -103,16 +72,13 @@ struct Rung {
     double edge;
 };
 
-/// Which side of an edge is the bad side.
-enum class Past { kAbove, kBelow };
-
 /// Escalate `probe` on the first rung (listed worst first) whose edge
-/// `value` is past, with the detail `reason(edge)`.
+/// `value` is above, with the detail `reason(edge)`.
 template <typename Reason>
-void escalate_past(ProbeResult& probe, Past past, double value,
+void escalate_past(ProbeResult& probe, double value,
                    std::initializer_list<Rung> rungs, const Reason& reason) {
     for (const Rung& rung : rungs) {
-        if (past == Past::kAbove ? value > rung.edge : value < rung.edge) {
+        if (value > rung.edge) {
             probe.escalate(rung.level, reason(rung.edge));
             return;
         }
@@ -295,41 +261,6 @@ ProbeResult probe_kmm_weights(const linalg::Vector& weights) {
     return probe;
 }
 
-// calibration: the kernel mean shift in units of the reference cloud's
-// RMS column spread. The paper-default 4.5 sigma foundry process shift
-// lands near 4.4 (measured on the E15 harness), so the band starts at
-// roughly 2x the designed operating point.
-constexpr double kCalibrationShiftWarn = 8.0;
-constexpr double kCalibrationShiftCritical = 16.0;
-
-ProbeResult probe_calibration(const linalg::Matrix& reference,
-                              const linalg::Vector& total_shift,
-                              std::size_t iterations) {
-    ProbeResult probe;
-    probe.name = "calibration";
-    double variance_sum = 0.0;
-    for (std::size_t c = 0; c < reference.cols(); ++c) {
-        variance_sum += sample_variance(reference.col(c).span());
-    }
-    const double rms_spread =
-        std::sqrt(variance_sum / static_cast<double>(reference.cols()));
-    const double shift_norm = total_shift.norm();
-    const double shift_sigma = shift_norm / std::max(rms_spread, kTiny);
-    probe.value("shift_norm", shift_norm)
-        .value("reference_rms_spread", rms_spread)
-        .value("shift_sigma", shift_sigma)
-        .value("iterations", static_cast<double>(iterations));
-    escalate_past(probe, Past::kAbove, shift_sigma,
-                  {{HealthLevel::kCritical, kCalibrationShiftCritical},
-                   {HealthLevel::kWarn, kCalibrationShiftWarn}},
-                  [&](double edge) {
-                      return "calibration shift " + std::to_string(shift_sigma) +
-                             " reference sigmas (above " + std::to_string(edge) +
-                             ")";
-                  });
-    return probe;
-}
-
 // drift.*: the size-normalized per-channel KS maximum (warn ~p = 0.01,
 // degraded ~p = 0.001) and the energy coefficient over full vectors.
 constexpr double kDriftScaledKsWarn = 1.63;
@@ -385,7 +316,7 @@ ProbeResult probe_drift(std::string_view name, const linalg::Matrix& reference,
         .value("energy_distance", energy)
         .value("energy_coefficient", coefficient);
 
-    escalate_past(probe, Past::kAbove, max_scaled,
+    escalate_past(probe, max_scaled,
                   {{HealthLevel::kCritical, kDriftScaledKsCritical},
                    {HealthLevel::kDegraded, kDriftScaledKsDegraded},
                    {HealthLevel::kWarn, kDriftScaledKsWarn}},
@@ -393,185 +324,12 @@ ProbeResult probe_drift(std::string_view name, const linalg::Matrix& reference,
                       return "per-channel scaled KS " + std::to_string(max_scaled) +
                              " above " + std::to_string(edge);
                   });
-    escalate_past(probe, Past::kAbove, coefficient,
+    escalate_past(probe, coefficient,
                   {{HealthLevel::kCritical, kDriftEnergyCoefficientCritical},
                    {HealthLevel::kWarn, kDriftEnergyCoefficientWarn}},
                   [&](double edge) {
                       return "energy coefficient " + std::to_string(coefficient) +
                              " above " + std::to_string(edge);
-                  });
-    return probe;
-}
-
-// kde.*: the mean per-axis fraction of synthetic samples outside the
-// source population's [min, max] range, and the largest per-axis ratio of
-// synthetic to source range. Tail enhancement is the point, so only
-// runaway expansion alarms.
-constexpr double kKdeTailMassWarn = 0.25;
-constexpr double kKdeTailMassCritical = 0.50;
-constexpr double kKdeRangeExpansionWarn = 3.0;
-constexpr double kKdeRangeExpansionCritical = 6.0;
-
-ProbeResult probe_kde(std::string_view name, const linalg::Matrix& source,
-                      const linalg::Matrix& synthetic, double bandwidth) {
-    ProbeResult probe;
-    probe.name = std::string(name);
-    probe.value("bandwidth", bandwidth)
-        .value("observations", static_cast<double>(source.rows()))
-        .value("synthetic_samples", static_cast<double>(synthetic.rows()));
-    if (source.rows() == 0 || synthetic.rows() == 0 ||
-        source.cols() != synthetic.cols()) {
-        probe.escalate(HealthLevel::kCritical,
-                       "degenerate KDE inputs (empty population or dim mismatch)");
-        return probe;
-    }
-    if (!(bandwidth > 0.0)) {
-        probe.escalate(HealthLevel::kWarn, "non-positive bandwidth");
-    }
-
-    double tail_mass_sum = 0.0;
-    double max_expansion = 0.0;
-    for (std::size_t c = 0; c < source.cols(); ++c) {
-        double lo = source(0, c);
-        double hi = source(0, c);
-        for (std::size_t r = 1; r < source.rows(); ++r) {
-            lo = std::min(lo, source(r, c));
-            hi = std::max(hi, source(r, c));
-        }
-        double syn_lo = synthetic(0, c);
-        double syn_hi = synthetic(0, c);
-        std::size_t outside = 0;
-        for (std::size_t r = 0; r < synthetic.rows(); ++r) {
-            const double v = synthetic(r, c);
-            syn_lo = std::min(syn_lo, v);
-            syn_hi = std::max(syn_hi, v);
-            if (v < lo || v > hi) ++outside;
-        }
-        tail_mass_sum +=
-            static_cast<double>(outside) / static_cast<double>(synthetic.rows());
-        const double src_range = std::max(hi - lo, kTiny);
-        max_expansion = std::max(max_expansion, (syn_hi - syn_lo) / src_range);
-    }
-    const double tail_mass = tail_mass_sum / static_cast<double>(source.cols());
-    probe.value("tail_mass", tail_mass).value("max_range_expansion", max_expansion);
-
-    escalate_past(probe, Past::kAbove, tail_mass,
-                  {{HealthLevel::kCritical, kKdeTailMassCritical},
-                   {HealthLevel::kWarn, kKdeTailMassWarn}},
-                  [&](double edge) {
-                      return "mean per-axis tail mass " + std::to_string(tail_mass) +
-                             " above " + std::to_string(edge);
-                  });
-    escalate_past(probe, Past::kAbove, max_expansion,
-                  {{HealthLevel::kCritical, kKdeRangeExpansionCritical},
-                   {HealthLevel::kWarn, kKdeRangeExpansionWarn}},
-                  [&](double edge) {
-                      return "synthetic range expansion " +
-                             std::to_string(max_expansion) + "x above " +
-                             std::to_string(edge) + "x";
-                  });
-    return probe;
-}
-
-// mars_fit: the mean training R^2 across the bank.
-constexpr double kMarsR2Warn = 0.50;
-constexpr double kMarsR2Critical = 0.20;
-
-ProbeResult probe_mars_fit(std::span<const double> per_output_r2,
-                           const linalg::Matrix& abs_residuals) {
-    ProbeResult probe;
-    probe.name = "mars_fit";
-    if (per_output_r2.empty()) {
-        probe.escalate(HealthLevel::kCritical, "no fitted regression outputs");
-        return probe;
-    }
-    double mean_r2 = 0.0;
-    double min_r2 = per_output_r2.front();
-    for (const double r2 : per_output_r2) {
-        mean_r2 += r2;
-        min_r2 = std::min(min_r2, r2);
-    }
-    mean_r2 /= static_cast<double>(per_output_r2.size());
-
-    const std::vector<double> pooled = sorted_abs(abs_residuals);
-    probe.value("outputs", static_cast<double>(per_output_r2.size()))
-        .value("mean_r2", mean_r2)
-        .value("min_r2", min_r2)
-        .value("residual_q50", quantile_sorted(pooled, 0.50))
-        .value("residual_q90", quantile_sorted(pooled, 0.90))
-        .value("residual_q99", quantile_sorted(pooled, 0.99));
-
-    escalate_past(probe, Past::kBelow, mean_r2,
-                  {{HealthLevel::kCritical, kMarsR2Critical},
-                   {HealthLevel::kWarn, kMarsR2Warn}},
-                  [&](double edge) {
-                      return "mean training R^2 " + std::to_string(mean_r2) +
-                             " below " + std::to_string(edge);
-                  });
-    return probe;
-}
-
-// regression_residuals: the incoming |residual| q90 relative to the
-// training q90. The incoming population legitimately contains Trojans and
-// sits at the shifted foundry operating point, so the band is generous.
-constexpr double kResidualQ90RatioWarn = 8.0;
-constexpr double kResidualQ90RatioCritical = 25.0;
-
-ProbeResult probe_regression_residuals(const linalg::Matrix& train_abs_residuals,
-                                       const linalg::Matrix& incoming_abs_residuals) {
-    ProbeResult probe;
-    probe.name = "regression_residuals";
-    if (train_abs_residuals.rows() == 0 || incoming_abs_residuals.rows() == 0 ||
-        train_abs_residuals.cols() != incoming_abs_residuals.cols()) {
-        probe.escalate(HealthLevel::kCritical,
-                       "degenerate residual inputs (empty set or output mismatch)");
-        return probe;
-    }
-
-    const auto pooled_quantiles = [](const linalg::Matrix& m) {
-        const std::vector<double> pooled = sorted_abs(m);
-        return std::array<double, 3>{quantile_sorted(pooled, 0.50),
-                                     quantile_sorted(pooled, 0.90),
-                                     quantile_sorted(pooled, 0.99)};
-    };
-    const auto train_q = pooled_quantiles(train_abs_residuals);
-    const auto incoming_q = pooled_quantiles(incoming_abs_residuals);
-    const auto ratio = [](double incoming, double train) {
-        return incoming / std::max(train, kTiny);
-    };
-
-    // Worst per-output q90 ratio: one stale regression hides in the pool.
-    double max_output_ratio = 0.0;
-    for (std::size_t c = 0; c < train_abs_residuals.cols(); ++c) {
-        const std::vector<double> train_col =
-            sorted_abs(train_abs_residuals.col(c).span());
-        const std::vector<double> incoming_col =
-            sorted_abs(incoming_abs_residuals.col(c).span());
-        max_output_ratio =
-            std::max(max_output_ratio, ratio(quantile_sorted(incoming_col, 0.90),
-                                             quantile_sorted(train_col, 0.90)));
-    }
-
-    const double q90_ratio = ratio(incoming_q[1], train_q[1]);
-    probe.value("incoming_devices", static_cast<double>(incoming_abs_residuals.rows()))
-        .value("train_q50", train_q[0])
-        .value("train_q90", train_q[1])
-        .value("train_q99", train_q[2])
-        .value("incoming_q50", incoming_q[0])
-        .value("incoming_q90", incoming_q[1])
-        .value("incoming_q99", incoming_q[2])
-        .value("q50_ratio", ratio(incoming_q[0], train_q[0]))
-        .value("q90_ratio", q90_ratio)
-        .value("q99_ratio", ratio(incoming_q[2], train_q[2]))
-        .value("max_output_q90_ratio", max_output_ratio);
-
-    escalate_past(probe, Past::kAbove, q90_ratio,
-                  {{HealthLevel::kCritical, kResidualQ90RatioCritical},
-                   {HealthLevel::kWarn, kResidualQ90RatioWarn}},
-                  [&](double edge) {
-                      return "incoming residual q90 " + std::to_string(q90_ratio) +
-                             "x the training q90 (above " + std::to_string(edge) +
-                             "x)";
                   });
     return probe;
 }
@@ -594,13 +352,11 @@ ProbeResult probe_svm_margins(std::string_view name,
         probe.escalate(HealthLevel::kCritical, "no training decision values");
         return probe;
     }
-    std::vector<double> sorted = sorted_copy(train_decision_values);
-    std::size_t outside = 0;
-    for (const double v : sorted) {
-        if (v < 0.0) ++outside;
-    }
-    const double outside_fraction =
-        static_cast<double>(outside) / static_cast<double>(sorted.size());
+    const auto outside = std::count_if(train_decision_values.begin(),
+                                       train_decision_values.end(),
+                                       [](double v) { return v < 0.0; });
+    const double outside_fraction = static_cast<double>(outside) /
+                                    static_cast<double>(train_decision_values.size());
     const double sv_fraction =
         static_cast<double>(support_vectors) / static_cast<double>(trained_samples);
     const double outlier_excess = outside_fraction / std::max(nu, 1e-6);
@@ -609,17 +365,17 @@ ProbeResult probe_svm_margins(std::string_view name,
         .value("sv_fraction", sv_fraction)
         .value("outside_fraction", outside_fraction)
         .value("outlier_excess", outlier_excess)
-        .value("margin_q05", quantile_sorted(sorted, 0.05))
-        .value("margin_q50", quantile_sorted(sorted, 0.50));
+        .value("margin_q05", stats::quantile(train_decision_values, 0.05))
+        .value("margin_q50", stats::quantile(train_decision_values, 0.50));
 
-    escalate_past(probe, Past::kAbove, sv_fraction,
+    escalate_past(probe, sv_fraction,
                   {{HealthLevel::kCritical, kSvmSvFractionCritical},
                    {HealthLevel::kWarn, kSvmSvFractionWarn}},
                   [&](double edge) {
                       return "support-vector fraction " + std::to_string(sv_fraction) +
                              " above " + std::to_string(edge);
                   });
-    escalate_past(probe, Past::kAbove, outlier_excess,
+    escalate_past(probe, outlier_excess,
                   {{HealthLevel::kCritical, kSvmOutlierExcessCritical},
                    {HealthLevel::kWarn, kSvmOutlierExcessWarn}},
                   [&](double) {

@@ -5,13 +5,10 @@
 /// Spans and counters observe *mechanics* (latency, work); these probes
 /// observe whether the distributional machinery the paper's trust argument
 /// rests on is actually healthy: are the KMM importance weights spread over
-/// the Monte Carlo population or collapsed onto a handful of points, how far
-/// did the kernel mean shift have to move the simulation, did the KDE tail
-/// enhancement expand the population sanely, do the MARS regressions still
-/// fit the incoming devices, is the 1-class SVM boundary hugging its
-/// training cloud, did any boundary fail or fall back, and — the drift
-/// detector — does the incoming DUTT PCM batch still look like the
-/// KMM-calibrated reference distribution.
+/// the Monte Carlo population or collapsed onto a handful of points, is the
+/// 1-class SVM boundary hugging its training cloud, did any boundary fail or
+/// fall back, and — the drift detector — does the incoming DUTT PCM batch
+/// still look like the KMM-calibrated reference distribution.
 ///
 /// Each check is a *probe*: a named bundle of scalar statistics plus a
 /// WARN / DEGRADED / CRITICAL level. This module owns every probe's
@@ -118,38 +115,12 @@ struct ProbeResult {
 /// share, entropy ratio of the KMM importance weights.
 [[nodiscard]] ProbeResult probe_kmm_weights(const linalg::Vector& weights);
 
-/// "calibration": how far, in units of the `reference` population's RMS
-/// column spread, the kernel mean shift (`total_shift`, after `iterations`
-/// steps) had to translate the simulated cloud.
-[[nodiscard]] ProbeResult probe_calibration(const linalg::Matrix& reference,
-                                            const linalg::Vector& total_shift,
-                                            std::size_t iterations);
-
 /// Drift of an incoming batch against a reference population:
 /// per-channel KS statistic (raw and size-normalized), per-channel mean
 /// shift in reference-sigma units, energy distance / coefficient.
 [[nodiscard]] ProbeResult probe_drift(std::string_view name,
                                       const linalg::Matrix& reference,
                                       const linalg::Matrix& incoming);
-
-/// KDE tail-enhancement sanity: bandwidth, out-of-source-range tail
-/// mass and range expansion of the synthetic population.
-[[nodiscard]] ProbeResult probe_kde(std::string_view name,
-                                    const linalg::Matrix& source,
-                                    const linalg::Matrix& synthetic,
-                                    double bandwidth);
-
-/// "mars_fit": mean R^2 across the bank plus |residual| quantiles
-/// (q50 / q90 / q99) pooled over outputs.
-[[nodiscard]] ProbeResult probe_mars_fit(std::span<const double> per_output_r2,
-                                         const linalg::Matrix& abs_residuals);
-
-/// "regression_residuals": incoming regression residuals against the
-/// training residuals, as per-quantile ratios (the model-staleness signal
-/// of LASCA-style golden-free detectors).
-[[nodiscard]] ProbeResult probe_regression_residuals(
-    const linalg::Matrix& train_abs_residuals,
-    const linalg::Matrix& incoming_abs_residuals);
 
 /// 1-class SVM boundary shape: support-vector fraction, training
 /// decision-value quantiles, fraction of training points left outside

@@ -142,17 +142,15 @@ ml::OneClassSvm GoldenFreePipeline::train_boundary(const linalg::Matrix& dataset
 
 linalg::Matrix GoldenFreePipeline::kde_enhance(Boundary b,
                                                const linalg::Matrix& source,
-                                               rng::Rng& rng,
-                                               std::string_view probe_name) {
+                                               rng::Rng& rng) {
     stats::AdaptiveKde kde(source, config_.kde_alpha, config_.kde_bandwidth,
                            config_.kde_kernel, config_.kde_max_lambda);
     linalg::Matrix synthetic = kde.sample_n(rng, config_.synthetic_samples);
-    health_.record(probe_kde(probe_name, source, synthetic, kde.bandwidth()));
     kdes_[index_of(b)] = std::move(kde);
     return synthetic;
 }
 
-void GoldenFreePipeline::record_svm_probe(Boundary b) const {
+void GoldenFreePipeline::record_svm_probe(Boundary b) {
     const std::size_t i = index_of(b);
     const linalg::Matrix& dataset = datasets_[i];
     const ml::OneClassSvm& svm = boundaries_[i];
@@ -229,31 +227,12 @@ void GoldenFreePipeline::run_premanufacturing(rng::Rng& rng) {
     regressions_ = ml::MarsBank(config_.mars);
     regressions_.fit(mc_pcms_, golden_fingerprints);
 
-    // Training fit health: per-output R^2 plus the training |residual|
-    // distribution (the reference for the incoming-device residual probe).
-    {
-        std::vector<double> r2(regressions_.output_dim());
-        for (std::size_t j = 0; j < r2.size(); ++j) {
-            r2[j] = regressions_.model(j).r_squared();
-        }
-        const linalg::Matrix predicted = regressions_.predict_batch(mc_pcms_);
-        train_abs_residuals_ = linalg::Matrix(golden_fingerprints.rows(),
-                                              golden_fingerprints.cols());
-        for (std::size_t r = 0; r < train_abs_residuals_.rows(); ++r) {
-            for (std::size_t c = 0; c < train_abs_residuals_.cols(); ++c) {
-                train_abs_residuals_(r, c) =
-                    std::abs(golden_fingerprints(r, c) - predicted(r, c));
-            }
-        }
-        health_.record(probe_mars_fit(r2, train_abs_residuals_));
-    }
-
     // S1 / B1: raw simulated fingerprints.
     build_boundary(Boundary::kB1, [&] { return golden_fingerprints; });
 
     // S2 / B2: tail-enhanced synthetic population.
     build_boundary(Boundary::kB2, [&] {
-        return kde_enhance(Boundary::kB2, golden_fingerprints, rng, "kde.s2");
+        return kde_enhance(Boundary::kB2, golden_fingerprints, rng);
     });
 
     premanufacturing_done_ = true;
@@ -364,11 +343,6 @@ void GoldenFreePipeline::run_silicon_stage(const linalg::Matrix& dutt_pcms,
         }
         health_.record(std::move(kmm_probe));
 
-        // Calibration staleness: how far the kernel mean shift had to move
-        // the simulated PCMs to reach the silicon operating point.
-        health_.record(probe_calibration(mc_pcms_, calibration_->total_shift,
-                                         calibration_->iterations));
-
         // The drift detector proper: does the incoming silicon PCM batch
         // still look like the KMM-calibrated reference distribution? The
         // reference is the *weighted* calibrated cloud materialized by
@@ -436,7 +410,7 @@ void GoldenFreePipeline::run_silicon_stage(const linalg::Matrix& dutt_pcms,
         status_[index_of(Boundary::kB5)] = status_[index_of(Boundary::kB4)];
         build_boundary(Boundary::kB5, [&] {
             return kde_enhance(Boundary::kB5, datasets_[index_of(Boundary::kB4)],
-                               rng, "kde.s5");
+                               rng);
         });
     } else {
         status_[index_of(Boundary::kB5)] = {
@@ -448,32 +422,6 @@ void GoldenFreePipeline::run_silicon_stage(const linalg::Matrix& dutt_pcms,
     silicon_done_ = true;
     journal_stage_done(kmm_fallback_applied_ ? "B4/B5 fell back to S3"
                                              : "B3/B4/B5 trained");
-}
-
-void GoldenFreePipeline::probe_incoming(const silicon::DuttDataset& dutts) const {
-    if (!premanufacturing_done_) {
-        throw StageOrderError("probe_incoming: pre-manufacturing stage has not run");
-    }
-    if (dutts.pcms.cols() != mc_pcms_.cols()) {
-        throw DimensionError("probe_incoming: PCM dimension mismatch (got " +
-                             std::to_string(dutts.pcms.cols()) + " columns, expected " +
-                             std::to_string(mc_pcms_.cols()) + ")");
-    }
-    if (dutts.fingerprints.cols() != train_abs_residuals_.cols()) {
-        throw DimensionError(
-            "probe_incoming: fingerprint dimension mismatch (got " +
-            std::to_string(dutts.fingerprints.cols()) + " columns, expected " +
-            std::to_string(train_abs_residuals_.cols()) + ")");
-    }
-    const linalg::Matrix predicted =
-        regressions_.predict_batch(transform_pcms(dutts.pcms));
-    linalg::Matrix incoming(dutts.fingerprints.rows(), dutts.fingerprints.cols());
-    for (std::size_t r = 0; r < incoming.rows(); ++r) {
-        for (std::size_t c = 0; c < incoming.cols(); ++c) {
-            incoming(r, c) = std::abs(dutts.fingerprints(r, c) - predicted(r, c));
-        }
-    }
-    health_.record(probe_regression_residuals(train_abs_residuals_, incoming));
 }
 
 bool GoldenFreePipeline::boundary_ready(Boundary b) const noexcept {

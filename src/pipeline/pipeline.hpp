@@ -226,13 +226,6 @@ public:
         return health_;
     }
 
-    /// Record the incoming-population probes for a measured DUTT batch:
-    /// per-device |fingerprint - g(pcm)| residuals against the training
-    /// residual distribution (the model-staleness signal). Throws
-    /// StageOrderError before stage 1 ran, DimensionError on a PCM /
-    /// fingerprint width mismatch.
-    void probe_incoming(const silicon::DuttDataset& dutts) const;
-
     /// The trained 1-class SVM behind a boundary (throws
     /// BoundaryUnavailableError when it is not usable). Exposed for
     /// diagnostics and the observability RunReport (support-vector counts,
@@ -265,15 +258,14 @@ private:
     [[nodiscard]] linalg::Matrix transform_pcms(const linalg::Matrix& pcms) const;
     [[nodiscard]] ml::OneClassSvm train_boundary(const linalg::Matrix& dataset) const;
     /// Build the synthetic tail-enhanced population for boundary `b` from
-    /// `source`, record a `<probe_name>` health probe over it, and retain
-    /// the fitted estimator in `kdes_` for artifact export.
+    /// `source` and retain the fitted estimator in `kdes_` for artifact
+    /// export.
     [[nodiscard]] linalg::Matrix kde_enhance(Boundary b,
                                              const linalg::Matrix& source,
-                                             rng::Rng& rng,
-                                             std::string_view probe_name);
+                                             rng::Rng& rng);
     /// Record the `svm.<boundary>` margin probe for a freshly trained
     /// boundary (decision values over a strided sample of its dataset).
-    void record_svm_probe(Boundary b) const;
+    void record_svm_probe(Boundary b);
 
     PipelineConfig config_;
     silicon::SpiceSimulator simulator_;
@@ -296,13 +288,8 @@ private:
     bool kmm_fallback_applied_ = false;
     double kmm_ess_ = std::numeric_limits<double>::quiet_NaN();
 
-    /// Per-run statistical health probes. Mutable: const observers
-    /// (probe_incoming, record_svm_probe) record diagnostics without
-    /// changing the detection state.
-    mutable HealthMonitor health_;
-    /// |fingerprint - g(pcm)| on the Monte Carlo training set — the
-    /// reference distribution for the incoming residual probe.
-    linalg::Matrix train_abs_residuals_;
+    /// Per-run statistical health probes.
+    HealthMonitor health_;
 };
 
 /// The conventional golden-chip detector of Fig. 1 / [12]: a 1-class SVM

@@ -143,12 +143,8 @@ obs::RunReport pipeline_run_report(const GoldenFreePipeline& pipeline,
         report.set("quarantine", quarantine->to_json());
     }
 
-    // The statistical health section (run_report.v2): refresh the
-    // incoming-population probes when the DUTT measurements are available,
-    // then serialize everything the stages recorded.
-    if (dutts != nullptr && dutts->size() > 0) {
-        pipeline.probe_incoming(*dutts);
-    }
+    // The statistical health section (run_report.v2): everything the
+    // stages recorded.
     report.set("health", pipeline.health().to_json());
 
     report.capture_observability();

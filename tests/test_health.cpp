@@ -5,9 +5,11 @@
 
 #include "pipeline/health.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -169,67 +171,7 @@ TEST(KmmProbe, UniformWeightsHealthyCollapsedCritical) {
     EXPECT_EQ(core::probe_kmm_weights({}).level, HealthLevel::kCritical);
 }
 
-TEST(ResidualProbe, InflatedIncomingResidualsEscalate) {
-    linalg::Matrix train(50, 2);
-    linalg::Matrix incoming(50, 2);
-    rng::Rng rng(7);
-    for (std::size_t r = 0; r < 50; ++r) {
-        for (std::size_t c = 0; c < 2; ++c) {
-            train(r, c) = std::abs(rng.normal(0.0, 0.1));
-            incoming(r, c) = train(r, c);
-        }
-    }
-    EXPECT_EQ(core::probe_regression_residuals(train, incoming).level,
-              HealthLevel::kHealthy);
-    for (std::size_t r = 0; r < 50; ++r) {
-        for (std::size_t c = 0; c < 2; ++c) incoming(r, c) = train(r, c) * 40.0;
-    }
-    const ProbeResult probe = core::probe_regression_residuals(train, incoming);
-    EXPECT_EQ(probe.level, HealthLevel::kCritical) << probe.detail;
-}
-
 // --- band edges: a value just inside and just past each documented edge ----
-
-/// One-column KDE fixture: the source spans [0, 1]; of `n` synthetic
-/// samples, `outside` sit at 1.5 (tail mass, range expansion 1.5x) and the
-/// rest at 0.5, unless `far` is set, in which case one sample at 0 and one
-/// at `far` stretch the synthetic range to `far` times the source range.
-ProbeResult kde_probe(std::size_t n, std::size_t outside, double far = 0.0) {
-    const linalg::Matrix source{{0.0}, {1.0}};
-    linalg::Matrix synthetic(n, 1);
-    for (std::size_t r = 0; r < n; ++r) synthetic(r, 0) = r < outside ? 1.5 : 0.5;
-    if (far > 0.0) {
-        synthetic(0, 0) = 0.0;
-        synthetic(1, 0) = far;
-    }
-    return core::probe_kde("kde.test", source, synthetic, 0.1);
-}
-
-TEST(KdeProbe, TailMassBandEdges) {
-    // DESIGN §10: tail mass above 0.25 warns, above 0.50 is critical.
-    EXPECT_EQ(kde_probe(1000, 249).level, HealthLevel::kHealthy);
-    const ProbeResult warn = kde_probe(1000, 251);
-    EXPECT_EQ(warn.level, HealthLevel::kWarn);
-    EXPECT_EQ(warn.detail, "mean per-axis tail mass 0.251000 above 0.250000");
-    EXPECT_EQ(kde_probe(1000, 499).level, HealthLevel::kWarn);
-    const ProbeResult critical = kde_probe(1000, 501);
-    EXPECT_EQ(critical.level, HealthLevel::kCritical);
-    EXPECT_EQ(critical.detail, "mean per-axis tail mass 0.501000 above 0.500000");
-}
-
-TEST(KdeProbe, RangeExpansionBandEdges) {
-    // DESIGN §10: synthetic range above 3x the source range warns, above
-    // 6x is critical.
-    EXPECT_EQ(kde_probe(1000, 0, 2.99).level, HealthLevel::kHealthy);
-    const ProbeResult warn = kde_probe(1000, 0, 3.01);
-    EXPECT_EQ(warn.level, HealthLevel::kWarn);
-    EXPECT_EQ(warn.detail, "synthetic range expansion 3.010000x above 3.000000x");
-    EXPECT_EQ(kde_probe(1000, 0, 5.99).level, HealthLevel::kWarn);
-    const ProbeResult critical = kde_probe(1000, 0, 6.01);
-    EXPECT_EQ(critical.level, HealthLevel::kCritical);
-    EXPECT_EQ(critical.detail,
-              "synthetic range expansion 6.010000x above 6.000000x");
-}
 
 /// SVM margin probe over 1000 training decision values, `outside` of them
 /// negative, with `support_vectors` of 100 trained samples and nu = 0.1.
@@ -265,45 +207,6 @@ TEST(SvmProbe, OutlierExcessBandEdges) {
     EXPECT_EQ(critical.level, HealthLevel::kCritical);
     EXPECT_EQ(critical.detail,
               "0.601000 of training points left outside vs nu 0.100000");
-}
-
-TEST(MarsProbe, MeanR2BandEdges) {
-    // DESIGN §10: a mean training R^2 below 0.50 warns, below 0.20 is
-    // critical.
-    const linalg::Matrix residuals{{0.1, 0.2}, {0.3, 0.4}};
-    const auto level = [&](std::vector<double> r2) {
-        return core::probe_mars_fit(r2, residuals).level;
-    };
-    EXPECT_EQ(level({0.51, 0.51}), HealthLevel::kHealthy);
-    EXPECT_EQ(level({0.49, 0.49}), HealthLevel::kWarn);
-    EXPECT_EQ(level({0.21, 0.21}), HealthLevel::kWarn);
-    EXPECT_EQ(level({0.19, 0.19}), HealthLevel::kCritical);
-    const ProbeResult critical =
-        core::probe_mars_fit(std::vector<double>{0.19, 0.19}, residuals);
-    EXPECT_EQ(critical.detail, "mean training R^2 0.190000 below 0.200000");
-    const ProbeResult warn =
-        core::probe_mars_fit(std::vector<double>{0.49, 0.49}, residuals);
-    EXPECT_EQ(warn.detail, "mean training R^2 0.490000 below 0.500000");
-}
-
-TEST(CalibrationProbe, ShiftBandEdges) {
-    // DESIGN §10: a kernel mean shift above 8 reference sigmas warns, above
-    // 16 is critical. The reference column {-1, 0, 1} has unit variance, so
-    // the shift norm is the shift in sigmas.
-    const linalg::Matrix reference{{-1.0}, {0.0}, {1.0}};
-    const auto probe = [&](double shift) {
-        return core::probe_calibration(reference, linalg::Vector{shift}, 3);
-    };
-    EXPECT_EQ(probe(7.99).level, HealthLevel::kHealthy);
-    const ProbeResult warn = probe(8.01);
-    EXPECT_EQ(warn.level, HealthLevel::kWarn);
-    EXPECT_EQ(warn.detail,
-              "calibration shift 8.010000 reference sigmas (above 8.000000)");
-    EXPECT_EQ(probe(15.99).level, HealthLevel::kWarn);
-    const ProbeResult critical = probe(16.01);
-    EXPECT_EQ(critical.level, HealthLevel::kCritical);
-    EXPECT_EQ(critical.detail,
-              "calibration shift 16.010000 reference sigmas (above 16.000000)");
 }
 
 TEST(MonitorState, RecordReplacesSameNameAndAggregatesVerdict) {
@@ -343,6 +246,12 @@ TEST(MonitorState, RecordReplacesSameNameAndAggregatesVerdict) {
 
 // --- pipeline integration ----------------------------------------------------
 
+/// The probes every completed run records, sorted by name.
+std::vector<std::string> expected_probe_names() {
+    return {"boundaries", "drift.pcm", "kmm_weights", "svm.B1",
+            "svm.B2",     "svm.B3",    "svm.B4",      "svm.B5"};
+}
+
 core::ExperimentConfig small_config() {
     core::ExperimentConfig config;
     config.n_chips = 12;
@@ -357,18 +266,17 @@ TEST(PipelineHealth, CleanRunReportsAllProbesHealthy) {
     const std::unique_ptr<core::GoldenFreePipeline> fitted =
         core::calibrate_pipeline(config, measured.pcms);
     const core::GoldenFreePipeline& pipeline = *fitted;
-    pipeline.probe_incoming(measured);
 
     const core::HealthMonitor& health = pipeline.health();
     EXPECT_EQ(health.verdict(), HealthLevel::kHealthy);
-    for (const char* name : {"mars_fit", "kmm_weights", "calibration", "drift.pcm",
-                             "kde.s2", "kde.s5", "boundaries",
-                             "regression_residuals", "svm.B1", "svm.B5"}) {
-        const std::optional<ProbeResult> probe = health.find(name);
-        ASSERT_TRUE(probe.has_value()) << name;
-        EXPECT_EQ(probe->level, HealthLevel::kHealthy)
-            << name << ": " << probe->detail;
+    std::vector<std::string> names;
+    for (const ProbeResult& probe : health.probes()) {
+        names.push_back(probe.name);
+        EXPECT_EQ(probe.level, HealthLevel::kHealthy)
+            << probe.name << ": " << probe.detail;
     }
+    std::sort(names.begin(), names.end());
+    EXPECT_EQ(names, expected_probe_names());
 }
 
 TEST(PipelineHealth, ForcedDriftAndCollapseDegradeVerdictWithPerChannelKs) {
@@ -500,6 +408,12 @@ TEST(CommittedArtifact, QuickstartRunReportParsesWithCurrentSchema) {
     EXPECT_EQ(doc.at("run").str(), "quickstart");
     ASSERT_TRUE(doc.contains("health"));
     EXPECT_EQ(doc.at("health").at("verdict").str(), "healthy");
+    std::vector<std::string> names;
+    for (const io::Json& probe : doc.at("health").at("probes").elements()) {
+        names.push_back(probe.at("name").str());
+    }
+    std::sort(names.begin(), names.end());
+    EXPECT_EQ(names, expected_probe_names());
     ASSERT_TRUE(doc.contains("boundaries"));
     ASSERT_TRUE(doc.contains("degradation"));
     ASSERT_TRUE(doc.contains("observability"));

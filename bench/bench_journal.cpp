@@ -42,8 +42,8 @@ int main() {
     using namespace htd;
 
     core::ExperimentConfig config;
-    // Reduced calibration budget, same as bench_score_throughput: five
-    // healthy models are all the journal needs.
+    // Reduced calibration budget: five healthy models are all the journal
+    // needs.
     config.n_chips = 16;
     config.pipeline.monte_carlo_samples = 60;
     config.pipeline.synthetic_samples = 4000;

@@ -32,7 +32,9 @@
 #                                  # prong, plus structural checks on the
 #                                  # same outputs. Runs the quickstart twice
 #                                  # under HTD_OBS_NORMALIZE=1 and cmp's the
-#                                  # run report, trace and stdout; validates
+#                                  # run report, trace and stdout, cmp's the
+#                                  # report against the committed
+#                                  # quickstart_run_report.json; validates
 #                                  # the trace with htd_profile (five stage
 #                                  # spans, nonzero work counters). Then runs
 #                                  # the htd_score calibrate -> score
@@ -69,8 +71,7 @@ run_bench_gate() {
     cmake --preset release
     cmake --build --preset release -j "$(nproc)" \
         --target bench_micro bench_roc bench_fault_sweep bench_drift_sweep \
-                 bench_score_throughput bench_journal bench_seed_robustness \
-                 bench_compare
+                 bench_journal bench_seed_robustness bench_compare
     local out
     out="$(mktemp -d)"
     # Removed on every exit, including a set -e abort or a gate failure.
@@ -82,7 +83,6 @@ run_bench_gate() {
     (cd "$out" && "$OLDPWD"/build-release/bench/bench_roc)
     (cd "$out" && "$OLDPWD"/build-release/bench/bench_fault_sweep)
     (cd "$out" && "$OLDPWD"/build-release/bench/bench_drift_sweep)
-    (cd "$out" && "$OLDPWD"/build-release/bench/bench_score_throughput)
     (cd "$out" && "$OLDPWD"/build-release/bench/bench_journal)
     (cd "$out" && "$OLDPWD"/build-release/bench/bench_seed_robustness)
     ./build-release/tools/bench_compare --candidate-dir "$out"
@@ -120,6 +120,13 @@ run_determinism() {
             return 1
         fi
     done
+    # The committed exemplar is this run's report. A change that moves it
+    # on purpose regenerates it with the environment above.
+    if ! cmp "$out/a/quickstart_run_report.json" quickstart_run_report.json; then
+        echo "check.sh: determinism: quickstart_run_report.json differs from" \
+             "the committed copy" >&2
+        return 1
+    fi
     # The trace must also validate (htd_profile --validate exits nonzero on
     # a malformed one, which fails the assignment under set -e) and carry
     # the five pipeline stage spans and nonzero work counters.

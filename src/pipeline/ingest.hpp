@@ -43,8 +43,7 @@ struct IngestPolicy {
     /// frequencies [MHz] are strictly positive and far below 1e9.
     PhysicalRange pcm_range{1e-9, 1e9};
 
-    /// Physical range of a fingerprint entry (dBm for transmit power, ns for
-    /// the path-delay modality — kept wide enough for both).
+    /// Physical range of a fingerprint entry [dBm].
     PhysicalRange fingerprint_range{-200.0, 1e9};
 
     /// Robust z cut: |x - median| / (1.4826 MAD) above this flags a cell.

@@ -49,33 +49,8 @@ DuttDataset MeasurementSource::measure_lot(const FabricatedLot& lot,
 
 // --- MeasurementBench ---------------------------------------------------------
 
-namespace {
-
-/// Which monitored paths a Trojan's routing taps: the two payloads occupy
-/// different die regions, so each loads a different (fixed) path subset.
-linalg::Vector trojan_load_pattern(std::size_t n_paths, double load_ff,
-                                   trojan::DesignVariant variant) {
-    linalg::Vector load(n_paths);
-    for (std::size_t i = 0; i < n_paths; ++i) {
-        const bool tapped = variant == trojan::DesignVariant::kTrojanAmplitude
-                                ? (i % 3 != 2)   // paths 0,1,3,4,6,...
-                                : (i % 2 == 1);  // paths 1,3,5,...
-        if (tapped) load[i] = load_ff;
-    }
-    return load;
-}
-
-}  // namespace
-
 MeasurementBench::MeasurementBench(PlatformConfig config)
     : config_(std::move(config)),
-      monitored_paths_(config_.monitored_paths),
-      amp_trojan_load_ff_(trojan_load_pattern(config_.monitored_paths,
-                                              config_.trojan_delay_load_ff,
-                                              trojan::DesignVariant::kTrojanAmplitude)),
-      freq_trojan_load_ff_(trojan_load_pattern(
-          config_.monitored_paths, config_.trojan_delay_load_ff,
-          trojan::DesignVariant::kTrojanFrequency)),
       cipher_bits_(config_.ciphertext_bits()),
       key_bits_(config_.key_bits()),
       pcm_path_(config_.pcm_path),
@@ -118,42 +93,6 @@ linalg::Vector MeasurementBench::measure_pcm(const Device& device, rng::Rng& rng
 
 linalg::Vector MeasurementBench::measure_fingerprint(const Device& device,
                                                      rng::Rng& rng) const {
-    switch (config_.fingerprint_mode) {
-        case FingerprintMode::kTransmitPower:
-            return measure_power_fingerprint(device, rng);
-        case FingerprintMode::kPathDelay:
-            return measure_delay_fingerprint(device, rng);
-        case FingerprintMode::kCombined: {
-            const linalg::Vector power = measure_power_fingerprint(device, rng);
-            const linalg::Vector delay = measure_delay_fingerprint(device, rng);
-            linalg::Vector both(power.size() + delay.size());
-            for (std::size_t i = 0; i < power.size(); ++i) both[i] = power[i];
-            for (std::size_t i = 0; i < delay.size(); ++i) {
-                both[power.size() + i] = delay[i];
-            }
-            return both;
-        }
-    }
-    throw std::invalid_argument("MeasurementBench: unknown fingerprint mode");
-}
-
-linalg::Vector MeasurementBench::measure_delay_fingerprint(const Device& device,
-                                                           rng::Rng& rng) const {
-    linalg::Vector extra;
-    if (device.variant == trojan::DesignVariant::kTrojanAmplitude) {
-        extra = amp_trojan_load_ff_;
-    } else if (device.variant == trojan::DesignVariant::kTrojanFrequency) {
-        extra = freq_trojan_load_ff_;
-    }
-    linalg::Vector delays = monitored_paths_.delays_ns(device.point, extra);
-    for (std::size_t i = 0; i < delays.size(); ++i) {
-        delays[i] *= 1.0 + rng.normal(0.0, config_.delay_noise_fraction);
-    }
-    return delays;
-}
-
-linalg::Vector MeasurementBench::measure_power_fingerprint(const Device& device,
-                                                           rng::Rng& rng) const {
     const rf::UwbTransmitter& tx = transmitter_for(device.variant);
     // Mismatch terms are fixed per device in real silicon; since each device
     // is fingerprinted once, independent draws at measurement time are
@@ -173,20 +112,6 @@ linalg::Vector MeasurementBench::measure_power_fingerprint(const Device& device,
     return fp;
 }
 
-DuttDataset MeasurementBench::measure_lot(const FabricatedLot& lot, rng::Rng& rng) const {
-    DuttDataset ds;
-    ds.fingerprints = linalg::Matrix(lot.devices.size(), config_.fingerprint_dim());
-    ds.pcms = linalg::Matrix(lot.devices.size(), config_.pcm_dim());
-    ds.variants.reserve(lot.devices.size());
-    for (std::size_t i = 0; i < lot.devices.size(); ++i) {
-        const Device& dev = lot.devices[i];
-        ds.fingerprints.set_row(i, measure_fingerprint(dev, rng));
-        ds.pcms.set_row(i, measure_pcm(dev, rng));
-        ds.variants.push_back(dev.variant);
-    }
-    return ds;
-}
-
 std::vector<trojan::PulseObservation> MeasurementBench::capture_transmission(
     const Device& device, std::size_t block_index) const {
     if (block_index >= cipher_bits_.size()) {
@@ -202,7 +127,6 @@ SpiceSimulator::SpiceSimulator(PlatformConfig config,
                                process::ProcessVariationModel spice_model)
     : config_(std::move(config)),
       spice_model_(std::move(spice_model)),
-      monitored_paths_(config_.monitored_paths),
       cipher_bits_(config_.ciphertext_bits()),
       key_bits_(config_.key_bits()),
       pcm_path_(config_.pcm_path),
@@ -227,25 +151,11 @@ linalg::Vector SpiceSimulator::pcm_at(const process::ProcessPoint& pp) const {
 }
 
 linalg::Vector SpiceSimulator::fingerprint_at(const process::ProcessPoint& pp) const {
-    const std::size_t nm_power = cipher_bits_.size();
-    linalg::Vector fp(config_.fingerprint_dim());
-    std::size_t offset = 0;
-    if (config_.fingerprint_mode == FingerprintMode::kTransmitPower ||
-        config_.fingerprint_mode == FingerprintMode::kCombined) {
-        for (std::size_t b = 0; b < nm_power; ++b) {
-            const auto observations =
-                tx_free_.transmit_block(pp, cipher_bits_[b], key_bits_);
-            fp[b] = rf::mw_to_dbm(std::max(meter_.average_power_mw(observations), 1e-12));
-        }
-        offset = nm_power;
-    }
-    if (config_.fingerprint_mode == FingerprintMode::kPathDelay ||
-        config_.fingerprint_mode == FingerprintMode::kCombined) {
-        const linalg::Vector delays = monitored_paths_.delays_ns(pp);
-        for (std::size_t i = 0; i < delays.size(); ++i) {
-            fp[(config_.fingerprint_mode == FingerprintMode::kPathDelay ? 0 : offset) +
-               i] = delays[i];
-        }
+    linalg::Vector fp(cipher_bits_.size());
+    for (std::size_t b = 0; b < cipher_bits_.size(); ++b) {
+        const auto observations =
+            tx_free_.transmit_block(pp, cipher_bits_[b], key_bits_);
+        fp[b] = rf::mw_to_dbm(std::max(meter_.average_power_mw(observations), 1e-12));
     }
     return fp;
 }

@@ -57,10 +57,9 @@ public:
     [[nodiscard]] virtual linalg::Vector measure_fingerprint(const Device& device,
                                                              rng::Rng& rng) const = 0;
 
-    /// Measure a whole fabricated lot. The default loops the per-device
-    /// calls in lot order (fingerprint first, then PCM, per device).
-    [[nodiscard]] virtual DuttDataset measure_lot(const FabricatedLot& lot,
-                                                  rng::Rng& rng) const;
+    /// Measure a whole fabricated lot: the per-device calls in lot order
+    /// (fingerprint first, then PCM, per device).
+    [[nodiscard]] DuttDataset measure_lot(const FabricatedLot& lot, rng::Rng& rng) const;
 };
 
 /// The tester bench.
@@ -78,10 +77,6 @@ public:
     [[nodiscard]] linalg::Vector measure_fingerprint(const Device& device,
                                                      rng::Rng& rng) const override;
 
-    /// Measure a whole fabricated lot.
-    [[nodiscard]] DuttDataset measure_lot(const FabricatedLot& lot,
-                                          rng::Rng& rng) const override;
-
     /// Raw per-bit observations of one block transmission by a device —
     /// what an attacker's antenna captures. `block_index` selects the
     /// plaintext block.
@@ -93,15 +88,8 @@ public:
 private:
     [[nodiscard]] const rf::UwbTransmitter& transmitter_for(
         trojan::DesignVariant v) const;
-    [[nodiscard]] linalg::Vector measure_power_fingerprint(const Device& device,
-                                                           rng::Rng& rng) const;
-    [[nodiscard]] linalg::Vector measure_delay_fingerprint(const Device& device,
-                                                           rng::Rng& rng) const;
 
     PlatformConfig config_;
-    circuit::MonitoredPathSet monitored_paths_;
-    linalg::Vector amp_trojan_load_ff_;
-    linalg::Vector freq_trojan_load_ff_;
     std::vector<std::array<bool, 128>> cipher_bits_;
     std::array<bool, 128> key_bits_{};
     circuit::PcmPath pcm_path_;
@@ -145,7 +133,6 @@ public:
 private:
     PlatformConfig config_;
     process::ProcessVariationModel spice_model_;
-    circuit::MonitoredPathSet monitored_paths_;
     std::vector<std::array<bool, 128>> cipher_bits_;
     std::array<bool, 128> key_bits_{};
     circuit::PcmPath pcm_path_;

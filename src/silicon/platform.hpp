@@ -11,18 +11,10 @@
 #include <vector>
 
 #include "circuit/delay.hpp"
-#include "circuit/monitored_paths.hpp"
 #include "crypto/aes.hpp"
 #include "rf/uwb.hpp"
 
 namespace htd::silicon {
-
-/// Which side channel the fingerprints come from.
-enum class FingerprintMode {
-    kTransmitPower,  ///< the paper's nm = 6 transmit-power measurements
-    kPathDelay,      ///< path-delay fingerprints (Jin & Makris, HOST'08 [7])
-    kCombined,       ///< both, concatenated (multi-parameter fusion [10,13])
-};
 
 /// Full platform description.
 struct PlatformConfig {
@@ -64,27 +56,9 @@ struct PlatformConfig {
     /// stay below the Trojans' transverse signature for FP = 0.
     double fingerprint_mismatch_db = 0.02;
 
-    /// Side-channel modality of the fingerprints.
-    FingerprintMode fingerprint_mode = FingerprintMode::kTransmitPower;
-
-    /// Number of monitored timing paths for the path-delay modality.
-    std::size_t monitored_paths = 8;
-
-    /// Capacitive load [fF] a Trojan's taps add to each monitored path it
-    /// runs near (path-delay modality only).
-    double trojan_delay_load_ff = 25.0;
-
-    /// Relative 1-sigma jitter of a path-delay fingerprint measurement.
-    double delay_noise_fraction = 0.002;
-
-    /// Number of side-channel fingerprints nm (mode dependent).
+    /// Number of side-channel fingerprints nm: one transmit-power reading per
+    /// plaintext block.
     [[nodiscard]] std::size_t fingerprint_dim() const noexcept {
-        switch (fingerprint_mode) {
-            case FingerprintMode::kTransmitPower: return plaintext_blocks.size();
-            case FingerprintMode::kPathDelay: return monitored_paths;
-            case FingerprintMode::kCombined:
-                return plaintext_blocks.size() + monitored_paths;
-        }
         return plaintext_blocks.size();
     }
 

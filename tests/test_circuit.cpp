@@ -245,57 +245,3 @@ TEST_P(PcmPathStages, DelayPositiveAndSupplyMonotone) {
 INSTANTIATE_TEST_SUITE_P(Stages, PcmPathStages, ::testing::Values(1, 4, 16, 64));
 
 }  // namespace
-
-// --- monitored paths (appended: path-delay fingerprint substrate) --------------
-
-#include "circuit/monitored_paths.hpp"
-
-namespace {
-
-using htd::circuit::MonitoredPathSet;
-using htd::linalg::Vector;
-
-TEST(MonitoredPaths, RejectsZeroCount) {
-    EXPECT_THROW(MonitoredPathSet(0), std::invalid_argument);
-}
-
-TEST(MonitoredPaths, GeometriesAreDiversified) {
-    const MonitoredPathSet paths(8);
-    EXPECT_EQ(paths.size(), 8u);
-    // Longer paths are slower: stage counts increase monotonically.
-    const Vector d = paths.delays_ns(nominal_350nm());
-    for (std::size_t i = 0; i < 8; ++i) EXPECT_GT(d[i], 0.0);
-    EXPECT_GT(paths.geometries()[7].stages, paths.geometries()[0].stages);
-}
-
-TEST(MonitoredPaths, ExtraLoadSlowsOnlyTappedPaths) {
-    const MonitoredPathSet paths(4);
-    const auto pp = nominal_350nm();
-    const Vector clean = paths.delays_ns(pp);
-    Vector load(4);
-    load[1] = 20.0;
-    load[3] = 20.0;
-    const Vector tapped = paths.delays_ns(pp, load);
-    EXPECT_DOUBLE_EQ(tapped[0], clean[0]);
-    EXPECT_GT(tapped[1], clean[1]);
-    EXPECT_DOUBLE_EQ(tapped[2], clean[2]);
-    EXPECT_GT(tapped[3], clean[3]);
-}
-
-TEST(MonitoredPaths, LoadSizeMismatchThrows) {
-    const MonitoredPathSet paths(4);
-    EXPECT_THROW((void)paths.delays_ns(nominal_350nm(), Vector(3)),
-                 std::invalid_argument);
-}
-
-TEST(MonitoredPaths, DelaysTrackProcess) {
-    const MonitoredPathSet paths(4);
-    ProcessPoint slow = nominal_350nm();
-    slow.set(Param::kMuN, 360.0);
-    slow.set(Param::kMuP, 120.0);
-    const Vector d_nom = paths.delays_ns(nominal_350nm());
-    const Vector d_slow = paths.delays_ns(slow);
-    for (std::size_t i = 0; i < 4; ++i) EXPECT_GT(d_slow[i], d_nom[i]);
-}
-
-}  // namespace

@@ -190,20 +190,9 @@ TEST(Integration, CanonicalLotDecisionValuesArePinned) {
 
 }  // namespace
 
-// --- modality variants (appended) -------------------------------------------------
+// --- report serialization (appended) ----------------------------------------------
 
 namespace {
-
-TEST(Integration, PathDelayModalityShape) {
-    ExperimentConfig cfg = fast_config();
-    cfg.platform.fingerprint_mode = htd::silicon::FingerprintMode::kPathDelay;
-    const ExperimentResult r = run_experiment(cfg);
-    for (const auto& m : r.table1) {
-        EXPECT_EQ(m.false_positives, 0u);
-    }
-    EXPECT_EQ(r.table1[0].false_negatives, 40u);   // B1 still useless
-    EXPECT_LE(r.table1[4].false_negatives, 16u);   // B5 best of the set
-}
 
 TEST(Integration, ReportSerializesEndToEnd) {
     ExperimentConfig cfg = fast_config();

@@ -284,57 +284,6 @@ TEST(Simulator, FingerprintsAtReportsAllBlocks) {
 
 }  // namespace
 
-// --- fingerprint modalities (appended) -------------------------------------------
-
-namespace {
-
-TEST(Modality, DimensionsPerMode) {
-    PlatformConfig cfg = PlatformConfig::paper_default();
-    cfg.fingerprint_mode = htd::silicon::FingerprintMode::kPathDelay;
-    EXPECT_EQ(cfg.fingerprint_dim(), cfg.monitored_paths);
-    cfg.fingerprint_mode = htd::silicon::FingerprintMode::kCombined;
-    EXPECT_EQ(cfg.fingerprint_dim(), 6u + cfg.monitored_paths);
-}
-
-TEST(Modality, DelayFingerprintsSlowerForTrojans) {
-    PlatformConfig cfg = PlatformConfig::paper_default();
-    cfg.fingerprint_mode = htd::silicon::FingerprintMode::kPathDelay;
-    const MeasurementBench bench(cfg);
-    const Fab fab(ProcessVariationModel::default_350nm());
-    Rng rng(21);
-    const FabricatedLot lot = fab.fabricate_lot(rng, 10);
-    double tf_sum = 0.0, ti_sum = 0.0;
-    for (std::size_t chip = 0; chip < 10; ++chip) {
-        tf_sum += bench.measure_fingerprint(lot.devices[3 * chip], rng).sum();
-        ti_sum += bench.measure_fingerprint(lot.devices[3 * chip + 1], rng).sum();
-    }
-    EXPECT_GT(ti_sum, tf_sum);  // tap loads slow the tapped paths
-}
-
-TEST(Modality, CombinedConcatenatesBoth) {
-    PlatformConfig cfg = PlatformConfig::paper_default();
-    cfg.fingerprint_mode = htd::silicon::FingerprintMode::kCombined;
-    const MeasurementBench bench(cfg);
-    const Fab fab(ProcessVariationModel::default_350nm());
-    Rng rng(22);
-    const FabricatedLot lot = fab.fabricate_lot(rng, 1);
-    const auto fp = bench.measure_fingerprint(lot.devices[0], rng);
-    ASSERT_EQ(fp.size(), 6u + cfg.monitored_paths);
-    // Power entries are dBm (negative-ish); delay entries are positive ns.
-    EXPECT_LT(fp[0], 5.0);
-    for (std::size_t i = 6; i < fp.size(); ++i) EXPECT_GT(fp[i], 0.0);
-}
-
-TEST(Modality, SimulatorMatchesModeDimensions) {
-    PlatformConfig cfg = PlatformConfig::paper_default();
-    cfg.fingerprint_mode = htd::silicon::FingerprintMode::kPathDelay;
-    const SpiceSimulator sim(cfg, ProcessVariationModel::default_350nm());
-    EXPECT_EQ(sim.fingerprint_at(htd::process::nominal_350nm()).size(),
-              cfg.monitored_paths);
-}
-
-}  // namespace
-
 // --- wafer spatial signature (appended) --------------------------------------------
 
 namespace {

@@ -6,7 +6,9 @@
 /// health verdict, the drift detector's per-channel KS maximum, the KMM
 /// effective sample size, and the per-boundary detection metrics. A final
 /// point forces a KMM collapse (as in E14) to demonstrate the DEGRADED
-/// verdict from the recorded B4->B3 fallback. Writes BENCH_drift_sweep.json.
+/// verdict from the recorded B4->B3 fallback. Writes BENCH_drift_sweep.json;
+/// every point repeats exactly for its seed, so every gate record is exact
+/// (rel 0, abs 0).
 
 #include <cmath>
 #include <cstdio>
@@ -121,13 +123,13 @@ int main() {
                 bj.set("accuracy", m.accuracy());
                 const std::string metric = gate_prefix + core::boundary_name(b);
                 gate.push_back(obs::gate_record(metric + ".accuracy", m.accuracy(),
-                                                obs::Better::kHigher, 0.0, 0.10));
+                                                obs::Better::kHigher, 0.0, 0.0));
                 gate.push_back(obs::gate_record(metric + ".fp_rate",
                                                 m.false_positive_rate(),
-                                                obs::Better::kLower, 0.0, 0.10));
+                                                obs::Better::kLower, 0.0, 0.0));
                 gate.push_back(obs::gate_record(metric + ".fn_rate",
                                                 m.false_negative_rate(),
-                                                obs::Better::kLower, 0.0, 0.10));
+                                                obs::Better::kLower, 0.0, 0.0));
                 row.push_back(io::fmt(m.accuracy(), 2));
             } else {
                 row.push_back("-");

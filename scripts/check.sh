@@ -208,14 +208,14 @@ run_determinism() {
         echo "check.sh: determinism: corrupt artifact exited $rc, want 2" >&2
         return 1
     fi
-    # The tolerant path: seed 3 swaps two boundary.* payloads, which
+    # The tolerant path: seed 2 swaps two boundary.* payloads, which
     # fails both name-bound CRCs. A tolerant score keeps scoring on the
     # other boundaries and warns once per rejected section; --strict refuses
     # the artifact with exit code 2.
     cp "$out/boundary_a.json" "$out/swapped.json"
     local swap
     swap=$("$score" inject --artifact "$out/swapped.json" \
-        --fault section_swap --seed 3)
+        --fault section_swap --seed 2)
     if ! grep -qE 'section_swap: boundary\.B[1-5] <-> boundary\.B[1-5]' <<< "$swap"; then
         echo "check.sh: determinism: want a swap of two boundary sections, got: $swap" >&2
         return 1

@@ -315,71 +315,6 @@ void MarsBank::fit(const linalg::Matrix& x, const linalg::Matrix& y) {
     }
 }
 
-Mars::State Mars::export_state() const {
-    State state;
-    state.opts = opts_;
-    state.fitted = fitted_;
-    state.input_dim = input_dim_;
-    state.terms = terms_;
-    state.coef = coef_;
-    state.gcv = gcv_;
-    state.r2 = r2_;
-    return state;
-}
-
-Mars Mars::from_state(State state) {
-    if (state.fitted) {
-        if (state.terms.empty()) {
-            throw std::invalid_argument("Mars::from_state: fitted model without terms");
-        }
-        if (state.terms.size() != state.coef.size()) {
-            throw std::invalid_argument(
-                "Mars::from_state: " + std::to_string(state.terms.size()) +
-                " terms vs " + std::to_string(state.coef.size()) + " coefficients");
-        }
-        for (const double c : state.coef) {
-            if (!std::isfinite(c)) {
-                throw std::invalid_argument(
-                    "Mars::from_state: non-finite coefficient");
-            }
-        }
-        for (const BasisTerm& term : state.terms) {
-            for (const HingeFactor& f : term.factors) {
-                if (f.variable >= state.input_dim || !std::isfinite(f.knot)) {
-                    throw std::invalid_argument(
-                        "Mars::from_state: hinge factor outside the input "
-                        "dimension or with a non-finite knot");
-                }
-            }
-        }
-    }
-    Mars model(state.opts);
-    model.fitted_ = state.fitted;
-    model.input_dim_ = state.input_dim;
-    model.terms_ = std::move(state.terms);
-    model.coef_ = std::move(state.coef);
-    model.gcv_ = state.gcv;
-    model.r2_ = state.r2;
-    return model;
-}
-
-MarsBank::State MarsBank::export_state() const {
-    State state;
-    state.opts = opts_;
-    state.models.reserve(models_.size());
-    for (const Mars& m : models_) state.models.push_back(m.export_state());
-    return state;
-}
-
-MarsBank MarsBank::from_state(State state) {
-    MarsBank bank(state.opts);
-    bank.models_.reserve(state.models.size());
-    for (Mars::State& ms : state.models) {
-        bank.models_.push_back(Mars::from_state(std::move(ms)));
-    }
-    return bank;
-}
-
 linalg::Vector MarsBank::predict(const linalg::Vector& x) const {
     if (models_.empty()) throw std::logic_error("MarsBank: not fitted");
     linalg::Vector out(models_.size());

@@ -87,30 +87,8 @@ public:
         double min_relative_improvement = 1e-9;
     };
 
-    /// Complete fitted state for persistence: re-importing reproduces
-    /// predictions bitwise (terms and coefficients are evaluated in stored
-    /// order).
-    struct State {
-        Options opts{};
-        bool fitted = false;
-        std::size_t input_dim = 0;
-        std::vector<BasisTerm> terms;
-        std::vector<double> coef;
-        double gcv = 0.0;
-        double r2 = 0.0;
-    };
-
     Mars() = default;
     explicit Mars(Options opts);
-
-    /// Snapshot of the fitted state (valid on an unfitted model).
-    [[nodiscard]] State export_state() const;
-
-    /// Rebuild a model from exported state; throws std::invalid_argument on
-    /// term/coefficient count mismatch, a fitted model without terms, a
-    /// non-finite coefficient, or a hinge factor referencing a variable
-    /// outside the input dimension.
-    [[nodiscard]] static Mars from_state(State state);
 
     /// Fit on training inputs `x` (rows are samples) and responses `y`.
     /// Throws std::invalid_argument on shape mismatch or an empty dataset.
@@ -153,21 +131,8 @@ private:
 /// g_j : m_p -> m_j for j = 1..nm.
 class MarsBank {
 public:
-    /// Persistable state: the shared options plus one Mars state per output.
-    struct State {
-        Mars::Options opts{};
-        std::vector<Mars::State> models;
-    };
-
     MarsBank() = default;
     explicit MarsBank(Mars::Options opts) : opts_(opts) {}
-
-    /// Snapshot of the fitted bank.
-    [[nodiscard]] State export_state() const;
-
-    /// Rebuild a bank from exported state; throws std::invalid_argument
-    /// when any per-output model state is inconsistent.
-    [[nodiscard]] static MarsBank from_state(State state);
 
     /// Fit one model per column of `y`; throws on shape mismatch.
     void fit(const linalg::Matrix& x, const linalg::Matrix& y);

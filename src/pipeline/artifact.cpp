@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -255,92 +254,6 @@ io::Json mars_opts_to_json(const ml::Mars::Options& o) {
     return opts;
 }
 
-ml::Mars::Options mars_opts_from_json(const io::Json& opts) {
-    ml::Mars::Options o;
-    o.max_terms = expect_size(expect_member(opts, "max_terms", "mars.opts"),
-                              "mars.opts.max_terms");
-    o.max_degree = expect_size(expect_member(opts, "max_degree", "mars.opts"),
-                               "mars.opts.max_degree");
-    o.penalty = expect_number(expect_member(opts, "penalty", "mars.opts"),
-                              "mars.opts.penalty");
-    o.prune =
-        expect_bool(expect_member(opts, "prune", "mars.opts"), "mars.opts.prune");
-    o.max_knots_per_variable =
-        expect_size(expect_member(opts, "max_knots_per_variable", "mars.opts"),
-                    "mars.opts.max_knots_per_variable");
-    o.min_relative_improvement = expect_number(
-        expect_member(opts, "min_relative_improvement", "mars.opts"),
-        "mars.opts.min_relative_improvement");
-    return o;
-}
-
-io::Json mars_state_to_json(const ml::Mars::State& s) {
-    io::Json terms = io::Json::array();
-    for (const ml::BasisTerm& term : s.terms) {
-        io::Json factors = io::Json::array();
-        for (const ml::HingeFactor& f : term.factors) {
-            io::Json factor = io::Json::object();
-            factor.set("variable", f.variable);
-            factor.set("knot", f.knot);
-            factor.set("positive", f.positive);
-            factors.push_back(std::move(factor));
-        }
-        terms.push_back(std::move(factors));
-    }
-    io::Json coef = io::Json::array();
-    for (const double c : s.coef) coef.push_back(c);
-
-    io::Json j = io::Json::object();
-    j.set("opts", mars_opts_to_json(s.opts));
-    j.set("fitted", s.fitted);
-    j.set("input_dim", s.input_dim);
-    j.set("terms", std::move(terms));
-    j.set("coef", std::move(coef));
-    j.set("gcv", s.gcv);
-    j.set("r2", s.r2);
-    return j;
-}
-
-ml::Mars::State mars_state_from_json(const io::Json& j) {
-    ml::Mars::State s;
-    s.opts = mars_opts_from_json(expect_member(j, "opts", "mars"));
-    s.fitted = expect_bool(expect_member(j, "fitted", "mars"), "mars.fitted");
-    s.input_dim =
-        expect_size(expect_member(j, "input_dim", "mars"), "mars.input_dim");
-    const io::Json& terms = expect_member(j, "terms", "mars");
-    if (!terms.is_array()) {
-        throw std::invalid_argument("mars.terms: expected an array");
-    }
-    s.terms.resize(terms.size());
-    for (std::size_t t = 0; t < terms.size(); ++t) {
-        const io::Json& factors = terms.at(t);
-        if (!factors.is_array()) {
-            throw std::invalid_argument("mars.terms: expected factor arrays");
-        }
-        s.terms[t].factors.resize(factors.size());
-        for (std::size_t f = 0; f < factors.size(); ++f) {
-            const io::Json& factor = factors.at(f);
-            s.terms[t].factors[f].variable = expect_size(
-                expect_member(factor, "variable", "mars.factor"), "mars.factor");
-            s.terms[t].factors[f].knot = expect_number(
-                expect_member(factor, "knot", "mars.factor"), "mars.factor");
-            s.terms[t].factors[f].positive = expect_bool(
-                expect_member(factor, "positive", "mars.factor"), "mars.factor");
-        }
-    }
-    const io::Json& coef = expect_member(j, "coef", "mars");
-    if (!coef.is_array()) {
-        throw std::invalid_argument("mars.coef: expected an array");
-    }
-    s.coef.resize(coef.size());
-    for (std::size_t i = 0; i < coef.size(); ++i) {
-        s.coef[i] = expect_number(coef.at(i), "mars.coef");
-    }
-    s.gcv = expect_number(expect_member(j, "gcv", "mars"), "mars.gcv");
-    s.r2 = expect_number(expect_member(j, "r2", "mars"), "mars.r2");
-    return s;
-}
-
 io::Json kde_state_to_json(const stats::AdaptiveKde::State& s) {
     io::Json pilot = io::Json::object();
     pilot.set("std_data", json_from_matrix(s.pilot.std_data));
@@ -358,18 +271,6 @@ io::Json kde_state_to_json(const stats::AdaptiveKde::State& s) {
     j.set("alpha", s.alpha);
     j.set("g", s.g);
     j.set("lambda", std::move(lambda));
-    return j;
-}
-
-io::Json mars_bank_to_json(const ml::MarsBank& bank) {
-    const ml::MarsBank::State s = bank.export_state();
-    io::Json models = io::Json::array();
-    for (const ml::Mars::State& ms : s.models) {
-        models.push_back(mars_state_to_json(ms));
-    }
-    io::Json j = io::Json::object();
-    j.set("opts", mars_opts_to_json(s.opts));
-    j.set("models", std::move(models));
     return j;
 }
 
@@ -567,10 +468,6 @@ BoundaryArtifact BoundaryArtifact::from_pipeline(const GoldenFreePipeline& pipel
         }
     }
 
-    // regressions() throws StageOrderError before stage 1 — a pipeline that
-    // never calibrated has nothing worth persisting.
-    artifact.mars_ = pipeline.regressions();
-
     if (pipeline.kde_estimator(Boundary::kB2).has_value()) {
         artifact.kde_s2_ = pipeline.kde_estimator(Boundary::kB2)->export_state();
     }
@@ -578,15 +475,6 @@ BoundaryArtifact BoundaryArtifact::from_pipeline(const GoldenFreePipeline& pipel
         artifact.kde_s5_ = pipeline.kde_estimator(Boundary::kB5)->export_state();
     }
 
-    const auto& calibration = pipeline.calibration_result();
-    artifact.kmm_.present = calibration.has_value();
-    if (calibration.has_value()) {
-        artifact.kmm_.weights = calibration->weights;
-        artifact.kmm_.total_shift = calibration->total_shift;
-        artifact.kmm_.iterations = calibration->iterations;
-    }
-    artifact.kmm_.effective_sample_size = pipeline.kmm_effective_sample_size();
-    artifact.kmm_.fallback_applied = pipeline.kmm_fallback_applied();
     return artifact;
 }
 
@@ -612,28 +500,10 @@ io::Json BoundaryArtifact::to_json() const {
     }
     add_section(sections, "status", std::move(status));
 
-    add_section(sections, "mars",
-                mars_.has_value() && mars_->fitted() ? mars_bank_to_json(*mars_)
-                                                     : io::Json());
-
     io::Json kde = io::Json::object();
     kde.set("s2", kde_s2_.has_value() ? kde_state_to_json(*kde_s2_) : io::Json());
     kde.set("s5", kde_s5_.has_value() ? kde_state_to_json(*kde_s5_) : io::Json());
     add_section(sections, "kde", std::move(kde));
-
-    io::Json kmm = io::Json::object();
-    kmm.set("present", kmm_.present);
-    kmm.set("weights",
-            kmm_.present ? json_from_vector(kmm_.weights) : io::Json());
-    kmm.set("total_shift",
-            kmm_.present ? json_from_vector(kmm_.total_shift) : io::Json());
-    kmm.set("iterations", kmm_.iterations);
-    kmm.set("effective_sample_size",
-            std::isfinite(kmm_.effective_sample_size)
-                ? io::Json(kmm_.effective_sample_size)
-                : io::Json());
-    kmm.set("fallback_applied", kmm_.fallback_applied);
-    add_section(sections, "kmm", std::move(kmm));
 
     for (const Boundary b : kAllBoundaries) {
         const std::size_t i = index_of(b);
@@ -751,8 +621,8 @@ BoundaryArtifact BoundaryArtifact::from_json(const io::Json& doc,
         throw ArtifactError(ArtifactErrorCode::kMalformed, e.what(), "status");
     }
 
-    // Called from the catch block of a tolerant section (mars, kde, kmm,
-    // boundary.Bk), which resets that section's state. A strict load
+    // Called from the catch block of a tolerant section (kde, boundary.Bk),
+    // which resets that section's state. A strict load
     // rethrows an ArtifactError and wraps a decoder's std::invalid_argument
     // as kMalformed naming the section; a tolerant load records the section
     // as failed with the note `note_prefix + why` and returns why. Any other
@@ -776,28 +646,8 @@ BoundaryArtifact BoundaryArtifact::from_json(const io::Json& doc,
         return why;
     };
 
-    // A failure in one of the auxiliary sections (mars / kde / kmm) does not
-    // change any score, so a tolerant load notes it and keeps going.
-    try {
-        const io::Json& mars = checked_section(sections, "mars");
-        if (!mars.is_null()) {
-            ml::MarsBank::State state;
-            state.opts = mars_opts_from_json(expect_member(mars, "opts", "mars"));
-            const io::Json& models = expect_member(mars, "models", "mars");
-            if (!models.is_array()) {
-                throw std::invalid_argument("mars.models: expected an array");
-            }
-            state.models.resize(models.size());
-            for (std::size_t m = 0; m < models.size(); ++m) {
-                state.models[m] = mars_state_from_json(models.at(m));
-            }
-            artifact.mars_ = ml::MarsBank::from_state(std::move(state));
-        }
-    } catch (...) {
-        artifact.mars_.reset();
-        reject("mars", "section mars rejected: ");
-    }
-
+    // The kde section feeds explain, never a score, so a tolerant load notes
+    // its failure and keeps going.
     try {
         const io::Json& kde = checked_section(sections, "kde");
         const io::Json& s2 = expect_member(kde, "s2", "kde");
@@ -808,29 +658,6 @@ BoundaryArtifact BoundaryArtifact::from_json(const io::Json& doc,
         artifact.kde_s2_.reset();
         artifact.kde_s5_.reset();
         reject("kde", "section kde rejected: ");
-    }
-
-    try {
-        const io::Json& kmm = checked_section(sections, "kmm");
-        artifact.kmm_.present =
-            expect_bool(expect_member(kmm, "present", "kmm"), "kmm.present");
-        if (artifact.kmm_.present) {
-            artifact.kmm_.weights = vector_from_json(
-                expect_member(kmm, "weights", "kmm"), "kmm.weights");
-            artifact.kmm_.total_shift = vector_from_json(
-                expect_member(kmm, "total_shift", "kmm"), "kmm.total_shift");
-        }
-        artifact.kmm_.iterations =
-            expect_size(expect_member(kmm, "iterations", "kmm"), "kmm.iterations");
-        const io::Json& ess = expect_member(kmm, "effective_sample_size", "kmm");
-        artifact.kmm_.effective_sample_size =
-            ess.is_null() ? std::numeric_limits<double>::quiet_NaN()
-                          : expect_number(ess, "kmm.effective_sample_size");
-        artifact.kmm_.fallback_applied = expect_bool(
-            expect_member(kmm, "fallback_applied", "kmm"), "kmm.fallback_applied");
-    } catch (...) {
-        artifact.kmm_ = {};
-        reject("kmm", "section kmm rejected: ");
     }
 
     // Per-boundary sections: a rejected section takes down exactly that

@@ -1,11 +1,13 @@
 #pragma once
 /// \file artifact.hpp
 /// The persisted calibration artifact behind the calibrate/score split:
-/// everything a trained `GoldenFreePipeline` learned — per-boundary SVM
-/// support vectors and coefficients, the MARS regression bank, the adaptive
-/// KDE tail estimators, the KMM calibration weights — serialized once at
-/// calibration time and reloaded by `pipeline::BoundaryScorer` to classify
-/// production batches with zero retraining.
+/// exactly what `pipeline::BoundaryScorer` and explain read of a trained
+/// `GoldenFreePipeline` — per-boundary SVM support vectors and coefficients,
+/// their status, and the adaptive KDE tail estimators S2/S5 that explain
+/// evaluates — serialized once at calibration time and reloaded to classify
+/// production batches with zero retraining. Stage-1/2 intermediates (the
+/// MARS regression bank, the KMM weights) are not persisted: no score reads
+/// them.
 ///
 /// Format (`htd.boundary.v1`): a JSON envelope
 ///     { "schema": "htd.boundary.v1", "version": 1, "sections": { ... } }
@@ -32,7 +34,6 @@
 
 #include "core/errors.hpp"
 #include "io/json.hpp"
-#include "ml/mars.hpp"
 #include "ml/one_class_svm.hpp"
 #include "pipeline/pipeline.hpp"
 #include "stats/kde.hpp"
@@ -133,17 +134,6 @@ struct ArtifactLoadReport {
     std::vector<std::string> failed_sections;  ///< sections rejected
 };
 
-/// KMM calibration record carried for provenance/audit (the scorer itself
-/// only needs the SVMs).
-struct ArtifactKmmRecord {
-    bool present = false;  ///< stage-2 calibration produced a result
-    linalg::Vector weights;
-    linalg::Vector total_shift;
-    std::size_t iterations = 0;
-    double effective_sample_size = 0.0;  ///< NaN when calibration never ran
-    bool fallback_applied = false;
-};
-
 /// In-memory form of one htd.boundary.v1 artifact.
 class BoundaryArtifact {
 public:
@@ -211,11 +201,6 @@ public:
         return fingerprint_dims_[static_cast<std::size_t>(b)];
     }
 
-    /// The MARS regression bank (empty if its section was rejected).
-    [[nodiscard]] const std::optional<ml::MarsBank>& regressions() const noexcept {
-        return mars_;
-    }
-
     /// Tail-estimator states for S2/S5 (empty when the boundary failed or
     /// the section was rejected).
     [[nodiscard]] const std::optional<stats::AdaptiveKde::State>& kde_s2() const noexcept {
@@ -225,18 +210,14 @@ public:
         return kde_s5_;
     }
 
-    [[nodiscard]] const ArtifactKmmRecord& kmm() const noexcept { return kmm_; }
-
 private:
     io::Json config_json_ = io::Json::object();
     ArtifactProvenance provenance_;
     std::array<BoundaryStatus, 5> status_{};
     std::array<std::optional<ml::OneClassSvm>, 5> svms_{};
     std::array<std::size_t, 5> fingerprint_dims_{};
-    std::optional<ml::MarsBank> mars_;
     std::optional<stats::AdaptiveKde::State> kde_s2_;
     std::optional<stats::AdaptiveKde::State> kde_s5_;
-    ArtifactKmmRecord kmm_;
 };
 
 }  // namespace htd::core

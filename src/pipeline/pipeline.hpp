@@ -237,8 +237,8 @@ public:
     /// The adaptive-KDE estimator that generated a boundary's synthetic
     /// population. Engaged only for B2/B5; empty otherwise (stage not run,
     /// boundary failed).
-    /// Persisted in the boundary artifact so a calibration can be audited
-    /// and its synthetic populations regenerated without re-simulation.
+    /// Persisted in the boundary artifact because explain evaluates its
+    /// density per chip; no code regenerates the populations from it.
     [[nodiscard]] const std::optional<stats::AdaptiveKde>& kde_estimator(
         Boundary b) const noexcept {
         return kdes_[static_cast<std::size_t>(b)];

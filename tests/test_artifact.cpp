@@ -116,6 +116,16 @@ TEST_F(ArtifactSuite, CleanRoundTripScoresBitIdentical) {
     }
 }
 
+TEST_F(ArtifactSuite, WritesExactlyTheSectionsScoringReads) {
+    std::vector<std::string> names;
+    for (const auto& [name, entry] : artifact_doc_.at("sections").members()) {
+        names.push_back(name);
+    }
+    EXPECT_EQ(names, (std::vector<std::string>{
+                         "boundary.B1", "boundary.B2", "boundary.B3", "boundary.B4",
+                         "boundary.B5", "config", "kde", "provenance", "status"}));
+}
+
 TEST_F(ArtifactSuite, AtomicSaveThenLoadIsByteStable) {
     const std::string path = temp_path("save");
     core::BoundaryArtifact::from_json(artifact_doc_).save(path);
@@ -241,12 +251,8 @@ struct SectionRejection {
 
 TEST_F(ArtifactSuite, TolerantSectionRejectionsArePinned) {
     const std::vector<SectionRejection> cases = {
-        {"mars", true, "", "", io::Json()},
-        {"mars", false, "mars.models: expected an array", "models", io::Json("x")},
         {"kde", true, "", "", io::Json()},
         {"kde", false, "kde: missing member 'pilot'", "s5", io::Json("x")},
-        {"kmm", true, "", "", io::Json()},
-        {"kmm", false, "kmm.present: expected a boolean", "present", io::Json(1.0)},
         {"boundary.B3", true, "", "", io::Json()},
         {"boundary.B3", false, "fingerprint_dim: expected a non-negative integer",
          "fingerprint_dim", io::Json(-1.0)},
@@ -291,16 +297,9 @@ TEST_F(ArtifactSuite, TolerantSectionRejectionsArePinned) {
                                      "section " + c.section + " rejected: " + why});
         }
         // The rejected section's state is reset, not half-decoded.
-        if (c.section == "mars") {
-            EXPECT_FALSE(artifact.regressions().has_value());
-        }
         if (c.section == "kde") {
             EXPECT_FALSE(artifact.kde_s2().has_value());
             EXPECT_FALSE(artifact.kde_s5().has_value());
-        }
-        if (c.section == "kmm") {
-            EXPECT_FALSE(artifact.kmm().present);
-            EXPECT_FALSE(artifact.kmm().fallback_applied);
         }
 
         try {
@@ -376,6 +375,44 @@ TEST_F(ArtifactSuite, LegacyConfigKeysStillLoadAndScoreAlike) {
         ASSERT_EQ(got.size(), want.size());
         for (std::size_t i = 0; i < got.size(); ++i) {
             EXPECT_EQ(got[i], want[i]) << core::boundary_name(b) << " device " << i;
+        }
+    }
+}
+
+TEST_F(ArtifactSuite, PreviousLayoutSectionsAreIgnored) {
+    // Artifacts written before the MARS bank and the KMM record left the
+    // format carry `mars` and `kmm` sections. The loader looks sections up
+    // by name, so both are ignored, even with a CRC that no longer matches:
+    // tolerant and strict loads are clean and score exactly as in-process.
+    io::Json doc = artifact_doc_;
+    io::Json sections = doc.at("sections");
+    io::Json mars = io::Json::object();
+    mars.set("opts", core::canonical_config_json(pipeline_->config()).at("mars"));
+    mars.set("models", io::Json::array());
+    io::Json mars_entry = io::Json::object();
+    mars_entry.set("crc32", recomputed_crc("mars", mars));
+    mars_entry.set("payload", std::move(mars));
+    sections.set("mars", std::move(mars_entry));
+    io::Json kmm = io::Json::object();
+    kmm.set("present", false);
+    kmm.set("iterations", 0.0);
+    io::Json kmm_entry = io::Json::object();
+    kmm_entry.set("crc32", recomputed_crc("kmm", kmm) + 1.0);  // stale CRC
+    kmm_entry.set("payload", std::move(kmm));
+    sections.set("kmm", std::move(kmm_entry));
+    doc.set("sections", std::move(sections));
+
+    for (const bool strict : {false, true}) {
+        SCOPED_TRACE(strict ? "strict" : "tolerant");
+        core::ArtifactLoadReport rep;
+        const core::BoundaryScorer old(
+            core::BoundaryArtifact::from_json(doc, {.strict = strict}, &rep));
+        EXPECT_TRUE(rep.notes.empty());
+        EXPECT_TRUE(rep.failed_sections.empty());
+        for (const core::Boundary b : core::kAllBoundaries) {
+            ASSERT_EQ(old.boundary_ready(b), pipeline_->boundary_ready(b))
+                << core::boundary_name(b);
+            if (old.boundary_ready(b)) expect_bitwise_parity(old, b);
         }
     }
 }

@@ -256,12 +256,6 @@ std::size_t Registry::span_count() const {
     return spans_.size();
 }
 
-void Registry::flush() const {
-    if (sink() != SinkKind::kText) return;
-    const std::string text = metrics_text(*this);
-    if (!text.empty()) std::fprintf(stderr, "%s", text.c_str());
-}
-
 void Registry::reset() {
     const std::lock_guard<std::mutex> lock(mutex_);
     spans_.clear();

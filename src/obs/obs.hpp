@@ -12,7 +12,7 @@
 ///
 ///     HTD_OBS=off    no-op (default) — every call is a single relaxed
 ///                    atomic load on the hot path
-///     HTD_OBS=text   spans and flush() summaries stream to stderr
+///     HTD_OBS=text   spans stream to stderr, one line each
 ///     HTD_OBS=json   records accumulate in memory for a RunReport /
 ///                    BENCH_<name>.json artifact
 ///
@@ -189,10 +189,6 @@ public:
     [[nodiscard]] double spans_dropped() const {
         return counter_value("obs.spans_dropped");
     }
-
-    /// Under the text sink, print a metrics summary table to stderr.
-    /// No-op otherwise.
-    void flush() const;
 
     /// Drop all recorded spans and metrics (sink selection is kept).
     void reset();

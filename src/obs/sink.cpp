@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "io/table.hpp"
 #include "obs/trace_export.hpp"
 
 namespace htd::obs {
@@ -163,50 +162,6 @@ std::string span_text_line(const SpanRecord& record) {
         line += ')';
     }
     return line;
-}
-
-std::string metrics_text(const Registry& registry) {
-    std::string out;
-
-    const auto counters = registry.counters();
-    const auto works = registry.works();
-    const auto gauges = registry.gauges();
-    if (!counters.empty() || !works.empty() || !gauges.empty()) {
-        io::Table table({"metric", "kind", "value"});
-        for (const auto& [name, value] : counters) {
-            table.add_row({name, "counter", fmt_compact(value)});
-        }
-        for (const auto& [name, value] : works) {
-            table.add_row({name, "work", fmt_compact(value)});
-        }
-        for (const auto& [name, value] : gauges) {
-            table.add_row({name, "gauge", fmt_compact(value)});
-        }
-        out += "[obs] metrics\n";
-        out += table.str();
-    }
-
-    const auto histograms = registry.histograms();
-    if (!histograms.empty()) {
-        io::Table table({"histogram", "count", "mean us", "p50 us", "p90 us",
-                         "p99 us", "min us", "max us"});
-        for (const auto& [name, h] : histograms) {
-            table.add_row({name, fmt_compact(static_cast<double>(h.total)),
-                           io::fmt(h.mean(), 2), io::fmt(h.quantile(0.50), 2),
-                           io::fmt(h.quantile(0.90), 2), io::fmt(h.quantile(0.99), 2),
-                           io::fmt(h.min, 2), io::fmt(h.max, 2)});
-        }
-        out += "[obs] latency histograms\n";
-        out += table.str();
-    }
-
-    const double dropped = registry.spans_dropped();
-    if (dropped > 0.0) {
-        out += "[obs] spans dropped past the storage cap: ";
-        out += fmt_compact(dropped);
-        out += '\n';
-    }
-    return out;
 }
 
 }  // namespace htd::obs

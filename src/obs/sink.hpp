@@ -2,7 +2,7 @@
 /// \file sink.hpp
 /// Registry snapshot -> output conversions shared by the text and JSON
 /// sinks: `io::Json` views of the recorded spans and metrics, and the
-/// stderr rendering used by `Registry::flush()` under the text sink.
+/// one-line span rendering the text sink streams to stderr.
 
 #include <string>
 
@@ -38,9 +38,5 @@ namespace htd::obs {
 /// "[obs]   pipeline.mars_fit  wall 12.3 ms  cpu 12.1 ms  (outputs=6)".
 /// Indented two spaces per nesting level.
 [[nodiscard]] std::string span_text_line(const SpanRecord& record);
-
-/// Metrics summary tables (io::Table format) used by flush() under the
-/// text sink.
-[[nodiscard]] std::string metrics_text(const Registry& registry);
 
 }  // namespace htd::obs

@@ -43,8 +43,11 @@ struct IngestPolicy {
     /// frequencies [MHz] are strictly positive and far below 1e9.
     PhysicalRange pcm_range{1e-9, 1e9};
 
-    /// Physical range of a fingerprint entry [dBm].
-    PhysicalRange fingerprint_range{-200.0, 1e9};
+    /// Physical range of a fingerprint entry [dBm]. Transmit-power
+    /// fingerprints of a lot sit a few dBm below 0 and the bench fault
+    /// model's spikes move them by ±10 dB; a reading above +30 dBm (1 W)
+    /// is no transmitter output, whatever the robust z screen makes of it.
+    PhysicalRange fingerprint_range{-200.0, 30.0};
 
     /// Robust z cut: |x - median| / (1.4826 MAD) above this flags a cell.
     double robust_z_threshold = 8.0;

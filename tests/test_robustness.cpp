@@ -208,7 +208,7 @@ TEST(Validator, ScreenFlagsEachFaultKind) {
     }
     data(0, 0) = kNan;
     data(1, 1) = -500.0;  // below the fingerprint range floor
-    data(2, 2) = 1e6;     // in range, grossly outlying
+    data(2, 2) = 25.0;    // in range, grossly outlying
     const MeasurementValidator validator;
     const auto res = validator.screen(data, IngestPolicy{}.fingerprint_range);
     EXPECT_EQ(res.nonfinite, 1u);
@@ -220,6 +220,26 @@ TEST(Validator, ScreenFlagsEachFaultKind) {
     EXPECT_EQ(res.row_rejected[2], 1);  // RMS z across channels
     EXPECT_EQ(res.row_flagged[3], 0);
     EXPECT_EQ(res.flagged_rows(), 3u);
+}
+
+TEST(Validator, AbsurdFingerprintPowerIsOutOfRange) {
+    // +1e6 dBm is finite but no transmitter output: the physical edge
+    // rejects it outright instead of leaving it to the robust z screen.
+    Rng rng(5);
+    Matrix data(12, 3);
+    for (std::size_t r = 0; r < 12; ++r) {
+        for (std::size_t c = 0; c < 3; ++c) data(r, c) = rng.normal(-6.0, 1.0);
+    }
+    data(4, 1) = 1e6;
+    const MeasurementValidator validator;
+    const auto res = validator.screen(data, IngestPolicy{}.fingerprint_range);
+    EXPECT_EQ(res.out_of_range, 1u);
+    EXPECT_EQ(res.outliers, 0u);
+    EXPECT_EQ(res.nonfinite, 0u);
+    ASSERT_EQ(res.issues.size(), 1u);
+    EXPECT_EQ(res.issues[0].row, 4u);
+    EXPECT_EQ(res.issues[0].col, 1u);
+    EXPECT_EQ(res.issues[0].fault, CellFault::kOutOfRange);
 }
 
 TEST(Validator, SanitizeImputesIsolatedChannelsAndDropsBadPcms) {

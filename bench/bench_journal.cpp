@@ -98,7 +98,7 @@ int main() {
     std::size_t appended = 0;
     start = Clock::now();
     do {
-        obs::Event event("chip_scored");
+        obs::Event event(obs::EventKind::kChipScored);
         event.chip = std::to_string(appended);
         event.boundary = core::boundary_name(verdict);
         event.value("decision", 0.25).value("inside", 1.0);

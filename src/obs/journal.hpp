@@ -16,9 +16,9 @@
 ///
 /// Every record carries the enclosing trace-span id so journal lines
 /// cross-reference `htd.trace.v1` traces, and lot/chip/boundary ids where
-/// they apply. The kind list above is the registry: `EventJournal::append`
-/// rejects unregistered kinds, and htd_lint's `event-kind-name` rule holds
-/// literal kinds in src// tools/ to `event_kinds()`.
+/// they apply. The kind list above is `obs::EventKind`: a kind outside it
+/// cannot be constructed, and `event_kind_from_name` checks the kind of a
+/// journal read back from disk.
 ///
 /// Crash-safety contract: each record is serialized as one compact JSON
 /// line, written and flushed before append() returns, so a crash loses at
@@ -37,6 +37,7 @@
 #include <cstdint>
 #include <fstream>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -49,26 +50,36 @@ namespace htd::obs {
 /// Schema tag stamped on every journal record.
 inline constexpr std::string_view kEventsSchema = "htd.events.v1";
 
-/// The registered event kinds — the single spelling point the lint rule
-/// enforces against. Order is the documentation order above.
-[[nodiscard]] const std::vector<std::string>& event_kinds();
+/// The `htd.events.v1` event kinds, in the documentation order above.
+enum class EventKind {
+    kCalibration,
+    kRecalibration,
+    kBoundaryFallback,
+    kArtifactDegraded,
+    kDriftTrip,
+    kQuarantine,
+    kChipScored,
+};
 
-/// True when `kind` is one of the registered `htd.events.v1` kinds.
-[[nodiscard]] bool event_kind_registered(std::string_view kind);
+/// The kind's spelling in journal records ("calibration", ...).
+[[nodiscard]] std::string_view event_kind_name(EventKind kind);
+
+/// The kind spelled `name`, or nullopt when no kind is spelled so.
+[[nodiscard]] std::optional<EventKind> event_kind_from_name(
+    std::string_view name);
 
 /// One journal event. Construct with the kind, fill in the ids that apply,
 /// and hand it to `EventJournal::append`, which assigns seq/ts_ns/span:
 ///
-///     obs::Event ev("boundary_fallback");
+///     obs::Event ev(obs::EventKind::kBoundaryFallback);
 ///     ev.boundary = "B4";
 ///     ev.detail = status.detail;
 ///     ev.value("ess", ess).value("floor", floor);
 ///     obs::EventJournal::global().append(std::move(ev));
 struct Event {
-    Event() = default;
-    explicit Event(std::string kind_name) : kind(std::move(kind_name)) {}
+    explicit Event(EventKind event_kind) : kind(event_kind) {}
 
-    std::string kind;      ///< one of event_kinds()
+    EventKind kind;
     std::string lot;       ///< lot id, empty when not applicable
     std::string chip;      ///< chip / device id, empty when not applicable
     std::string boundary;  ///< "B1".."B5", empty when not applicable
@@ -134,9 +145,8 @@ public:
     }
 
     /// Sequence, stamp, serialize, write + flush. No-op when disabled.
-    /// Throws std::invalid_argument on an unregistered kind and
-    /// std::runtime_error when the stream write fails (a silent audit gap
-    /// is worse than a loud crash).
+    /// Throws std::runtime_error when the stream write fails (a silent
+    /// audit gap is worse than a loud crash).
     void append(Event event);
 
     /// Snapshot of the most recent events (bounded by kMaxRecentEvents).

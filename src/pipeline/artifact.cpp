@@ -701,7 +701,7 @@ BoundaryArtifact BoundaryArtifact::from_json(const io::Json& doc,
     if (journal.enabled()) {
         for (std::size_t i = first_new_note; i < rep.failed_sections.size();
              ++i) {
-            obs::Event ev("artifact_degraded");
+            obs::Event ev(obs::EventKind::kArtifactDegraded);
             const std::string& section = rep.failed_sections[i];
             constexpr std::string_view prefix = "boundary.";
             if (section.rfind(prefix, 0) == 0) {

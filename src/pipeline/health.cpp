@@ -446,7 +446,7 @@ void HealthMonitor::record(ProbeResult probe) {
     obs::EventJournal& journal = obs::EventJournal::global();
     if (journal.enabled() && stored.name.rfind("drift.", 0) == 0 &&
         stored.level >= HealthLevel::kDegraded) {
-        obs::Event ev("drift_trip");
+        obs::Event ev(obs::EventKind::kDriftTrip);
         ev.detail = stored.name + ": " + stored.detail;
         for (const auto& [key, v] : stored.values) ev.value(key, v);
         journal.append(std::move(ev));

@@ -237,7 +237,7 @@ IngestResult MeasurementValidator::finalize(silicon::DuttDataset ds,
     obs::EventJournal& journal = obs::EventJournal::global();
     if (journal.enabled()) {
         for (const std::size_t dropped_index : result.dropped_indices) {
-            obs::Event ev("quarantine");
+            obs::Event ev(obs::EventKind::kQuarantine);
             ev.chip = std::to_string(dropped_index);
             ev.detail =
                 "device dropped by measurement quarantine (unscreenable or "

@@ -104,8 +104,9 @@ struct ScreenResult {
     [[nodiscard]] std::size_t flagged_rows() const noexcept;
 };
 
-/// What ingestion did to a lot.
-struct QuarantineSummary {
+/// What ingestion did to a lot. Must-use, like IngestResult: a dropped
+/// summary hides which devices were quarantined.
+struct [[nodiscard]] QuarantineSummary {
     std::size_t devices_total = 0;
     std::size_t devices_kept = 0;
     std::size_t devices_dropped = 0;
@@ -121,7 +122,7 @@ struct QuarantineSummary {
 };
 
 /// Cleaned dataset plus the bookkeeping of how it was cleaned.
-struct IngestResult {
+struct [[nodiscard]] IngestResult {
     silicon::DuttDataset dataset;           ///< quarantined-out, imputed
     std::vector<std::size_t> kept_indices;  ///< raw-lot rows kept, in order
     std::vector<std::size_t> dropped_indices;

@@ -78,7 +78,7 @@ std::vector<bool> score_fingerprints(Boundary b, const ml::OneClassSvm& svm,
         inside[r] = decision >= 0.0;
         accepted += inside[r] ? 1 : 0;
         if (forensics) {
-            obs::Event ev("chip_scored");
+            obs::Event ev(obs::EventKind::kChipScored);
             ev.chip = std::to_string(r);
             ev.boundary = boundary_name(b);
             ev.value("decision", decision).value("inside", inside[r] ? 1.0 : 0.0);
@@ -239,8 +239,8 @@ void GoldenFreePipeline::run_premanufacturing(rng::Rng& rng) {
     obs::EventJournal& journal = obs::EventJournal::global();
     if (journal.enabled()) {
         obs::Event ev(premanufacturing_runs_ == 0
-                          ? std::string("calibration")
-                          : std::string("recalibration"));
+                          ? obs::EventKind::kCalibration
+                          : obs::EventKind::kRecalibration);
         ev.detail = "stage1 premanufacturing: B1/B2 trained";
         ev.value("monte_carlo_samples", static_cast<double>(mc_pcms_.rows()));
         journal.append(std::move(ev));
@@ -276,8 +276,9 @@ void GoldenFreePipeline::run_silicon_stage(const linalg::Matrix& dutt_pcms,
     const auto journal_stage_done = [&](const std::string& outcome) {
         obs::EventJournal& journal = obs::EventJournal::global();
         if (journal.enabled()) {
-            obs::Event ev(silicon_runs_ == 0 ? std::string("calibration")
-                                             : std::string("recalibration"));
+            obs::Event ev(silicon_runs_ == 0
+                              ? obs::EventKind::kCalibration
+                              : obs::EventKind::kRecalibration);
             ev.detail = "stage2 silicon: " + outcome;
             ev.value("dutt_devices", static_cast<double>(dutt_pcms.rows()));
             if (std::isfinite(kmm_ess_)) {
@@ -374,7 +375,7 @@ void GoldenFreePipeline::run_silicon_stage(const linalg::Matrix& dutt_pcms,
         {
             obs::EventJournal& journal = obs::EventJournal::global();
             if (journal.enabled()) {
-                obs::Event ev("boundary_fallback");
+                obs::Event ev(obs::EventKind::kBoundaryFallback);
                 ev.boundary = boundary_name(Boundary::kB4);
                 ev.detail = detail;
                 ev.value("effective_sample_size", kmm_ess_)

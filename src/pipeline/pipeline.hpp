@@ -70,7 +70,9 @@ enum class BoundaryHealth {
 [[nodiscard]] std::string boundary_health_name(BoundaryHealth health);
 
 /// Health plus the human-readable reason for a degradation or failure.
-struct BoundaryStatus {
+/// `[[nodiscard]]` on the type makes every by-value return of it must-use:
+/// a dropped status is a silently skipped boundary decision.
+struct [[nodiscard]] BoundaryStatus {
     BoundaryHealth health = BoundaryHealth::kUntrained;
     std::string detail;
 

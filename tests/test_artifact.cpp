@@ -514,7 +514,7 @@ Stage3Run journaled(Classify&& classify) {
     Stage3Run run;
     run.verdicts = classify();
     for (const obs::Event& ev : journal.recent()) {
-        EXPECT_EQ(ev.kind, "chip_scored");
+        EXPECT_EQ(ev.kind, obs::EventKind::kChipScored);
         EXPECT_EQ(ev.values.size(), 2u);
         if (ev.values.size() != 2) continue;
         EXPECT_EQ(ev.values[0].first, "decision");

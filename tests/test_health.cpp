@@ -379,7 +379,7 @@ TEST(PipelineHealth, KmmCollapseFallbackVisibleInReportHealthAndJournal) {
     // with the collapsed effective sample size and the floor it violated.
     bool fallback_journaled = false;
     for (const obs::Event& event : journal.recent()) {
-        if (event.kind != "boundary_fallback") continue;
+        if (event.kind != obs::EventKind::kBoundaryFallback) continue;
         EXPECT_EQ(event.boundary, "B4");
         bool has_ess = false;
         bool has_floor = false;

@@ -12,6 +12,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <unistd.h>
 #include <vector>
 
@@ -62,21 +63,26 @@ protected:
 };
 
 TEST_F(JournalTest, KindRegistryCoversTheDocumentedSet) {
-    const std::vector<std::string>& kinds = obs::event_kinds();
-    EXPECT_EQ(kinds.size(), 7u);
-    for (const char* kind :
-         {"calibration", "recalibration", "boundary_fallback",
-          "artifact_degraded", "drift_trip", "quarantine", "chip_scored"}) {
-        EXPECT_TRUE(obs::event_kind_registered(kind)) << kind;
+    const std::vector<std::string> documented = {
+        "calibration", "recalibration", "boundary_fallback",
+        "artifact_degraded", "drift_trip", "quarantine", "chip_scored"};
+    std::vector<std::string> names;
+    for (int k = 0; k <= static_cast<int>(obs::EventKind::kChipScored); ++k) {
+        const auto kind = static_cast<obs::EventKind>(k);
+        const std::string_view name = obs::event_kind_name(kind);
+        names.emplace_back(name);
+        EXPECT_TRUE(obs::event_kind_from_name(name) == kind) << name;
     }
-    EXPECT_FALSE(obs::event_kind_registered("chip_scoredd"));
-    EXPECT_FALSE(obs::event_kind_registered(""));
+    EXPECT_EQ(names, documented);
+    EXPECT_FALSE(obs::event_kind_from_name("").has_value());
+    EXPECT_FALSE(obs::event_kind_from_name("chip_scoredd").has_value());
 }
 
 TEST_F(JournalTest, DisabledJournalDropsEventsSilently) {
     auto& journal = obs::EventJournal::global();
     EXPECT_FALSE(journal.enabled());
-    journal.append(obs::Event("chip_scored"));  // no-op, must not throw
+    // A no-op, which must not throw.
+    journal.append(obs::Event(obs::EventKind::kChipScored));
     EXPECT_EQ(journal.recent().size(), 0u);
     EXPECT_EQ(journal.sequence(), 0u);
 }
@@ -87,7 +93,7 @@ TEST_F(JournalTest, AppendWritesValidMonotonicJsonl) {
     auto& journal = obs::EventJournal::global();
     journal.open(path);
     for (int i = 0; i < 3; ++i) {
-        obs::Event event("chip_scored");
+        obs::Event event(obs::EventKind::kChipScored);
         event.chip = std::to_string(i);
         event.boundary = "B5";
         event.value("decision", 0.5 - i).value("inside", i == 0 ? 1.0 : 0.0);
@@ -110,18 +116,6 @@ TEST_F(JournalTest, AppendWritesValidMonotonicJsonl) {
     std::remove(path.c_str());
 }
 
-TEST_F(JournalTest, UnregisteredKindThrowsAndWritesNothing) {
-    const std::string path = temp_path("badkind");
-    std::remove(path.c_str());
-    auto& journal = obs::EventJournal::global();
-    journal.open(path);
-    EXPECT_THROW(journal.append(obs::Event("not_a_kind")),
-                 std::invalid_argument);
-    journal.close();
-    EXPECT_TRUE(read_file(path).empty());
-    std::remove(path.c_str());
-}
-
 TEST_F(JournalTest, NormalizedSameSequenceIsByteIdentical) {
     const std::string path_a = temp_path("norm_a");
     const std::string path_b = temp_path("norm_b");
@@ -130,11 +124,11 @@ TEST_F(JournalTest, NormalizedSameSequenceIsByteIdentical) {
     for (const std::string& path : {path_a, path_b}) {
         std::remove(path.c_str());
         journal.open(path);  // open resets the sequence per file
-        obs::Event calibration("calibration");
+        obs::Event calibration(obs::EventKind::kCalibration);
         calibration.detail = "stage1 premanufacturing: B1/B2 trained";
         calibration.value("monte_carlo_samples", 40.0);
         journal.append(std::move(calibration));
-        obs::Event scored("chip_scored");
+        obs::Event scored(obs::EventKind::kChipScored);
         scored.chip = "0";
         scored.boundary = "B4";
         scored.value("decision", 0.125);
@@ -157,14 +151,14 @@ TEST_F(JournalTest, ReopenResumesTheSequence) {
     std::remove(path.c_str());
     auto& journal = obs::EventJournal::global();
     journal.open(path);
-    journal.append(obs::Event("calibration"));
-    journal.append(obs::Event("chip_scored"));
+    journal.append(obs::Event(obs::EventKind::kCalibration));
+    journal.append(obs::Event(obs::EventKind::kChipScored));
     journal.close();
 
     // A second process (here: a second open) appending to the same journal
     // must continue after the last persisted sequence number.
     journal.open(path);
-    journal.append(obs::Event("recalibration"));
+    journal.append(obs::Event(obs::EventKind::kRecalibration));
     journal.close();
 
     const std::vector<io::Json> events = parse_lines(read_file(path));
@@ -179,7 +173,7 @@ TEST_F(JournalTest, MemoryRingIsBoundedAndOldestFirst) {
     journal.enable_memory();
     const std::size_t total = obs::EventJournal::kMaxRecentEvents + 40;
     for (std::size_t i = 0; i < total; ++i) {
-        obs::Event event("chip_scored");
+        obs::Event event(obs::EventKind::kChipScored);
         event.chip = std::to_string(i);
         journal.append(std::move(event));
     }
@@ -196,7 +190,7 @@ TEST_F(JournalTest, EventsCrossReferenceTheEnclosingTraceSpan) {
     auto& journal = obs::EventJournal::global();
     journal.enable_memory();
     // Without tracing there is no enclosing span: id 0.
-    journal.append(obs::Event("drift_trip"));
+    journal.append(obs::Event(obs::EventKind::kDriftTrip));
     ASSERT_EQ(journal.recent().size(), 1u);
     EXPECT_EQ(journal.recent()[0].span, 0u);
 
@@ -205,7 +199,7 @@ TEST_F(JournalTest, EventsCrossReferenceTheEnclosingTraceSpan) {
     {
         obs::ScopedSpan span("test.journal_span");
         EXPECT_NE(obs::current_span_id(), 0u);
-        journal.append(obs::Event("drift_trip"));
+        journal.append(obs::Event(obs::EventKind::kDriftTrip));
     }
     obs::Registry::global().configure(obs::SinkKind::kOff);
     obs::Registry::global().reset();

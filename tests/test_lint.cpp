@@ -4,8 +4,8 @@
 /// regression), the three v4 determinism passes (global-mutable-state,
 /// unordered-iteration-escape, rng-discipline) fire on seeded positives
 /// and stay quiet on annotated/fixed negatives, the include-graph layering pass rejects back-edges, cycles and
-/// unmapped modules with exact diagnostics, the result-discard and
-/// missing-nodiscard passes enforce the must-use contract, the allowlist
+/// unmapped modules with exact diagnostics, the missing-nodiscard pass
+/// holds public header functions to [[nodiscard]], the allowlist
 /// suppresses and reports stale entries with justifications, the --json
 /// schema is stable, and — the self-test with teeth — the committed tree
 /// itself lints clean under the committed allowlist and layering spec,
@@ -460,50 +460,6 @@ TEST(LintRules, ArtifactSchemaStringOnlyInDefiningHeader) {
                           "artifact-schema-version"));
 }
 
-TEST(LintRules, EventKindNamesMustBeRegistered) {
-    // A literal journal event kind outside obs::event_kinds() would throw
-    // at append time — but only on the (possibly rare) emitting path.
-    const std::string bad =
-        "void f() {\n"
-        "    htd::obs::Event ev(\"chip_zapped\");\n"
-        "}\n";
-    EXPECT_TRUE(has_rule(htd::lint::lint_source("src/pipeline/x.cpp", bad),
-                         "event-kind-name"));
-    EXPECT_TRUE(has_rule(
-        htd::lint::lint_source("tools/htd_score/score_cli.cpp", bad),
-        "event-kind-name"));
-
-    // Registered kinds are clean, with or without a variable name, and the
-    // finding names the typo'd kind.
-    const std::string good =
-        "void f() {\n"
-        "    htd::obs::Event ev(\"chip_scored\");\n"
-        "    journal.append(htd::obs::Event(\"boundary_fallback\"));\n"
-        "}\n";
-    EXPECT_TRUE(htd::lint::lint_source("src/pipeline/x.cpp", good).empty());
-    const std::vector<Finding> findings =
-        htd::lint::lint_source("src/pipeline/x.cpp", bad);
-    ASSERT_FALSE(findings.empty());
-    EXPECT_NE(findings[0].message.find("chip_zapped"), std::string::npos);
-
-    // Computed kinds cannot be checked statically and must not trip.
-    const std::string computed =
-        "void f(const std::string& k) {\n"
-        "    htd::obs::Event ev(k);\n"
-        "}\n";
-    EXPECT_TRUE(
-        htd::lint::lint_source("src/pipeline/x.cpp", computed).empty());
-
-    // Scope: src/ and tools/ are gated; the linter's own fixtures and
-    // bench/test code are not.
-    EXPECT_FALSE(has_rule(htd::lint::lint_source("tools/htd_lint/x.cpp", bad),
-                          "event-kind-name"));
-    EXPECT_FALSE(has_rule(htd::lint::lint_source("bench/x.cpp", bad),
-                          "event-kind-name"));
-    EXPECT_FALSE(has_rule(htd::lint::lint_source("tests/x.cpp", bad),
-                          "event-kind-name"));
-}
-
 TEST(LintNodiscard, PublicValueReturnsInHeadersMustBeMarked) {
     const std::string src =
         "#pragma once\n"
@@ -910,70 +866,10 @@ TEST(LintLayerSpec, ParsesLayersAndRejectsDuplicates) {
                  std::runtime_error);
 }
 
-// --- result-discard ---------------------------------------------------------
-
-class LintDiscardTest : public LintLayeringTest {
-protected:
-    void SetUp() override {
-        LintLayeringTest::SetUp();
-        write("src/stats/boundary.hpp",
-              "#pragma once\n"
-              "#include <optional>\n"
-              "namespace htd::stats {\n"
-              "struct BoundaryStatus { bool admitted; };\n"
-              "[[nodiscard]] BoundaryStatus admit(double v);\n"
-              "[[nodiscard]] std::optional<int> find(int key);\n"
-              "}\n");
-    }
-
-    [[nodiscard]] Report lint_tree() const {
-        return htd::lint::lint_paths({(root_ / "src").string()}, {});
-    }
-};
-
-TEST_F(LintDiscardTest, BareStatementCallsDroppingMustUseValuesAreFlagged) {
-    write("src/stats/caller.cpp",
-          "#include \"stats/boundary.hpp\"\n"
-          "namespace htd::stats {\n"
-          "void caller() {\n"
-          "    admit(3.0);\n"            // discard: flagged
-          "    (void)admit(4.0);\n"      // explicit drop: fine
-          "    if (admit(5.0).admitted) { }\n"  // used: fine
-          "    auto r = find(7);\n"      // bound: fine
-          "    (void)r;\n"
-          "}\n"
-          "}\n");
-    const Report report = lint_tree();
-    ASSERT_EQ(report.findings.size(), 1u) << dump_report(report);
-    const Finding& f = report.findings[0];
-    EXPECT_EQ(f.rule, "result-discard");
-    EXPECT_EQ(f.line, 4u);
-    EXPECT_NE(f.file.find("src/stats/caller.cpp"), std::string::npos);
-    EXPECT_NE(f.message.find("'admit'"), std::string::npos);
-}
-
-TEST_F(LintDiscardTest, MemberChainDiscardsResolveTheLastCall) {
-    write("src/stats/caller.cpp",
-          "#include \"stats/boundary.hpp\"\n"
-          "namespace htd::stats {\n"
-          "struct Monitor { std::optional<int> find(int k); };\n"
-          "void caller(Monitor& m) {\n"
-          "    m.find(1);\n"        // optional dropped: flagged
-          "    unrelated(2);\n"     // not a must-use function: fine
-          "}\n"
-          "void unrelated(int);\n"
-          "}\n");
-    const Report report = lint_tree();
-    ASSERT_EQ(report.findings.size(), 1u) << dump_report(report);
-    EXPECT_EQ(report.findings[0].rule, "result-discard");
-    EXPECT_EQ(report.findings[0].line, 5u);
-    EXPECT_NE(report.findings[0].message.find("'find'"), std::string::npos);
-}
-
 // --- the gate itself --------------------------------------------------------
 
-// The committed tree lints clean — line rules, layering, cycles,
-// [[nodiscard]] coverage and result discards — under the committed
+// The committed tree lints clean — line rules, layering, cycles and
+// [[nodiscard]] coverage — under the committed
 // allowlist and layering spec, with no stale allowlist entries. This is
 // exactly what `scripts/check.sh --analyze` enforces; failing here means
 // a new invariant violation (or a rotted allowlist) is about to land.

@@ -226,7 +226,8 @@ TEST_F(ObsConcurrencyTest, EventJournalConcurrentAppendAndRecent) {
     for (std::size_t t = 0; t < kThreads; ++t) {
         writers.emplace_back([&journal, t] {
             for (std::size_t i = 0; i < kPerThread; ++i) {
-                Event event(i % 2 == 0 ? "chip_scored" : "drift_trip");
+                Event event(i % 2 == 0 ? htd::obs::EventKind::kChipScored
+                                       : htd::obs::EventKind::kDriftTrip);
                 event.chip = std::to_string(t);
                 event.value("i", static_cast<double>(i));
                 journal.append(std::move(event));

@@ -101,8 +101,8 @@ JournalCheck check_journal_text(const std::string& text) {
             check.errors.push_back(at + "missing string 'kind'");
         } else {
             const std::string& kind = event.at("kind").str();
-            if (!obs::event_kind_registered(kind)) {
-                check.errors.push_back(at + "unregistered event kind '" +
+            if (!obs::event_kind_from_name(kind)) {
+                check.errors.push_back(at + "unknown event kind '" +
                                        kind + "'");
             }
             ++check.kinds[kind];

@@ -11,7 +11,8 @@
 ///   explain   join an htd.boundary.v1 artifact, a fingerprint CSV and
 ///             (optionally) a journal into one chip's explanation
 ///   validate  structural check of a journal: every line parses, schema
-///             tag matches, sequence strictly increases, kinds registered
+///             tag matches, sequence strictly increases, each kind names
+///             an obs::EventKind
 ///   query     filter journal events by --chip / --kind / --since <seq>
 ///   tail      the last N journal events
 
@@ -39,8 +40,8 @@ struct JournalCheck {
 };
 
 /// Validate journal text (one JSON event per line): every non-empty line
-/// must parse as an object with schema "htd.events.v1", a kind registered
-/// in obs::event_kinds(), and a strictly increasing positive "seq".
+/// must parse as an object with schema "htd.events.v1", a kind that names
+/// an obs::EventKind, and a strictly increasing positive "seq".
 [[nodiscard]] JournalCheck check_journal_text(const std::string& text);
 
 /// check_journal_text over a file; a missing/unreadable file is an error.

@@ -1,9 +1,9 @@
 /// \file analyzer.cpp
 /// The htd_lint analyzer core: walks the tree, runs the per-file front end
 /// (lint.cpp) on each file in sorted path order, then runs the global
-/// passes — include-graph layering, include-cycle detection, and
-/// result-discard resolution — over the per-file extractions. Findings
-/// are sorted before reporting, so diagnostic order is deterministic.
+/// passes — include-graph layering and include-cycle detection — over the
+/// per-file extractions. Findings are sorted before reporting, so
+/// diagnostic order is deterministic.
 
 #include <algorithm>
 #include <filesystem>
@@ -224,31 +224,6 @@ void cycle_pass(const std::vector<ScanSlot>& slots, std::vector<Finding>& out) {
     }
 }
 
-// --- result-discard pass ----------------------------------------------------
-
-void discard_pass(const std::vector<ScanSlot>& slots,
-                  std::vector<Finding>& out) {
-    std::set<std::string> must_use;
-    for (const ScanSlot& s : slots) {
-        must_use.insert(s.fa.must_use.begin(), s.fa.must_use.end());
-    }
-    // `find` alone is too common a name to act on without its declaration
-    // being in the walked set — which it is here, since the declaration
-    // scanner recorded it. Statement-level drops of anything in the set
-    // are boundary decisions skipped silently.
-    for (const ScanSlot& s : slots) {
-        for (const FileAnalysis::CallSite& c : s.fa.discards) {
-            if (must_use.count(c.name) == 0) continue;
-            out.push_back(
-                {s.path, c.line, "result-discard",
-                 "result of '" + c.name + "(...)' is discarded; '" + c.name +
-                     "' returns a must-use type (a boundary/validation "
-                     "decision or std::optional) — act on the value, or cast "
-                     "to void with a comment explaining the drop"});
-        }
-    }
-}
-
 // --- allowlist --------------------------------------------------------------
 
 bool suffix_match(const std::string& path, const std::string& suffix) {
@@ -294,7 +269,6 @@ Report lint_paths(const std::vector<std::string>& paths,
         layering_pass(slots, options.layers, findings);
         cycle_pass(slots, findings);
     }
-    discard_pass(slots, findings);
 
     // Deterministic order: slots are sorted by path, but global passes
     // append out of file order.

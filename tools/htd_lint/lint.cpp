@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <cctype>
 #include <map>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
 
 #include "internal.hpp"
 #include "lexer.hpp"
-#include "obs/journal.hpp"
 
 namespace htd::lint {
 
@@ -76,24 +74,6 @@ bool is_decl_specifier(const std::string& s) {
            s == "consteval" || s == "constinit" || s == "explicit" ||
            s == "virtual" || s == "extern" || s == "mutable" ||
            s == "thread_local" || s == "register";
-}
-
-/// Types whose values encode a boundary/ingestion decision and must not
-/// be dropped on the floor (DESIGN.md §12). `optional` covers the probe
-/// accessors such as HealthMonitor::find.
-bool is_must_use_type(const std::string& s) {
-    return s == "BoundaryStatus" || s == "QuarantineSummary" ||
-           s == "ValidationResult" || s == "IngestResult" || s == "optional";
-}
-
-/// Statement-leading keywords that rule a token run out as a bare call.
-bool is_stmt_keyword(const std::string& s) {
-    return s == "return" || s == "throw" || s == "if" || s == "else" ||
-           s == "while" || s == "for" || s == "do" || s == "switch" ||
-           s == "case" || s == "goto" || s == "break" || s == "continue" ||
-           s == "new" || s == "delete" || s == "using" || s == "namespace" ||
-           s == "template" || s == "typedef" || s == "co_return" ||
-           s == "co_await" || s == "co_yield";
 }
 
 bool is_std_engine(const std::string& s) {
@@ -344,16 +324,14 @@ void collect_includes(const std::vector<Token>& toks, FileAnalysis& fa) {
     }
 }
 
-// --- declaration scanner (missing-nodiscard + must-use extraction) ----------
+// --- declaration scanner (missing-nodiscard) --------------------------------
 
 /// Examine one declaration head (tokens since the last `;` / `{` / `}` at
 /// namespace or class scope). Emits a missing-nodiscard finding for a
-/// public value-returning function without the attribute, and records the
-/// function name when the return type is must-use.
+/// public value-returning function without the attribute.
 void process_declaration(const std::string& path, const std::vector<Token>& toks,
                          const std::vector<std::size_t>& head, bool is_public,
-                         bool enforce_nodiscard, std::vector<Finding>& findings,
-                         std::vector<std::string>& must_use) {
+                         std::vector<Finding>& findings) {
     if (head.empty()) return;
     bool has_nodiscard = false;
     std::vector<std::size_t> sig;  // head minus attributes / specifiers
@@ -477,14 +455,6 @@ void process_declaration(const std::string& path, const std::vector<Token>& toks
     }
     if (ret.empty()) return;
 
-    bool returns_must_use = false;
-    for (const Token* t : ret) {
-        if (t->kind == TokKind::kIdent && is_must_use_type(t->text)) {
-            returns_must_use = true;
-        }
-    }
-    if (returns_must_use) must_use.push_back(name_tok.text);
-
     for (const Token* t : ret) {
         // References are the chaining idiom (stream inserters, builder
         // setters): requiring [[nodiscard]] there would force spurious
@@ -504,7 +474,7 @@ void process_declaration(const std::string& path, const std::vector<Token>& toks
         type_only[0]->text == "void") {
         return;
     }
-    if (has_nodiscard || qualified || !is_public || !enforce_nodiscard) return;
+    if (has_nodiscard || qualified || !is_public) return;
     findings.push_back(
         {path, name_tok.line, "missing-nodiscard",
          "public function '" + name_tok.text +
@@ -514,8 +484,7 @@ void process_declaration(const std::string& path, const std::vector<Token>& toks
 }
 
 void scan_declarations(const std::string& path, const std::vector<Token>& toks,
-                       bool enforce_nodiscard, std::vector<Finding>& findings,
-                       std::vector<std::string>& must_use) {
+                       std::vector<Finding>& findings) {
     struct Scope {
         enum Kind { kNamespace, kClass, kSkip } kind = kNamespace;
         bool is_public = true;
@@ -560,8 +529,7 @@ void scan_declarations(const std::string& path, const std::vector<Token>& toks,
         }
         // Function body / initializer / lambda: treat the head as a
         // declaration first, then skip the braces.
-        process_declaration(path, toks, h, scopes.back().is_public,
-                            enforce_nodiscard, findings, must_use);
+        process_declaration(path, toks, h, scopes.back().is_public, findings);
         scopes.push_back({Scope::kSkip, false});
     };
 
@@ -591,7 +559,7 @@ void scan_declarations(const std::string& path, const std::vector<Token>& toks,
         }
         if (is_punct(t, ";")) {
             process_declaration(path, toks, head, scopes.back().is_public,
-                                enforce_nodiscard, findings, must_use);
+                                findings);
             head.clear();
             continue;
         }
@@ -616,99 +584,6 @@ void scan_declarations(const std::string& path, const std::vector<Token>& toks,
             continue;
         }
         head.push_back(i);
-    }
-}
-
-// --- discard-site scanner ---------------------------------------------------
-
-/// If toks[s..e) spells a bare postfix call chain (`v.find(x);`,
-/// `validate(m);`, `a.f(x).g();`) return the name of the *last* call —
-/// the one whose result the statement drops.
-std::optional<std::string> bare_call_chain(const std::vector<Token>& toks,
-                                           std::size_t s, std::size_t e) {
-    std::size_t k = s;
-    std::string last_call;
-    if (k < e && is_punct(toks[k], "::")) ++k;
-    bool expect_ident = true;
-    while (k < e) {
-        if (!expect_ident) return std::nullopt;
-        if (toks[k].kind != TokKind::kIdent) return std::nullopt;
-        const std::string name = toks[k].text;
-        if (is_stmt_keyword(name)) return std::nullopt;
-        ++k;
-        if (k < e && is_punct(toks[k], "<")) {
-            int angle = 0;
-            const std::size_t start = k;
-            for (; k < e; ++k) {
-                if (is_punct(toks[k], "<")) ++angle;
-                if (is_punct(toks[k], ">") && --angle == 0) {
-                    ++k;
-                    break;
-                }
-                if (toks[k].kind == TokKind::kPunct && toks[k].text == ">>") {
-                    angle -= 2;
-                    if (angle <= 0) {
-                        ++k;
-                        break;
-                    }
-                }
-            }
-            if (angle > 0 || k == start) return std::nullopt;
-        }
-        if (k < e && is_punct(toks[k], "(")) {
-            int pd = 0;
-            bool closed = false;
-            for (; k < e; ++k) {
-                if (is_punct(toks[k], "(")) ++pd;
-                if (is_punct(toks[k], ")") && --pd == 0) {
-                    ++k;
-                    closed = true;
-                    break;
-                }
-            }
-            if (!closed) return std::nullopt;
-            last_call = name;
-            if (k == e) {
-                if (last_call.empty() || all_caps(last_call)) return std::nullopt;
-                return last_call;
-            }
-            if (is_punct(toks[k], ".") || is_punct(toks[k], "->")) {
-                ++k;
-                expect_ident = true;
-                continue;
-            }
-            return std::nullopt;
-        }
-        if (k < e && (is_punct(toks[k], "::") || is_punct(toks[k], ".") ||
-                      is_punct(toks[k], "->"))) {
-            ++k;
-            expect_ident = true;
-            continue;
-        }
-        return std::nullopt;
-    }
-    return std::nullopt;
-}
-
-void collect_discard_sites(const std::vector<Token>& toks, FileAnalysis& fa) {
-    std::size_t start = 0;
-    for (std::size_t i = 0; i < toks.size(); ++i) {
-        const Token& t = toks[i];
-        if (t.in_directive) {
-            // A directive splits any statement run; macro bodies are not
-            // statements.
-            start = i + 1;
-            continue;
-        }
-        if (t.kind != TokKind::kPunct) continue;
-        if (t.text == ";") {
-            if (const auto name = bare_call_chain(toks, start, i)) {
-                fa.discards.push_back({*name, toks[start].line});
-            }
-            start = i + 1;
-        } else if (t.text == "{" || t.text == "}") {
-            start = i + 1;
-        }
     }
 }
 
@@ -815,55 +690,6 @@ void check_artifact_schema_version(const std::string& path,
              "core::kBoundaryArtifactSchema / kBoundaryArtifactVersion from "
              "src/pipeline/artifact.hpp instead — a second spelling skews "
              "silently on the next version bump"});
-    }
-}
-
-// --- event-kind-name (v5) ---------------------------------------------------
-//
-// htd.events.v1 journal records are filtered and validated by kind
-// (tools/htd_explain, DESIGN.md §15): an event constructed with a kind
-// outside obs::event_kinds() throws at append time, but only on the code
-// path that emits it — which for rare kinds like drift_trip may never run
-// under test. Catch the typo statically at the construction site. Only
-// literal kinds are checkable; a computed kind is the caller's
-// responsibility (append() still validates at runtime). tools/htd_lint/ is
-// exempt: the rule and its fixtures must spell bad kinds to detect them.
-
-void check_event_kind_names(const std::string& path,
-                            const std::vector<Token>& toks,
-                            std::vector<Finding>& out) {
-    if (!path_in(path, "src/") && !path_in(path, "tools/")) return;
-    if (path_in(path, "tools/htd_lint/")) return;
-    for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
-        const Token& type = toks[i];
-        if (type.kind != TokKind::kIdent || type.in_directive ||
-            type.text != "Event") {
-            continue;
-        }
-        // Event("kind") or Event <var> ("kind").
-        std::size_t j = i + 1;
-        if (toks[j].kind == TokKind::kIdent) ++j;
-        if (j + 1 >= toks.size() || !is_punct(toks[j], "(")) continue;
-        const Token& arg = toks[j + 1];
-        if (arg.kind != TokKind::kString || arg.text.size() < 2 ||
-            arg.text.front() != '"' || arg.text.back() != '"') {
-            continue;
-        }
-        const std::string kind = arg.text.substr(1, arg.text.size() - 2);
-        if (!obs::event_kind_registered(kind)) {
-            std::string registered;
-            for (const std::string& k : obs::event_kinds()) {
-                if (!registered.empty()) registered += ", ";
-                registered += k;
-            }
-            out.push_back(
-                {path, arg.line, "event-kind-name",
-                 "journal event kind '" + kind +
-                     "' is not registered in obs::event_kinds() — "
-                     "htd_explain validation would reject it and append() "
-                     "would throw at runtime; registered kinds: " +
-                     registered});
-        }
     }
 }
 
@@ -1206,9 +1032,8 @@ const std::vector<std::string>& rule_ids() {
         "rng-seed",         "std-random-in-library", "raw-nan-check",
         "stdio-in-library", "header-hygiene",        "stream-unchecked",
         "layering",         "include-cycle",         "layer-unmapped",
-        "result-discard",   "missing-nodiscard",     "work-counter-name",
-        "artifact-schema-version", "event-kind-name",
-        "global-mutable-state",    "unordered-iteration-escape",
+        "missing-nodiscard", "work-counter-name", "artifact-schema-version",
+        "global-mutable-state", "unordered-iteration-escape",
         "rng-discipline"};
     return ids;
 }
@@ -1296,21 +1121,15 @@ FileAnalysis analyze_file(const std::string& path, const std::string& contents) 
 
     check_work_counter_names(norm, toks, fa.findings);
     check_artifact_schema_version(norm, toks, fa.findings);
-    check_event_kind_names(norm, toks, fa.findings);
 
     check_global_mutable_state(norm, toks, fa.findings, fa.annotations);
     check_unordered_iteration_escape(norm, toks, fa.findings);
     check_rng_discipline(norm, toks, fa.findings);
 
     collect_includes(toks, fa);
-    if (path_in(norm, "src/")) {
-        // must-use extraction runs on every src/ file; the [[nodiscard]]
-        // contract is enforced on the public surface, i.e. headers.
-        scan_declarations(norm, toks, /*enforce_nodiscard=*/is_header(norm),
-                          fa.findings, fa.must_use);
-    }
-    if (path_in(norm, "src/") || path_in(norm, "tools/")) {
-        collect_discard_sites(toks, fa);
+    if (path_in(norm, "src/") && is_header(norm)) {
+        // The [[nodiscard]] contract covers the public surface: headers.
+        scan_declarations(norm, toks, fa.findings);
     }
 
     std::sort(fa.findings.begin(), fa.findings.end(),
@@ -1318,9 +1137,6 @@ FileAnalysis analyze_file(const std::string& path, const std::string& contents) 
                   return std::tie(a.line, a.rule, a.message) <
                          std::tie(b.line, b.rule, b.message);
               });
-    std::sort(fa.must_use.begin(), fa.must_use.end());
-    fa.must_use.erase(std::unique(fa.must_use.begin(), fa.must_use.end()),
-                      fa.must_use.end());
     std::sort(fa.annotations.begin(), fa.annotations.end(),
               [](const FileAnalysis::Annotation& a,
                  const FileAnalysis::Annotation& b) {

@@ -44,19 +44,17 @@
 ///                       diagnostic prints the full include chain.
 ///   layer-unmapped      Every src/ module appears in layers.txt, so the
 ///                       layering contract cannot silently not apply.
-///   result-discard      A statement that calls a function returning a
-///                       must-use type (`BoundaryStatus`,
-///                       `QuarantineSummary`, `ValidationResult`,
-///                       `IngestResult`, or a `std::optional` such as
-///                       `HealthMonitor::find`) and drops the value is a
-///                       silently-skipped boundary decision. Cast to void
-///                       with a comment if the drop is intentional.
 ///   missing-nodiscard   Every public value-returning function declared in
 ///                       a src/ header is `[[nodiscard]]`. Exemptions:
 ///                       reference returns (chaining), operators,
 ///                       constructors/destructors, `friend`/`using`
 ///                       declarations, and out-of-line definitions (the
 ///                       in-class declaration carries the attribute).
+///                       With the attribute in a header, -Werror turns a
+///                       dropped result into a build error; the must-use
+///                       decision types (`BoundaryStatus`,
+///                       `QuarantineSummary`, `IngestResult`) carry it on
+///                       the type itself (DESIGN.md §12).
 ///   work-counter-name   (v3) A literal name passed to `work_add` in src/
 ///                       must be `work.<stage>.<quantity>` (lowercase
 ///                       [a-z0-9_] segments, exactly two dots) so
@@ -163,14 +161,10 @@ struct LayerSpec {
 [[nodiscard]] LayerSpec parse_layers(const std::string& text);
 
 /// Everything the per-file scan extracts from one translation unit; the
-/// global passes (layering, include-cycle, result-discard) run over these.
+/// global passes (layering, include-cycle) run over these.
 struct FileAnalysis {
     struct Include {
         std::string target;  ///< quoted include text, e.g. "io/json.hpp"
-        std::size_t line = 0;
-    };
-    struct CallSite {
-        std::string name;  ///< callee of a bare statement-level call
         std::size_t line = 0;
     };
     /// One surviving `HTD_SHARED_STATE_OK("reason")` site: the audit trail
@@ -183,14 +177,12 @@ struct FileAnalysis {
 
     std::vector<Finding> findings;       ///< per-file findings (line rules + nodiscard)
     std::vector<Include> includes;       ///< quoted includes, in order
-    std::vector<std::string> must_use;   ///< functions declared here returning must-use types
-    std::vector<CallSite> discards;      ///< statement-level calls whose value is dropped
     std::vector<Annotation> annotations; ///< audited shared-state sites
 };
 
 /// Scan one in-memory file: line rules, include extraction, declaration
-/// scan (src/ headers), discard-site collection. `path` selects which
-/// rules apply and is echoed into findings.
+/// scan (src/ headers). `path` selects which rules apply and is echoed
+/// into findings.
 [[nodiscard]] FileAnalysis analyze_file(const std::string& path,
                                         const std::string& contents);
 

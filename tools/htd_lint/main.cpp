@@ -27,7 +27,7 @@ constexpr const char* kUsage =
     "\n"
     "Checks htd project invariants (seeded RNG, obs-only output, centralized\n"
     "NaN screening, header hygiene, checked stream opens, module layering,\n"
-    "include cycles, must-use result discards, [[nodiscard]] coverage) and\n"
+    "include cycles, [[nodiscard]] coverage) and\n"
     "same-seed determinism contracts (audited mutable static state,\n"
     "unordered-iteration escapes into serialized output, wall-clock engine\n"
     "seeds) over *.cpp/*.hpp trees. Default PATHs: src tools bench tests\n"

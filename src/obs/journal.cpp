@@ -1,10 +1,10 @@
 #include "obs/journal.hpp"
 
-#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 
 #include "core/annotations.hpp"
+#include "obs/obs.hpp"
 #include "obs/span.hpp"
 
 namespace htd::obs {
@@ -90,17 +90,11 @@ EventJournal& EventJournal::global() {
 EventJournal::~EventJournal() = default;
 
 void EventJournal::apply_environment() {
-    // getenv reads below: journal construction runs once, before any worker
+    // HTD_OBS_NORMALIZE is parsed (and a typo warned about) once, by the
+    // Registry; the journal follows the Registry's setting.
+    set_normalized(Registry::global().trace_normalize());
+    // getenv read below: journal construction runs once, before any worker
     // threads exist, and nothing in this process calls setenv.
-    const char* normalize = std::getenv("HTD_OBS_NORMALIZE");  // NOLINT(concurrency-mt-unsafe)
-    if (normalize != nullptr) {
-        std::string error;
-        set_normalized(
-            bool_env_value("HTD_OBS_NORMALIZE", normalize, &error));
-        // Like the Registry, the global journal is constructed once per
-        // process, so a typo warns exactly once.
-        if (!error.empty()) std::fprintf(stderr, "%s\n", error.c_str());
-    }
     const char* path = std::getenv("HTD_OBS_JOURNAL");  // NOLINT(concurrency-mt-unsafe)
     if (path != nullptr && *path != '\0') open(path);
 }

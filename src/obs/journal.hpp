@@ -27,11 +27,11 @@
 /// journal resumes after its last sequence number, so a journal appended to
 /// by several processes in turn stays monotone.
 ///
-/// Normalized mode (`set_normalized(true)` or HTD_OBS_NORMALIZE=1, the same
-/// switch that normalizes traces, DESIGN.md §13) replaces wall-clock
-/// timestamps with the sequence number, making same-seed journals
-/// byte-identical. HTD_OBS_JOURNAL=<file> enables the journal from
-/// the environment without touching caller code.
+/// Normalized mode (`set_normalized(true)`, or HTD_OBS_NORMALIZE=1 as read
+/// by the Registry — the same switch that normalizes traces, DESIGN.md §13)
+/// replaces wall-clock timestamps with the sequence number, making
+/// same-seed journals byte-identical. HTD_OBS_JOURNAL=<file> enables the
+/// journal from the environment without touching caller code.
 
 #include <atomic>
 #include <cstdint>

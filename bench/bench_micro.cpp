@@ -185,38 +185,6 @@ void BM_ObsSpanEnabled(benchmark::State& state) {
 }
 BENCHMARK(BM_ObsSpanEnabled);
 
-void BM_ObsCounterDisabled(benchmark::State& state) {
-    htd::obs::Registry::global().configure(htd::obs::SinkKind::kOff);
-    for (auto _ : state) {
-        htd::obs::Registry::global().counter_add("bench.disabled_counter");
-    }
-}
-BENCHMARK(BM_ObsCounterDisabled);
-
-void BM_ObsCounterEnabled(benchmark::State& state) {
-    auto& registry = htd::obs::Registry::global();
-    registry.configure(htd::obs::SinkKind::kJson);
-    for (auto _ : state) {
-        registry.counter_add("bench.enabled_counter");
-    }
-    registry.configure(htd::obs::SinkKind::kOff);
-    registry.reset();
-}
-BENCHMARK(BM_ObsCounterEnabled);
-
-void BM_ObsHistogramEnabled(benchmark::State& state) {
-    auto& registry = htd::obs::Registry::global();
-    registry.configure(htd::obs::SinkKind::kJson);
-    double v = 0.0;
-    for (auto _ : state) {
-        registry.histogram_record("bench.enabled_histogram", v);
-        v += 0.1;
-    }
-    registry.configure(htd::obs::SinkKind::kOff);
-    registry.reset();
-}
-BENCHMARK(BM_ObsHistogramEnabled);
-
 void BM_GprFit(benchmark::State& state) {
     const std::size_t n = static_cast<std::size_t>(state.range(0));
     htd::rng::Rng rng(12);

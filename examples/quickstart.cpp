@@ -8,7 +8,8 @@
 ///      timed stage spans and per-boundary metrics.
 ///
 /// Build & run:  ./build/examples/quickstart
-/// Set HTD_OBS=text to stream the stage spans to stderr while it runs.
+/// Set HTD_OBS_TRACE=trace.json to also write the stage spans as a
+/// Chrome/Perfetto trace.
 
 #include <cstdio>
 
@@ -36,11 +37,8 @@ int main() {
     // 3. The golden-free pipeline: Monte Carlo simulation of the *trusted*
     //    design model, PCM->fingerprint regression, calibration to the
     //    silicon operating point, KDE tail enhancement.
-    // Collect spans + metrics for the RunReport unless the HTD_OBS
-    // environment variable already picked a sink (e.g. HTD_OBS=text).
-    if (obs::Registry::global().sink() == obs::SinkKind::kOff) {
-        obs::Registry::global().configure(obs::SinkKind::kJson);
-    }
+    // Collect spans + work counters for the RunReport.
+    obs::Registry::global().configure(obs::SinkKind::kJson);
     const std::unique_ptr<core::GoldenFreePipeline> pipeline =
         core::calibrate_pipeline(config, devices.pcms);
 
@@ -64,7 +62,7 @@ int main() {
 
     // 5. Structured run record: config, all five boundaries with their
     //    detection metrics on this lot, calibration diagnostics, and the
-    //    timed spans/counters of everything above.
+    //    timed spans and work counters of everything above.
     const obs::RunReport report =
         core::pipeline_run_report(*pipeline, "quickstart", &devices);
     report.write("quickstart_run_report.json");

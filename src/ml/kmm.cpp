@@ -286,9 +286,6 @@ KernelMeanShiftCalibrator::Result KernelMeanShiftCalibrator::calibrate(
     registry.work_add("work.kmm.shift_pair_evals",
                       static_cast<double>(result.iterations) *
                           static_cast<double>(ntr) * static_cast<double>(nte));
-    registry.counter_add("kmm.calibrations");
-    registry.gauge_set("kmm.effective_sample_size", ess);
-    registry.gauge_set("kmm.shift_iterations", static_cast<double>(result.iterations));
     return result;
 }
 

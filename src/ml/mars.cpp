@@ -274,8 +274,6 @@ void Mars::fit(const linalg::Matrix& x, const linalg::Vector& y) {
 
     span.attr("terms", static_cast<double>(terms_.size()));
     span.attr("r_squared", r2_);
-    obs::Registry::global().counter_add("mars.fits");
-    obs::Registry::global().counter_add("mars.terms", static_cast<double>(terms_.size()));
     fitted_ = true;
 }
 

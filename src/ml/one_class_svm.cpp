@@ -214,13 +214,9 @@ void OneClassSvm::fit(const linalg::Matrix& data) {
     span.attr("kernel_rows", static_cast<double>(rows_computed));
     span.attr("converged", converged ? 1.0 : 0.0);
     obs::Registry& registry = obs::Registry::global();
-    registry.counter_add("svm.fits");
-    registry.counter_add("svm.smo_iterations", static_cast<double>(iterations_));
     registry.work_add("work.svm.smo_iterations", static_cast<double>(iterations_));
     registry.work_add("work.svm.gram_cells", static_cast<double>(rows_computed) *
                                                  static_cast<double>(l));
-    registry.counter_add("svm.support_vectors",
-                         static_cast<double>(support_vectors_.rows()));
     fitted_ = true;
 }
 

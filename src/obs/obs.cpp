@@ -1,19 +1,16 @@
 #include "obs/obs.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 
 #include "core/annotations.hpp"
-#include "obs/sink.hpp"
 
 namespace htd::obs {
 
 std::string sink_kind_name(SinkKind kind) {
     switch (kind) {
         case SinkKind::kOff: return "off";
-        case SinkKind::kText: return "text";
         case SinkKind::kJson: return "json";
     }
     throw std::invalid_argument("sink_kind_name: unknown sink kind");
@@ -21,11 +18,10 @@ std::string sink_kind_name(SinkKind kind) {
 
 SinkKind sink_kind_from_env(std::string_view value, std::string* error) {
     if (value.empty() || value == "off") return SinkKind::kOff;
-    if (value == "text") return SinkKind::kText;
     if (value == "json") return SinkKind::kJson;
     if (error != nullptr) {
         *error = "[obs] unrecognized HTD_OBS value '" + std::string(value) +
-                 "' — valid values are: off, text, json (observability stays off)";
+                 "' — valid values are: off, json (observability stays off)";
     }
     return SinkKind::kOff;
 }
@@ -39,36 +35,6 @@ bool bool_env_value(std::string_view variable, std::string_view value,
                  std::string(value) + "' — valid values are: 0, 1 (treated as 0)";
     }
     return false;
-}
-
-const std::vector<double>& histogram_bucket_bounds() {
-    // 1-2-5 ladder, 1 µs .. 10 s; values above fall into the overflow bucket.
-    static const std::vector<double> bounds = {
-        1.0,     2.0,     5.0,     10.0,     20.0,     50.0,     100.0,
-        200.0,   500.0,   1e3,     2e3,      5e3,      1e4,      2e4,
-        5e4,     1e5,     2e5,     5e5,      1e6,      2e6,      5e6,
-        1e7};
-    return bounds;
-}
-
-double HistogramSnapshot::quantile(double q) const noexcept {
-    if (total == 0) return 0.0;
-    q = std::clamp(q, 0.0, 1.0);
-    const std::vector<double>& bounds = histogram_bucket_bounds();
-    const double target = q * static_cast<double>(total);
-    double cumulative = 0.0;
-    for (std::size_t i = 0; i < counts.size(); ++i) {
-        if (counts[i] == 0) continue;
-        const double next = cumulative + static_cast<double>(counts[i]);
-        if (target <= next) {
-            const double lo = i == 0 ? 0.0 : bounds[i - 1];
-            const double hi = i < bounds.size() ? bounds[i] : std::max(max, lo);
-            const double frac = (target - cumulative) / static_cast<double>(counts[i]);
-            return std::clamp(lo + frac * (hi - lo), min, max);
-        }
-        cumulative = next;
-    }
-    return max;
 }
 
 Registry::Registry() { apply_environment(); }
@@ -136,21 +102,6 @@ std::uint32_t Registry::current_thread_index() noexcept {
     return index;
 }
 
-void Registry::counter_add_locked(std::string_view name, double delta) {
-    auto it = counters_.find(name);
-    if (it == counters_.end()) {
-        counters_.emplace(std::string(name), delta);
-    } else {
-        it->second += delta;
-    }
-}
-
-void Registry::counter_add(std::string_view name, double delta) {
-    if (!enabled()) return;
-    const std::lock_guard<std::mutex> lock(mutex_);
-    counter_add_locked(name, delta);
-}
-
 void Registry::work_add(std::string_view name, double delta) {
     if (!enabled()) return;
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -162,53 +113,11 @@ void Registry::work_add(std::string_view name, double delta) {
     }
 }
 
-void Registry::gauge_set(std::string_view name, double value) {
-    if (!enabled()) return;
-    const std::lock_guard<std::mutex> lock(mutex_);
-    auto it = gauges_.find(name);
-    if (it == gauges_.end()) {
-        gauges_.emplace(std::string(name), value);
-    } else {
-        it->second = value;
-    }
-}
-
-void Registry::histogram_record_locked(std::string_view name, double value_us) {
-    const std::vector<double>& bounds = histogram_bucket_bounds();
-    const auto bucket = static_cast<std::size_t>(
-        std::upper_bound(bounds.begin(), bounds.end(), value_us) - bounds.begin());
-    auto it = histograms_.find(name);
-    if (it == histograms_.end()) {
-        it = histograms_.emplace(std::string(name), HistogramSnapshot{}).first;
-        it->second.counts.assign(bounds.size() + 1, 0);
-    }
-    HistogramSnapshot& h = it->second;
-    h.counts[bucket] += 1;
-    h.sum += value_us;
-    h.min = h.total == 0 ? value_us : std::min(h.min, value_us);
-    h.max = h.total == 0 ? value_us : std::max(h.max, value_us);
-    h.total += 1;
-}
-
-void Registry::histogram_record(std::string_view name, double value_us) {
-    if (!enabled()) return;
-    const std::lock_guard<std::mutex> lock(mutex_);
-    histogram_record_locked(name, value_us);
-}
-
 void Registry::span_record(SpanRecord record) {
     if (!enabled()) return;
-    if (sink() == SinkKind::kText) {
-        const std::string line = span_text_line(record);
-        std::fprintf(stderr, "%s\n", line.c_str());
-    }
     const std::lock_guard<std::mutex> lock(mutex_);
-    // Every span also feeds a latency histogram, so repeated spans keep an
-    // aggregate view even once the stored-span cap is hit.
-    histogram_record_locked("span." + record.name,
-                            static_cast<double>(record.wall_ns) / 1e3);
     if (spans_.size() >= kMaxStoredSpans) {
-        counter_add_locked("obs.spans_dropped", 1.0);
+        ++spans_dropped_;
         return;
     }
     spans_.push_back(std::move(record));
@@ -219,30 +128,9 @@ std::vector<SpanRecord> Registry::spans() const {
     return spans_;
 }
 
-std::map<std::string, double> Registry::counters() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return {counters_.begin(), counters_.end()};
-}
-
 std::map<std::string, double> Registry::works() const {
     const std::lock_guard<std::mutex> lock(mutex_);
     return {works_.begin(), works_.end()};
-}
-
-std::map<std::string, double> Registry::gauges() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return {gauges_.begin(), gauges_.end()};
-}
-
-std::map<std::string, HistogramSnapshot> Registry::histograms() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return {histograms_.begin(), histograms_.end()};
-}
-
-double Registry::counter_value(std::string_view name) const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = counters_.find(name);
-    return it == counters_.end() ? 0.0 : it->second;
 }
 
 double Registry::work_value(std::string_view name) const {
@@ -256,13 +144,16 @@ std::size_t Registry::span_count() const {
     return spans_.size();
 }
 
+double Registry::spans_dropped() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return static_cast<double>(spans_dropped_);
+}
+
 void Registry::reset() {
     const std::lock_guard<std::mutex> lock(mutex_);
     spans_.clear();
-    counters_.clear();
+    spans_dropped_ = 0;
     works_.clear();
-    gauges_.clear();
-    histograms_.clear();
     // Restart span ids so a reset registry reproduces the exact same
     // trace (the normalized byte-identity guarantee holds within one
     // process, not just across runs). Spans still open across a reset

@@ -1,20 +1,22 @@
 #pragma once
 /// \file obs.hpp
-/// Pipeline-wide observability: a process-global registry of metrics
-/// (counters, gauges, fixed-bucket latency histograms) and completed trace
-/// spans, plus pluggable output sinks. Instrumented code talks to
-/// `Registry::global()` through `ScopedSpan` (span.hpp) and the counter /
-/// gauge / histogram calls below; reporting code snapshots the registry into
-/// `io::Json` (sink.hpp) or a full `RunReport` (run_report.hpp).
+/// Pipeline-wide observability: a process-global registry of completed
+/// trace spans (with numeric attrs) and `work.*` counters of algorithmic
+/// work. Instrumented code talks to `Registry::global()` through
+/// `ScopedSpan` (span.hpp) and `work_add`; reporting code snapshots the
+/// registry into `io::Json` (sink.hpp), a full `RunReport`
+/// (run_report.hpp) or a trace file (trace_export.hpp). A decision's
+/// statistics live in its span attrs and in the run report's own sections
+/// (calibration, health, quarantine), so the registry records nothing
+/// twice.
 ///
 /// The sink is selected programmatically (`Registry::configure`) or through
 /// the `HTD_OBS` environment variable:
 ///
 ///     HTD_OBS=off    no-op (default) — every call is a single relaxed
 ///                    atomic load on the hot path
-///     HTD_OBS=text   spans stream to stderr, one line each
 ///     HTD_OBS=json   records accumulate in memory for a RunReport /
-///                    BENCH_<name>.json artifact
+///                    BENCH_<name>.json artifact / trace file
 ///
 /// All registry operations are thread-safe: the hot-path enabled check is
 /// lock-free and the record/aggregate paths take one short `std::mutex`
@@ -35,14 +37,13 @@ namespace htd::obs {
 /// Output sink selection.
 enum class SinkKind {
     kOff,      ///< disabled: all instrumentation is a no-op
-    kText,     ///< human-readable stream to stderr
     kJson,     ///< accumulate in memory for JSON export
 };
 
-/// "off" / "text" / "json".
+/// "off" / "json".
 [[nodiscard]] std::string sink_kind_name(SinkKind kind);
 
-/// Parse an HTD_OBS environment value ("off" / "text" / "json"; empty means
+/// Parse an HTD_OBS environment value ("off" / "json"; empty means
 /// "off"). An unrecognized value returns kOff and fills `*error` with a
 /// warning naming the valid values — a misconfigured sink must warn once on
 /// stderr instead of silently behaving as "off".
@@ -70,31 +71,6 @@ struct SpanRecord {
     /// Numeric attributes attached via ScopedSpan::attr (insertion order).
     std::vector<std::pair<std::string, double>> attrs;
 };
-
-/// Aggregated state of one fixed-bucket latency histogram (microseconds).
-struct HistogramSnapshot {
-    std::vector<std::uint64_t> counts;  ///< one per bucket + final overflow
-    std::uint64_t total = 0;
-    double sum = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-
-    [[nodiscard]] double mean() const noexcept {
-        return total == 0 ? 0.0 : sum / static_cast<double>(total);
-    }
-
-    /// Estimated quantile (µs) by linear interpolation inside the 1-2-5
-    /// bucket ladder: the first bucket interpolates from 0, the overflow
-    /// bucket towards `max`, and the estimate is clamped to [min, max].
-    /// 0 for an empty histogram; `q` is clamped to [0, 1].
-    [[nodiscard]] double quantile(double q) const noexcept;
-};
-
-/// Upper bucket bounds (µs) shared by every latency histogram: a 1-2-5
-/// geometric ladder from 1 µs to 10 s. Values above the last bound land in
-/// the overflow bucket, so `HistogramSnapshot::counts` has size() + 1
-/// entries.
-[[nodiscard]] const std::vector<double>& histogram_bucket_bounds();
 
 /// Process-global observability registry.
 class Registry {
@@ -135,31 +111,21 @@ public:
     /// spans per thread deterministically (no OS thread-id churn).
     [[nodiscard]] static std::uint32_t current_thread_index() noexcept;
 
-    // --- metrics -----------------------------------------------------------
+    // --- work counters -----------------------------------------------------
 
-    /// Add `delta` to a monotonic counter (created on first use).
-    void counter_add(std::string_view name, double delta = 1.0);
-
-    /// Add `delta` to a work counter. Work counters are a first-class
-    /// metric kind counting *algorithmic* work (kernel evaluations, Gram
-    /// cells, SMO iterations, Monte Carlo samples) so a perf diff can
-    /// distinguish "ran faster" from "did less work". Names follow the
+    /// Add `delta` to a work counter (created on first use). Work counters
+    /// count *algorithmic* work (kernel evaluations, Gram cells, SMO
+    /// iterations, Monte Carlo samples) so a perf diff can distinguish
+    /// "ran faster" from "did less work". Names follow the
     /// `work.<stage>.<quantity>` convention (enforced by the htd_lint
     /// `work-counter-name` rule in src/).
     void work_add(std::string_view name, double delta);
 
-    /// Set a last-value-wins gauge.
-    void gauge_set(std::string_view name, double value);
-
-    /// Record one latency observation (µs) into a fixed-bucket histogram.
-    void histogram_record(std::string_view name, double value_us);
-
     // --- spans (used by ScopedSpan; see span.hpp) --------------------------
 
-    /// Store a completed span and feed its wall time into the
-    /// "span.<name>" latency histogram. Spans beyond `kMaxStoredSpans` are
-    /// counted in the `obs.spans_dropped` counter instead of stored,
-    /// bounding memory under hot loops (the histogram keeps aggregating).
+    /// Store a completed span. Spans beyond `kMaxStoredSpans` are counted
+    /// in spans_dropped() instead of stored, bounding memory under hot
+    /// loops.
     void span_record(SpanRecord record);
 
     /// Unique span id (1-based). Cheap; called even before timing starts.
@@ -170,13 +136,7 @@ public:
     // --- snapshots ---------------------------------------------------------
 
     [[nodiscard]] std::vector<SpanRecord> spans() const;
-    [[nodiscard]] std::map<std::string, double> counters() const;
     [[nodiscard]] std::map<std::string, double> works() const;
-    [[nodiscard]] std::map<std::string, double> gauges() const;
-    [[nodiscard]] std::map<std::string, HistogramSnapshot> histograms() const;
-
-    /// Current value of one counter (0 when absent).
-    [[nodiscard]] double counter_value(std::string_view name) const;
 
     /// Current value of one work counter (0 when absent).
     [[nodiscard]] double work_value(std::string_view name) const;
@@ -184,13 +144,12 @@ public:
     /// Number of spans currently stored.
     [[nodiscard]] std::size_t span_count() const;
 
-    /// Spans rejected by the kMaxStoredSpans cap so far (the
-    /// `obs.spans_dropped` counter; 0 when nothing was dropped).
-    [[nodiscard]] double spans_dropped() const {
-        return counter_value("obs.spans_dropped");
-    }
+    /// Spans rejected by the kMaxStoredSpans cap since the last reset()
+    /// (0 when nothing was dropped).
+    [[nodiscard]] double spans_dropped() const;
 
-    /// Drop all recorded spans and metrics (sink selection is kept).
+    /// Drop all recorded spans and work counters and zero spans_dropped()
+    /// (sink selection is kept).
     void reset();
 
     /// Stored-span cap (per process, not per run).
@@ -200,8 +159,6 @@ private:
     Registry();
 
     void apply_environment();
-    void histogram_record_locked(std::string_view name, double value_us);
-    void counter_add_locked(std::string_view name, double delta);
 
     std::atomic<bool> enabled_{false};
     std::atomic<SinkKind> sink_{SinkKind::kOff};
@@ -211,10 +168,8 @@ private:
     mutable std::mutex mutex_;  // guards every member below
     std::string trace_path_;
     std::vector<SpanRecord> spans_;
-    std::map<std::string, double, std::less<>> counters_;
+    std::uint64_t spans_dropped_ = 0;
     std::map<std::string, double, std::less<>> works_;
-    std::map<std::string, double, std::less<>> gauges_;
-    std::map<std::string, HistogramSnapshot, std::less<>> histograms_;
 };
 
 }  // namespace htd::obs

@@ -3,8 +3,8 @@
 /// Structured, machine-readable record of one pipeline / bench execution.
 /// A `RunReport` is a named JSON document that reporting code fills with
 /// domain sections (config, datasets, per-boundary metrics, ...) and that
-/// can capture the global observability state (spans + metrics) as its
-/// "observability" section. Benches use `write_bench_report` to emit the
+/// can capture the global observability state (spans + work counters) as
+/// its "observability" section. Benches use `write_bench_report` to emit the
 /// `BENCH_<name>.json` artifacts tracked by the perf trajectory.
 ///
 /// A gated artifact also carries a top-level "gate" array of
@@ -29,7 +29,7 @@ public:
     /// Set a top-level section; later sets of the same key overwrite.
     RunReport& set(const std::string& key, io::Json value);
 
-    /// Snapshot `registry` (spans + metrics) into the "observability"
+    /// Snapshot `registry` (spans + work counters) into the "observability"
     /// section. Call after the instrumented work has finished.
     RunReport& capture_observability(const Registry& registry = Registry::global());
 

@@ -1,8 +1,6 @@
 #include "obs/sink.hpp"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
 #include <map>
 #include <utility>
 #include <vector>
@@ -10,32 +8,6 @@
 #include "obs/trace_export.hpp"
 
 namespace htd::obs {
-
-namespace {
-
-/// "12.3 ms" style rendering for nanosecond durations.
-std::string fmt_duration_ns(std::int64_t ns) {
-    char buf[32];
-    const double v = static_cast<double>(ns);
-    if (ns < 10'000) {
-        std::snprintf(buf, sizeof buf, "%" PRId64 " ns", ns);
-    } else if (ns < 10'000'000) {
-        std::snprintf(buf, sizeof buf, "%.1f us", v / 1e3);
-    } else if (ns < 10'000'000'000) {
-        std::snprintf(buf, sizeof buf, "%.1f ms", v / 1e6);
-    } else {
-        std::snprintf(buf, sizeof buf, "%.2f s", v / 1e9);
-    }
-    return buf;
-}
-
-std::string fmt_compact(double v) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%g", v);
-    return buf;
-}
-
-}  // namespace
 
 io::Json spans_json(const Registry& registry) {
     // Normalized mode (HTD_OBS_NORMALIZE=1) replaces every
@@ -82,53 +54,10 @@ io::Json spans_json(const Registry& registry) {
 }
 
 io::Json metrics_json(const Registry& registry) {
-    io::Json out = io::Json::object();
-
-    io::Json counters = io::Json::object();
-    for (const auto& [name, value] : registry.counters()) counters.set(name, value);
-    out.set("counters", std::move(counters));
-
     io::Json work = io::Json::object();
     for (const auto& [name, value] : registry.works()) work.set(name, value);
+    io::Json out = io::Json::object();
     out.set("work", std::move(work));
-
-    io::Json gauges = io::Json::object();
-    for (const auto& [name, value] : registry.gauges()) gauges.set(name, value);
-    out.set("gauges", std::move(gauges));
-
-    io::Json histograms = io::Json::object();
-    const std::vector<double>& bounds = histogram_bucket_bounds();
-    // Latency histograms are clock-derived; under normalized mode the
-    // record *counts* stay (they are structural) but every timing-derived
-    // statistic and bucket is zeroed, keeping the shape parseable while
-    // making same-seed runs byte-identical.
-    const bool normalize = registry.trace_normalize();
-    for (const auto& [name, h] : registry.histograms()) {
-        io::Json hist = io::Json::object();
-        hist.set("unit", "us");
-        hist.set("total", h.total);
-        hist.set("sum", normalize ? 0.0 : h.sum);
-        hist.set("mean", normalize ? 0.0 : h.mean());
-        hist.set("min", normalize ? 0.0 : h.min);
-        hist.set("max", normalize ? 0.0 : h.max);
-        hist.set("p50", normalize ? 0.0 : h.quantile(0.50));
-        hist.set("p90", normalize ? 0.0 : h.quantile(0.90));
-        hist.set("p99", normalize ? 0.0 : h.quantile(0.99));
-        io::Json buckets = io::Json::array();
-        if (!normalize) {
-            for (std::size_t i = 0; i < h.counts.size(); ++i) {
-                if (h.counts[i] == 0) continue;  // sparse: only occupied buckets
-                io::Json bucket = io::Json::object();
-                bucket.set("le_us",
-                           i < bounds.size() ? io::Json(bounds[i]) : io::Json());
-                bucket.set("count", h.counts[i]);
-                buckets.push_back(std::move(bucket));
-            }
-        }
-        hist.set("buckets", std::move(buckets));
-        histograms.set(name, std::move(hist));
-    }
-    out.set("histograms", std::move(histograms));
     return out;
 }
 
@@ -139,29 +68,6 @@ io::Json observability_json(const Registry& registry) {
     out.set("spans_dropped", registry.spans_dropped());
     out.set("metrics", metrics_json(registry));
     return out;
-}
-
-std::string span_text_line(const SpanRecord& record) {
-    std::string line = "[obs] ";
-    line.append(static_cast<std::size_t>(record.depth) * 2, ' ');
-    line += record.name;
-    line += "  wall ";
-    line += fmt_duration_ns(record.wall_ns);
-    line += "  cpu ";
-    line += fmt_duration_ns(record.cpu_ns);
-    if (!record.attrs.empty()) {
-        line += "  (";
-        bool first = true;
-        for (const auto& [key, value] : record.attrs) {
-            if (!first) line += ", ";
-            first = false;
-            line += key;
-            line += '=';
-            line += fmt_compact(value);
-        }
-        line += ')';
-    }
-    return line;
 }
 
 }  // namespace htd::obs

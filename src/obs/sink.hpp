@@ -1,10 +1,7 @@
 #pragma once
 /// \file sink.hpp
-/// Registry snapshot -> output conversions shared by the text and JSON
-/// sinks: `io::Json` views of the recorded spans and metrics, and the
-/// one-line span rendering the text sink streams to stderr.
-
-#include <string>
+/// Registry snapshot -> `io::Json` views of the recorded spans and work
+/// counters, shared by the run report and the bench artifacts.
 
 #include "io/json.hpp"
 #include "obs/obs.hpp"
@@ -22,21 +19,12 @@ namespace htd::obs {
 /// reports.
 [[nodiscard]] io::Json spans_json(const Registry& registry);
 
-/// Object with "counters", "gauges" and "histograms" members. Histograms
-/// serialize their bucket counts against the shared
-/// `histogram_bucket_bounds()` ladder plus total/sum/mean/min/max.
-/// Normalized mode keeps the structural fields (unit, total) and zeroes
-/// every timing-derived statistic and bucket so the shape survives while
-/// the bytes become deterministic.
+/// {"work": {name: total, ...}}: the work counters, which are
+/// seed-determined and need no normalizing.
 [[nodiscard]] io::Json metrics_json(const Registry& registry);
 
-/// Combined snapshot: {"spans": ..., "metrics": ...}. Inherits the
-/// normalized behaviour of both pieces above.
+/// Combined snapshot: {"sink", "spans", "spans_dropped", "metrics"}.
+/// Inherits the normalized behaviour of spans_json.
 [[nodiscard]] io::Json observability_json(const Registry& registry);
-
-/// One-line text rendering of a completed span, e.g.
-/// "[obs]   pipeline.mars_fit  wall 12.3 ms  cpu 12.1 ms  (outputs=6)".
-/// Indented two spaces per nesting level.
-[[nodiscard]] std::string span_text_line(const SpanRecord& record);
 
 }  // namespace htd::obs

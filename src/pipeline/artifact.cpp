@@ -15,7 +15,6 @@
 #endif
 
 #include "obs/journal.hpp"
-#include "obs/obs.hpp"
 
 namespace htd::core {
 
@@ -802,9 +801,7 @@ BoundaryArtifact BoundaryArtifact::load(const std::string& path,
         throw ArtifactError(ArtifactErrorCode::kParse, e.what(), {}, e.offset());
     }
 
-    BoundaryArtifact artifact = from_json(doc, opts, report);
-    obs::Registry::global().counter_add("pipeline.artifacts_loaded");
-    return artifact;
+    return from_json(doc, opts, report);
 }
 
 }  // namespace htd::core

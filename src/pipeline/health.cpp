@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <initializer_list>
+#include <optional>
 #include <stdexcept>
 
 #include "ml/kmm.hpp"
 #include "obs/journal.hpp"
-#include "obs/obs.hpp"
 #include "pipeline/pipeline.hpp"
 #include "stats/descriptive.hpp"
 
@@ -422,43 +422,29 @@ ProbeResult probe_boundaries(const std::array<BoundaryStatus, 5>& status) {
 // --- HealthMonitor -----------------------------------------------------------
 
 void HealthMonitor::record(ProbeResult probe) {
-    ProbeResult stored;
-    HealthLevel verdict_now = HealthLevel::kHealthy;
+    // A drift probe at DEGRADED or worse is journaled. The append happens
+    // outside the probe lock: the journal has its own mutex, never nested
+    // inside probe state.
+    obs::EventJournal& journal = obs::EventJournal::global();
+    std::optional<obs::Event> drift_trip;
+    if (journal.enabled() && probe.name.rfind("drift.", 0) == 0 &&
+        probe.level >= HealthLevel::kDegraded) {
+        drift_trip.emplace(obs::EventKind::kDriftTrip);
+        drift_trip->detail = probe.name + ": " + probe.detail;
+        for (const auto& [key, v] : probe.values) drift_trip->value(key, v);
+    }
     {
         const std::lock_guard<std::mutex> lock(mutex_);
-        auto it = std::find_if(
+        const auto it = std::find_if(
             probes_.begin(), probes_.end(),
             [&](const ProbeResult& p) { return p.name == probe.name; });
         if (it == probes_.end()) {
             probes_.push_back(std::move(probe));
-            it = probes_.end() - 1;
         } else {
             *it = std::move(probe);
         }
-        stored = *it;
-        verdict_now = verdict_locked();
     }
-    // Gauge publication happens outside the probe lock: the Registry has
-    // its own mutex and the Health -> Registry lock order must never be
-    // entangled (a sink flushing while a stage records must not deadlock).
-    // The journal append follows the same discipline (its own mutex, never
-    // nested inside probe state).
-    obs::EventJournal& journal = obs::EventJournal::global();
-    if (journal.enabled() && stored.name.rfind("drift.", 0) == 0 &&
-        stored.level >= HealthLevel::kDegraded) {
-        obs::Event ev(obs::EventKind::kDriftTrip);
-        ev.detail = stored.name + ": " + stored.detail;
-        for (const auto& [key, v] : stored.values) ev.value(key, v);
-        journal.append(std::move(ev));
-    }
-    obs::Registry& registry = obs::Registry::global();
-    registry.counter_add("health.probes_recorded");
-    for (const auto& [key, v] : stored.values) {
-        registry.gauge_set("health." + stored.name + "." + key, v);
-    }
-    registry.gauge_set("health." + stored.name + ".level",
-                       static_cast<double>(stored.level));
-    registry.gauge_set("health.verdict", static_cast<double>(verdict_now));
+    if (drift_trip.has_value()) journal.append(std::move(*drift_trip));
 }
 
 HealthLevel HealthMonitor::verdict_locked() const {

@@ -2,7 +2,7 @@
 /// \file health.hpp
 /// Statistical health probes for the detection pipeline.
 ///
-/// Spans and counters observe *mechanics* (latency, work); these probes
+/// Spans and work counters observe *mechanics* (latency, work); these probes
 /// observe whether the distributional machinery the paper's trust argument
 /// rests on is actually healthy: are the KMM importance weights spread over
 /// the Monte Carlo population or collapsed onto a handful of points, is the
@@ -14,10 +14,9 @@
 /// WARN / DEGRADED / CRITICAL level. This module owns every probe's
 /// thresholds (named constants in health.cpp beside the probe that reads
 /// them; DESIGN.md §10 lists the bands). Probes are recorded into a
-/// `HealthMonitor`, which mirrors every statistic as a
-/// `health.<probe>.<stat>` gauge in the global obs `Registry`, keeps the
-/// worst level as the run verdict, and serializes the whole set as the
-/// "health" section of a `htd.run_report.v2` document.
+/// `HealthMonitor`, which keeps the worst level as the run verdict and
+/// serializes the whole set as the "health" section of a run report — the
+/// one place a health statistic is recorded.
 
 #include <array>
 #include <cstddef>
@@ -48,7 +47,7 @@ enum class HealthLevel {
 [[nodiscard]] std::string health_level_name(HealthLevel level);
 
 /// Inverse of health_level_name; throws std::invalid_argument on an
-/// unknown name (used when reading a run_report.v2 back).
+/// unknown name (used when reading a run report back).
 [[nodiscard]] HealthLevel health_level_from_name(std::string_view name);
 
 /// The worse (more severe) of two levels.
@@ -134,8 +133,8 @@ struct ProbeResult {
 /// verdict: any failed boundary -> CRITICAL, any degraded -> DEGRADED.
 [[nodiscard]] ProbeResult probe_boundaries(const std::array<BoundaryStatus, 5>& status);
 
-/// Collects probes for one pipeline run, mirrors their statistics as
-/// `health.*` gauges, and aggregates the run verdict (worst probe level).
+/// Collects probes for one pipeline run and aggregates the run verdict
+/// (worst probe level).
 ///
 /// Thread-safe: the recorded probe set is guarded by a mutex, so callers
 /// may record probes from several threads. Accessors therefore return
@@ -143,8 +142,8 @@ struct ProbeResult {
 class HealthMonitor {
 public:
     /// Record a probe (a later probe with the same name replaces the
-    /// earlier one — stages re-run). Publishes `health.<name>.<stat>` and
-    /// `health.<name>.level` gauges plus the `health.verdict` gauge.
+    /// earlier one — stages re-run). A `drift.*` probe at DEGRADED or worse
+    /// also appends a `drift_trip` event to the global EventJournal.
     void record(ProbeResult probe);
 
     /// Worst level over the recorded probes (kHealthy when none).
@@ -156,7 +155,7 @@ public:
     /// The probe with that name, or std::nullopt.
     [[nodiscard]] std::optional<ProbeResult> find(std::string_view name) const;
 
-    /// The run_report.v2 "health" section:
+    /// The run report's "health" section:
     /// {"verdict": ..., "probes": [...]}.
     [[nodiscard]] io::Json to_json() const;
 

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "obs/journal.hpp"
-#include "obs/obs.hpp"
 #include "obs/span.hpp"
 #include "stats/descriptive.hpp"
 
@@ -293,19 +292,6 @@ IngestResult MeasurementValidator::ingest(const silicon::FabricatedLot& lot,
 
     IngestResult result = finalize(std::move(ds), summary);
 
-    obs::Registry& reg = obs::Registry::global();
-    reg.counter_add("ingest.devices_measured",
-                    static_cast<double>(result.summary.devices_total));
-    reg.counter_add("ingest.devices_dropped",
-                    static_cast<double>(result.summary.devices_dropped));
-    reg.counter_add("ingest.retries", static_cast<double>(result.summary.retries_used));
-    reg.counter_add("ingest.channels_imputed",
-                    static_cast<double>(result.summary.channels_imputed));
-    reg.counter_add("ingest.nonfinite_cells",
-                    static_cast<double>(result.summary.nonfinite_cells));
-    reg.gauge_set("ingest.kept_fraction",
-                  static_cast<double>(result.summary.devices_kept) /
-                      static_cast<double>(result.summary.devices_total));
     span.attr("kept", static_cast<double>(result.summary.devices_kept));
     span.attr("dropped", static_cast<double>(result.summary.devices_dropped));
     span.attr("retries", static_cast<double>(result.summary.retries_used));

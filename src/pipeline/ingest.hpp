@@ -14,8 +14,7 @@
 /// drives a bounded re-measure/retry policy against a `MeasurementSource`,
 /// median-imputes isolated bad fingerprint channels, quarantines devices
 /// that stay unusable, and reports everything it did as a
-/// `QuarantineSummary` (JSON-ready for the `htd::obs` RunReport, with
-/// counters mirrored into the global obs registry).
+/// `QuarantineSummary` (JSON-ready for the `htd::obs` RunReport).
 
 #include <cstdint>
 #include <vector>
@@ -149,9 +148,9 @@ public:
     [[nodiscard]] IngestResult sanitize(const silicon::DuttDataset& raw) const;
 
     /// Measure `lot` through `source`, re-measure faulty devices within the
-    /// retry budget, then impute/drop what remains. Emits `ingest.*`
-    /// counters and gauges into the global obs registry. Throws
-    /// DataQualityError when fewer than `min_devices` devices survive.
+    /// retry budget, then impute/drop what remains, in an `ingest.lot`
+    /// span. Throws DataQualityError when fewer than `min_devices` devices
+    /// survive.
     [[nodiscard]] IngestResult ingest(const silicon::FabricatedLot& lot,
                                       const silicon::MeasurementSource& source,
                                       rng::Rng& rng) const;

@@ -189,7 +189,6 @@ void GoldenFreePipeline::build_boundary(Boundary b, BuildDataset&& build) {
         boundaries_[i] = ml::OneClassSvm(config_.svm);
         kdes_[i].reset();
         status_[i] = {BoundaryHealth::kFailed, e.what()};
-        obs::Registry::global().counter_add("pipeline.boundary_failures");
     }
 }
 
@@ -217,8 +216,6 @@ void GoldenFreePipeline::run_premanufacturing(rng::Rng& rng) {
         span.attr("pcm_dim", static_cast<double>(mc_pcms_.cols()));
         span.attr("fingerprint_dim", static_cast<double>(golden_fingerprints.cols()));
     }
-    obs::Registry::global().counter_add("pipeline.monte_carlo_devices",
-                                        static_cast<double>(mc_pcms_.rows()));
     obs::Registry::global().work_add("work.mc.samples",
                                      static_cast<double>(mc_pcms_.rows()));
 
@@ -266,8 +263,6 @@ void GoldenFreePipeline::run_silicon_stage(const linalg::Matrix& dutt_pcms,
 
     obs::ScopedSpan stage("pipeline.stage2_silicon");
     stage.attr("dutt_devices", static_cast<double>(dutt_pcms.rows()));
-    obs::Registry::global().counter_add("pipeline.dutt_devices",
-                                        static_cast<double>(dutt_pcms.rows()));
 
     silicon_done_ = false;
     // Journal the stage completion at every exit that leaves the pipeline
@@ -315,14 +310,11 @@ void GoldenFreePipeline::run_silicon_stage(const linalg::Matrix& dutt_pcms,
         const ml::KernelMeanShiftCalibrator calibrator(config_.calibration);
         calibration_ = calibrator.calibrate(mc_pcms_, silicon_pcms);
         kmm_ess_ = ml::effective_sample_size(calibration_->weights);
-        obs::Registry::global().gauge_set("pipeline.kmm_effective_sample_size",
-                                          kmm_ess_);
         fallback = kmm_ess_ < config_.kmm_min_effective_sample_size;
     } catch (const std::exception& e) {
         const std::string detail = std::string("KMM calibration failed: ") + e.what();
         status_[index_of(Boundary::kB4)] = {BoundaryHealth::kFailed, detail};
         status_[index_of(Boundary::kB5)] = {BoundaryHealth::kFailed, detail};
-        obs::Registry::global().counter_add("pipeline.boundary_failures", 2.0);
         ProbeResult kmm_probe;
         kmm_probe.name = "kmm_weights";
         kmm_probe.escalate(HealthLevel::kCritical, detail);
@@ -367,7 +359,6 @@ void GoldenFreePipeline::run_silicon_stage(const linalg::Matrix& dutt_pcms,
 
     if (fallback) {
         kmm_fallback_applied_ = true;
-        obs::Registry::global().counter_add("pipeline.kmm_fallback_to_b3");
         const std::string detail =
             "KMM collapse (effective sample size " + std::to_string(kmm_ess_) +
             " < floor " + std::to_string(config_.kmm_min_effective_sample_size) +

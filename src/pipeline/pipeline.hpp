@@ -116,7 +116,7 @@ struct PipelineConfig {
     /// Below it the calibration has collapsed onto a handful of Monte Carlo
     /// points and boundary B4 would train on effectively no data, so B4/B5
     /// train on S3 instead (recorded in the boundary status, the
-    /// `pipeline.kmm_fallback_to_b3` counter and degradation_report()).
+    /// `boundary_fallback` journal event and degradation_report()).
     double kmm_min_effective_sample_size = 4.0;
 };
 
@@ -223,7 +223,7 @@ public:
 
     /// Statistical health probes recorded so far (cleared when stage 1
     /// re-runs; stage re-runs replace same-name probes). Serialized as the
-    /// "health" section of a run_report.v2 by core::pipeline_run_report.
+    /// "health" section of a run report by core::pipeline_run_report.
     [[nodiscard]] const HealthMonitor& health() const noexcept {
         return health_;
     }

@@ -190,7 +190,6 @@ linalg::Matrix Kde::draw_n(rng::Rng& rng, std::size_t n,
     linalg::Matrix out(n, dim());
     std::vector<double> disp(dim());
     for (std::size_t k = 0; k < n; ++k) draw(rng, local_h, disp, out.row_span(k));
-    obs::Registry::global().counter_add("kde.samples_drawn", static_cast<double>(n));
     obs::Registry::global().work_add("work.kde.samples_drawn", static_cast<double>(n));
     return out;
 }

@@ -342,7 +342,7 @@ TEST(PipelineHealth, ForcedDriftAndCollapseDegradeVerdictWithPerChannelKs) {
 
 TEST(PipelineHealth, KmmCollapseFallbackVisibleInReportHealthAndJournal) {
     // The B4 -> B3 KMM-collapse fallback must be observable through BOTH
-    // forensic surfaces at once: the htd.run_report.v2 "health" section
+    // forensic surfaces at once: the run report's "health" section
     // (the boundaries probe) and an htd.events.v1 boundary_fallback event
     // in the decision journal (DESIGN.md §15).
     core::ExperimentConfig config = small_config();
@@ -404,7 +404,7 @@ TEST(CommittedArtifact, QuickstartRunReportParsesWithCurrentSchema) {
     const std::string path =
         std::string(HTD_SOURCE_DIR) + "/quickstart_run_report.json";
     const io::Json doc = io::Json::parse_file(path);
-    EXPECT_EQ(doc.at("schema").str(), "htd.run_report.v2");
+    EXPECT_EQ(doc.at("schema").str(), "htd.run_report.v3");
     EXPECT_EQ(doc.at("run").str(), "quickstart");
     ASSERT_TRUE(doc.contains("health"));
     EXPECT_EQ(doc.at("health").at("verdict").str(), "healthy");
@@ -417,13 +417,11 @@ TEST(CommittedArtifact, QuickstartRunReportParsesWithCurrentSchema) {
     ASSERT_TRUE(doc.contains("boundaries"));
     ASSERT_TRUE(doc.contains("degradation"));
     ASSERT_TRUE(doc.contains("observability"));
-    // v2 emits estimated quantiles for every latency histogram.
-    for (const auto& [name, hist] :
-         doc.at("observability").at("metrics").at("histograms").members()) {
-        EXPECT_TRUE(hist.contains("p50")) << name;
-        EXPECT_TRUE(hist.contains("p90")) << name;
-        EXPECT_TRUE(hist.contains("p99")) << name;
-    }
+    // v3 records each quantity once: the metrics hold only work counters.
+    const io::Json& metrics = doc.at("observability").at("metrics");
+    ASSERT_EQ(metrics.members().size(), 1u);
+    EXPECT_TRUE(metrics.contains("work"));
+    EXPECT_FALSE(metrics.at("work").members().empty());
     EXPECT_TRUE(doc.at("observability").contains("spans_dropped"));
 }
 

@@ -404,26 +404,6 @@ TEST(LintRules, WorkCounterNameEnforcesShapeInSrc) {
                           "work-counter-name"));
 }
 
-TEST(LintRules, WorkNamespaceIsReservedForWorkAdd) {
-    const std::string sneaky =
-        "void f(htd::obs::Registry& r) {\n"
-        "    r.counter_add(\"work.kde.sneaky\", 1.0);\n"
-        "    r.gauge_set(\"work.kde.level\", 1.0);\n"
-        "    r.histogram_record(\"work.kde.lat\", 1.0);\n"
-        "}\n";
-    const std::vector<Finding> findings =
-        htd::lint::lint_source("src/stats/x.cpp", sneaky);
-    ASSERT_EQ(findings.size(), 3u);
-    for (const Finding& f : findings) EXPECT_EQ(f.rule, "work-counter-name");
-
-    // Non-work names through the other metric kinds stay clean.
-    const std::string fine =
-        "void f(htd::obs::Registry& r) {\n"
-        "    r.counter_add(\"pipeline.devices\", 1.0);\n"
-        "}\n";
-    EXPECT_TRUE(htd::lint::lint_source("src/stats/x.cpp", fine).empty());
-}
-
 TEST(LintRules, ArtifactSchemaStringOnlyInDefiningHeader) {
     // A literal htd.boundary.* spelling forks the schema contract.
     const std::string fork =

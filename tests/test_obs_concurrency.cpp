@@ -1,6 +1,6 @@
 /// Multi-threaded stress tests for the htd::obs concurrency surface: N
-/// writer threads hammer counters / gauges / histograms / nested spans
-/// while a reader thread snapshots continuously, HealthMonitor takes
+/// writer threads hammer work counters / nested spans while a reader
+/// thread snapshots continuously, HealthMonitor takes
 /// concurrent record() / find() / verdict() traffic, and an in-memory
 /// EventJournal takes concurrent append() / recent() traffic. The
 /// assertions check totals (every write landed exactly once) and journal
@@ -31,7 +31,6 @@ using htd::obs::Event;
 using htd::obs::EventJournal;
 using htd::core::HealthLevel;
 using htd::core::HealthMonitor;
-using htd::obs::HistogramSnapshot;
 using htd::core::ProbeResult;
 using htd::obs::Registry;
 using htd::obs::ScopedSpan;
@@ -52,26 +51,28 @@ protected:
 constexpr std::size_t kThreads = 8;
 constexpr std::size_t kIterations = 500;
 
-TEST_F(ObsConcurrencyTest, CountersGaugesHistogramsUnderContention) {
+TEST_F(ObsConcurrencyTest, WorkCountersUnderContention) {
     Registry& registry = Registry::global();
     std::atomic<bool> stop{false};
 
-    // A reader snapshots concurrently with the writers; every snapshot must
-    // be internally consistent (no torn maps, no crashes).
+    // A reader snapshots works() and spans() concurrently with the writers;
+    // every snapshot must be internally consistent (no torn maps, no
+    // crashes) and a running total can only have grown.
     std::thread reader([&] {
+        double last_shared = 0.0;
         while (!stop.load(std::memory_order_relaxed)) {
-            const std::map<std::string, double> counters = registry.counters();
-            for (const auto& [name, value] : counters) {
+            const std::map<std::string, double> works = registry.works();
+            for (const auto& [name, value] : works) {
                 EXPECT_FALSE(name.empty());
-                EXPECT_GE(value, 0.0);
+                EXPECT_GT(value, 0.0);
             }
-            (void)registry.gauges();
-            const std::map<std::string, HistogramSnapshot> hists =
-                registry.histograms();
-            for (const auto& [name, h] : hists) {
-                std::uint64_t bucket_total = 0;
-                for (const std::uint64_t c : h.counts) bucket_total += c;
-                EXPECT_EQ(bucket_total, h.total) << name;
+            const auto shared = works.find("work.stress.shared");
+            if (shared != works.end()) {
+                EXPECT_GE(shared->second, last_shared);
+                last_shared = shared->second;
+            }
+            for (const auto& span : registry.spans()) {
+                EXPECT_EQ(span.name, "stress.writer");
             }
         }
     });
@@ -80,13 +81,11 @@ TEST_F(ObsConcurrencyTest, CountersGaugesHistogramsUnderContention) {
     writers.reserve(kThreads);
     for (std::size_t t = 0; t < kThreads; ++t) {
         writers.emplace_back([&registry, t] {
-            const std::string own = "stress.own." + std::to_string(t);
+            const std::string own = "work.stress.own_" + std::to_string(t);
+            ScopedSpan span("stress.writer");
             for (std::size_t i = 0; i < kIterations; ++i) {
-                registry.counter_add("stress.shared");
-                registry.counter_add(own, 2.0);
-                registry.gauge_set("stress.gauge", static_cast<double>(i));
-                registry.histogram_record("stress.hist",
-                                          static_cast<double>(i % 97) + 0.5);
+                registry.work_add("work.stress.shared", 1.0);
+                registry.work_add(own, 2.0);
             }
         });
     }
@@ -94,17 +93,17 @@ TEST_F(ObsConcurrencyTest, CountersGaugesHistogramsUnderContention) {
     stop.store(true, std::memory_order_relaxed);
     reader.join();
 
-    EXPECT_DOUBLE_EQ(registry.counter_value("stress.shared"),
+    const std::map<std::string, double> works = registry.works();
+    EXPECT_EQ(works.size(), kThreads + 1);
+    EXPECT_DOUBLE_EQ(registry.work_value("work.stress.shared"),
                      static_cast<double>(kThreads * kIterations));
     for (std::size_t t = 0; t < kThreads; ++t) {
         EXPECT_DOUBLE_EQ(
-            registry.counter_value("stress.own." + std::to_string(t)),
+            registry.work_value("work.stress.own_" + std::to_string(t)),
             2.0 * static_cast<double>(kIterations));
     }
-    const std::map<std::string, HistogramSnapshot> hists = registry.histograms();
-    const auto it = hists.find("stress.hist");
-    ASSERT_NE(it, hists.end());
-    EXPECT_EQ(it->second.total, kThreads * kIterations);
+    EXPECT_EQ(registry.span_count(), kThreads);
+    EXPECT_DOUBLE_EQ(registry.spans_dropped(), 0.0);
 }
 
 TEST_F(ObsConcurrencyTest, NestedSpansAcrossThreads) {

@@ -592,8 +592,7 @@ void scan_declarations(const std::string& path, const std::vector<Token>& toks,
 // Work counters are the profiler's attribution currency (DESIGN.md §13):
 // htd_profile ranks stages by `work.<stage>.<quantity>` deltas, so a
 // misnamed counter silently falls out of every report. Enforce the shape
-// at the recording site, and keep the `work.` namespace reserved for
-// Registry::work_add so the metric kind stays trustworthy.
+// at the recording site.
 
 /// `work.<stage>.<quantity>`: each segment a lowercase letter followed by
 /// [a-z0-9_], exactly two dots.
@@ -623,12 +622,7 @@ void check_work_counter_names(const std::string& path,
     for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
         const Token& callee = toks[i];
         if (callee.kind != TokKind::kIdent || callee.in_directive) continue;
-        const bool is_work = callee.text == "work_add";
-        const bool reserves = callee.text == "counter_add" ||
-                              callee.text == "gauge_set" ||
-                              callee.text == "histogram_record";
-        if (!is_work && !reserves) continue;
-        if (!is_punct(toks[i + 1], "(")) continue;
+        if (callee.text != "work_add" || !is_punct(toks[i + 1], "(")) continue;
         const Token& arg = toks[i + 2];
         // Only literal names are statically checkable; a computed name is
         // the caller's responsibility. Encoding-prefixed / raw literals do
@@ -638,22 +632,12 @@ void check_work_counter_names(const std::string& path,
             continue;
         }
         const std::string name = arg.text.substr(1, arg.text.size() - 2);
-        if (is_work) {
-            if (!is_work_counter_name(name)) {
-                out.push_back(
-                    {path, arg.line, "work-counter-name",
-                     "work counter '" + name +
-                         "' must be named work.<stage>.<quantity> "
-                         "(lowercase [a-z0-9_] segments, exactly two dots) "
-                         "so htd_profile can attribute it to a stage"});
-            }
-        } else if (name.rfind("work.", 0) == 0) {
-            out.push_back(
-                {path, arg.line, "work-counter-name",
-                 "'" + name + "' claims the work. namespace but is recorded "
-                 "via " + callee.text +
-                     "; record work counters through Registry::work_add so "
-                     "traces and reports agree on the metric kind"});
+        if (!is_work_counter_name(name)) {
+            out.push_back({path, arg.line, "work-counter-name",
+                           "work counter '" + name +
+                               "' must be named work.<stage>.<quantity> "
+                               "(lowercase [a-z0-9_] segments, exactly two dots) "
+                               "so htd_profile can attribute it to a stage"});
         }
     }
 }

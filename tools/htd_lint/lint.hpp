@@ -58,11 +58,7 @@
 ///   work-counter-name   (v3) A literal name passed to `work_add` in src/
 ///                       must be `work.<stage>.<quantity>` (lowercase
 ///                       [a-z0-9_] segments, exactly two dots) so
-///                       htd_profile can attribute it; conversely
-///                       `counter_add` / `gauge_set` /
-///                       `histogram_record` must not claim the `work.`
-///                       namespace — the metric kind is part of the
-///                       profiling contract (DESIGN.md §13).
+///                       htd_profile can attribute it (DESIGN.md §13).
 ///   artifact-schema-version
 ///                       (v4) The `htd.boundary.*` artifact schema string
 ///                       may be spelled as a literal only in its defining
